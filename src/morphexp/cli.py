@@ -145,7 +145,7 @@ def _cmd_sync(args: argparse.Namespace) -> None:
 
 def _cmd_ace(args: argparse.Namespace) -> None:
     gen = generator_from_spec(args.gen, _parse_params(args.params))
-    estimate = ace_estimate(gen, args.prefix, args.tail, engine=args.engine)
+    estimate = ace_estimate(gen, args.prefix, args.tail)
     record = {
         "generator": args.gen,
         "prefix": args.prefix,
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None)
     p.add_argument("--prefix", type=int, required=True)
     p.add_argument("--tail", type=int, required=True)
-    p.add_argument("--engine", choices=("border", "sweep"), default="border")
     add_format(p)
     p.set_defaults(handler=_cmd_ace)
 

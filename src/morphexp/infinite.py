@@ -349,15 +349,13 @@ class AceEstimate:
         return "\n".join(lines)
 
 
-def ace_estimate(
-    gen: WordGenerator, prefix_len: int, tail: int, engine: str = "border"
-) -> AceEstimate:
+def ace_estimate(gen: WordGenerator, prefix_len: int, tail: int) -> AceEstimate:
     """Exact per-length maximal exponents over the length-prefix_len prefix,
     for factor lengths tail..prefix_len."""
     if not 1 <= tail <= prefix_len:
         raise WordError(f"tail {tail} out of range 1..{prefix_len}")
     word = gen.prefix(prefix_len)
-    minper, start = minimal_period_profile(word, engine=engine)
+    minper, start = minimal_period_profile(word)
     per_length = {}
     offsets = {}
     for length in range(tail, prefix_len + 1):
@@ -406,6 +404,13 @@ def generator_from_spec(name: str, params: dict[str, str]) -> WordGenerator:
             raise ParseError(f"generator {name!r} needs parameter {key!r}")
         return params[key]
 
+    def need_int(key: str) -> int:
+        value = need(key)
+        try:
+            return int(value)
+        except ValueError:
+            raise ParseError(f"generator {name!r} parameter {key!r} is not an integer: {value!r}") from None
+
     if name == "periodic":
         return PeriodicGenerator(Word(need("v")))
     if name == "thue-morse":
@@ -414,8 +419,8 @@ def generator_from_spec(name: str, params: dict[str, str]) -> WordGenerator:
         return MorphicGenerator(parse_morphism(need("rules")), need("seed"))
     if name == "interleaved":
         base = _base_generator(params.get("base", "thue-morse"))
-        return InterleavedCopiesGenerator(int(need("n")), base)
+        return InterleavedCopiesGenerator(need_int("n"), base)
     if name == "optimal-binary":
         base = _base_generator(params.get("base", "thue-morse"))
-        return OptimalBinaryGenerator(int(need("n")), int(need("k")), int(need("m")), base)
+        return OptimalBinaryGenerator(need_int("n"), need_int("k"), need_int("m"), base)
     raise ParseError(f"unknown generator {name!r}")

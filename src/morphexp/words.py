@@ -324,80 +324,70 @@ def fine_wilf_root(u: WordLike, v: WordLike) -> Word | None:
     return primitive_root(uw)
 
 
-def minimal_period_profile(w: WordLike, engine: str = "border") -> tuple[list[int], list[int]]:
+def minimal_period_profile(w: WordLike) -> tuple[list[int], list[int]]:
     """Per factor length L in 1..|w|: the minimum smallest-period over all
     length-L factors, and the leftmost start position achieving it.
 
-    Returns (minper, start), both indexed by L with index 0 unused.  The
-    "border" engine runs incremental failure arrays from every start; the
-    "sweep" engine scans equality runs per period.  Both are exact and exist
-    to cross-check each other.
+    Returns (minper, start), both indexed by L with index 0 unused.
+
+    Bit-parallel (shift-and): bit i of the agreement mask at shift p is set
+    iff w[i] == w[i + p], and a run of L - p agreements from bit i is a
+    length-L factor at i with period p.  Shifts are visited in ascending
+    order, so a length is settled at the first shift whose longest run is
+    long enough, at the lowest start of such a run.  Lengths no shift
+    settles keep minper[L] = L and start 0.  Each shift costs O(sigma +
+    log n) operations on n-bit ints, and the skip rule settles each length
+    once: O((sigma + log n) * n^2 / w) word operations in all.
     """
     text = _text(w)
     if not text:
         raise WordError("empty input")
-    if engine == "border":
-        return _profile_border(text)
-    if engine == "sweep":
-        return _profile_sweep(text)
-    raise WordError(f"unknown engine {engine!r}")
-
-
-def _profile_border(text: str) -> tuple[list[int], list[int]]:
-    n = len(text)
-    big = n + 1
-    minper = [big] * (n + 1)
-    start = [0] * (n + 1)
-    minper[0] = 0
-    minper[1] = 1
-    for i in range(n):
-        m = n - i
-        border = [0] * (m + 1)
-        k = 0
-        for j in range(1, m):
-            c = text[i + j]
-            while k and text[i + k] != c:
-                k = border[k]
-            if text[i + k] == c:
-                k += 1
-            border[j + 1] = k
-            length = j + 1
-            p = length - k
-            if p < minper[length]:
-                minper[length] = p
-                start[length] = i
-    return minper, start
-
-
-def _profile_sweep(text: str) -> tuple[list[int], list[int]]:
     n = len(text)
     minper = list(range(n + 1))  # a length-L factor trivially has period L
     start = [0] * (n + 1)
+    letters = set(text)
+    rev = text[::-1]  # bit i of a plane is position i
+    zeros = {ord(ch): "0" for ch in letters}
+    planes = [int(rev.translate({**zeros, ord(ch): "1"}), 2) for ch in letters]
+    # minper is non-decreasing in L (a factor's prefix keeps its period), so
+    # the lengths still unsettled at any shift are exactly those >= unsettled.
+    unsettled = 2
     for p in range(1, n):
-        run = 0
-        run_start = 0
-        for i in range(n - p):
-            if text[i] == text[i + p]:
-                if run == 0:
-                    run_start = i
-                run += 1
-            elif run:
-                _sweep_update(minper, start, p, run, run_start)
-                run = 0
-        if run:
-            _sweep_update(minper, start, p, run, run_start)
-    return minper, start
-
-
-def _sweep_update(minper: list[int], start: list[int], p: int, run: int, run_start: int) -> None:
-    # A maximal run of run agreements at shift p yields factors of every
-    # length L in p+1 .. p+run with period p, all starting at run_start.
-    for length in range(p + 1, p + run + 1):
-        if p < minper[length]:
+        # A length L <= p settles at no shift from here on (periods < L).
+        unsettled = max(unsettled, p + 1)
+        if unsettled > n:
+            break
+        agree = 0
+        for plane in planes:
+            agree |= plane & (plane >> p)
+        if not agree:
+            continue
+        # powers[j]: starts of runs of at least 2**j agreements.
+        powers = [agree]
+        while powers[-1]:
+            powers.append(powers[-1] & (powers[-1] >> (1 << (len(powers) - 1))))
+        # Longest run, by descending through the powers.
+        longest, runs = 1 << (len(powers) - 2), powers[-2]
+        for j in range(len(powers) - 3, -1, -1):
+            longer = runs & (powers[j] >> longest)
+            if longer:
+                longest, runs = longest + (1 << j), longer
+        if p + longest < unsettled:
+            continue
+        # Runs of the first unsettled length's k = L - p agreements, composed
+        # from the powers; each next length needs one more agreement.
+        k = unsettled - p
+        runs, have = -1, 0
+        for j in range(k.bit_length()):
+            if k >> j & 1:
+                runs &= powers[j] >> have
+                have += 1 << j
+        for length in range(unsettled, p + longest + 1):
             minper[length] = p
-            start[length] = run_start
-        elif p == minper[length] and run_start < start[length]:
-            start[length] = run_start
+            start[length] = (runs & -runs).bit_length() - 1
+            runs &= agree >> (length - p)
+        unsettled = p + longest + 1
+    return minper, start
 
 
 def _select_max_exponent(minper: list[int], start: list[int], lo: int, hi: int) -> tuple[int, int, int]:
@@ -411,7 +401,7 @@ def _select_max_exponent(minper: list[int], start: list[int], lo: int, hi: int) 
     return best_len, best_per, best_start
 
 
-def max_exponent_factor(w: WordLike, min_len: int = 1, engine: str = "border") -> tuple[Word, Fraction]:
+def max_exponent_factor(w: WordLike, min_len: int = 1) -> tuple[Word, Fraction]:
     """Among factors of length >= min_len, one with maximal fractional
     exponent (ties: shortest factor, then leftmost occurrence)."""
     word = as_word(w)
@@ -419,6 +409,6 @@ def max_exponent_factor(w: WordLike, min_len: int = 1, engine: str = "border") -
         raise WordError("empty input")
     if not 1 <= min_len <= len(word):
         raise WordError(f"min_len {min_len} out of range 1..{len(word)}")
-    minper, start = minimal_period_profile(word, engine=engine)
+    minper, start = minimal_period_profile(word)
     length, period, pos = _select_max_exponent(minper, start, min_len, len(word))
     return word[pos:pos + length], Fraction(length, period)

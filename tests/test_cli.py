@@ -97,6 +97,13 @@ class TestExitCodes:
         assert invoke(capsys, "nosuchcommand")[0] == 2
         assert invoke(capsys, "witness", "abab")[0] == 2  # missing --target
 
+    def test_non_integer_generator_parameter_is_2(self, capsys):
+        for gen, params in (("interleaved", "n=x"), ("optimal-binary", "n=1;k=2;m=y")):
+            code, out, err = invoke(capsys, "ace", "--gen", gen, "--params", params, "--prefix", "10", "--tail", "2")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("usage error:") and "not an integer" in err
+
     def test_analysis_error_is_1(self, capsys):
         code, _, err = invoke(capsys, "sync", "a", "--code", "a,aa")
         assert code == 1

@@ -17,6 +17,7 @@ from morphexp.infinite import (
 )
 from morphexp.morphisms import Morphism
 from morphexp.words import Alphabet, Word, WordError, fractional_exponent, fractional_power
+from profile_oracles import profile_border, profile_sweep
 
 
 class TestBasicGenerators:
@@ -203,9 +204,12 @@ class TestAceEstimate:
             assert est.per_length[length] == best
 
     def test_engines_agree(self):
-        a = ace_estimate(thue_morse(), 400, 6, engine="border")
-        b = ace_estimate(thue_morse(), 400, 6, engine="sweep")
-        assert a == b
+        est = ace_estimate(thue_morse(), 400, 6)
+        text = str(thue_morse().prefix(400))
+        for oracle in (profile_border, profile_sweep):
+            minper, start = oracle(text)
+            assert est.per_length == {n: Fraction(n, minper[n]) for n in range(6, 401)}
+            assert est.offsets == {n: start[n] for n in range(6, 401)}
 
     def test_csv_shape(self):
         est = ace_estimate(PeriodicGenerator("ab"), 10, 8)

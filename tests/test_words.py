@@ -22,13 +22,7 @@ from morphexp.words import (
     smallest_period,
     suffix_comparable,
 )
-
-
-def brute_smallest_period(text):
-    for p in range(1, len(text) + 1):
-        if all(text[i] == text[i + p] for i in range(len(text) - p)):
-            return p
-    raise AssertionError
+from profile_oracles import brute_smallest_period, profile_border, profile_naive, profile_sweep
 
 
 def random_word(rng, alphabet, length):
@@ -272,7 +266,48 @@ class TestMaxExponentFactor:
         rng = random.Random(11)
         for _ in range(80):
             w = random_word(rng, "ab", rng.randint(1, 40))
-            assert minimal_period_profile(w, "border") == minimal_period_profile(w, "sweep")
+            got = minimal_period_profile(w)
+            assert got == profile_border(w), w
+            assert got == profile_sweep(w), w
+
+
+class TestPeriodProfile:
+    def test_differential_fuzz_against_all_factors(self):
+        rng = random.Random(12)
+        for trial in range(400):
+            alphabet = "abcd"[:rng.randint(1, 4)]
+            length = rng.randint(1, 60)
+            if trial % 2:
+                w = random_word(rng, alphabet, length)
+            else:
+                # A periodic prefix with a few letters changed: long runs
+                # broken in places, where the skip rule jumps furthest.
+                v = random_word(rng, alphabet, rng.randint(1, 6))
+                w = "".join(
+                    rng.choice(alphabet) if rng.random() < 0.05 else ch
+                    for ch in repeat_to_length(v, length)
+                )
+            assert minimal_period_profile(w) == profile_naive(w), w
+
+    def test_unary(self):
+        minper, start = minimal_period_profile("a" * 300)
+        assert minper == [0] + [1] * 300
+        assert start == [0] * 301
+
+    def test_single_letter_between_unary_blocks(self):
+        k = 150
+        w = "a" * k + "b" + "a" * k
+        minper, start = minimal_period_profile(w)
+        assert minper[1:k + 1] == [1] * k
+        assert minper[k + 1:] == [min((n + 2) // 2, k + 1) for n in range(k + 1, 2 * k + 2)]
+        assert (minper, start) == profile_sweep(w)
+
+    def test_periodic_prefixes(self):
+        for v in ("ab", "aab", "abaab", "abcacb", "abacabad"):
+            w = str(repeat_to_length(v, 300))
+            minper, start = minimal_period_profile(w)
+            assert minper[300] == len(v)
+            assert (minper, start) == profile_sweep(w), v
 
 
 class TestWordType:
