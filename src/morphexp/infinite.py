@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .morphisms import Morphism, parse_morphism
@@ -40,14 +41,21 @@ class WordGenerator:
     def prefix(self, n: int) -> Word:
         if n < 0:
             raise WordError("prefix length must be >= 0")
-        while len(self._buf) < n:
+        return Word._make(self._slice(0, n), self.alphabet)
+
+    def _slice(self, lo: int, hi: int) -> str:
+        """Letters lo..hi-1, grown into the buffer if needed; copies only
+        hi - lo letters, so derived generators read their base through it."""
+        while len(self._buf) < hi:
             before = len(self._buf)
-            self._grow(n)
+            self._grow(hi)
             if len(self._buf) <= before:
                 raise WordError("generator failed to produce more letters")
-        return Word._make(self._buf[:n], self.alphabet)
+        return self._buf[lo:hi]
 
     def _grow(self, n: int) -> None:
+        """Extend the buffer towards n letters, possibly past n; a call that
+        adds no letter ends growth with a WordError."""
         raise NotImplementedError
 
 
@@ -61,10 +69,10 @@ class StreamGenerator(WordGenerator):
         self._letters: Iterator[str] = iter(letters)
 
     def _grow(self, n: int) -> None:
-        try:
-            self._buf += next(self._letters)
-        except StopIteration:
-            raise WordError("letter stream exhausted") from None
+        letters = list(islice(self._letters, n - len(self._buf)))
+        if not letters:
+            raise WordError("letter stream exhausted")
+        self._buf += "".join(letters)
 
 
 class PeriodicGenerator(WordGenerator):
@@ -85,7 +93,13 @@ class PeriodicGenerator(WordGenerator):
 
 
 class MorphicGenerator(WordGenerator):
-    """Fixed point of a morphism prolongable on its seed letter."""
+    """Fixed point of a morphism prolongable on its seed letter.
+
+    The buffer always equals h(buffer[:cursor]), so the fixed point grows by
+    expanding the unexpanded letters as whole blocks.  A letter outside the
+    domain raises only once the cursor reaches it while the requested prefix
+    is still longer than the buffer.
+    """
 
     kind = "morphic-fixed-point"
 
@@ -98,16 +112,32 @@ class MorphicGenerator(WordGenerator):
         self.seed = seed
         self._buf = str(start)
         self._cursor = 1
+        self._domain = "".join(rules.images)
+        self._table = str.maketrans(rules.images)
 
     def _grow(self, n: int) -> None:
-        images = self.rules.images
-        while len(self._buf) < n:
-            ch = self._buf[self._cursor]
-            try:
-                self._buf += images[ch]
-            except KeyError:
-                raise WordError(f"letter {ch!r} outside morphism domain") from None
-            self._cursor += 1
+        # `todo` is buffer[cursor:], the letters not yet expanded.  For a
+        # non-erasing morphism every pass but the last expands all of `todo`
+        # and the last, n - size letters, reaches n: each letter is expanded
+        # once, so a prefix costs O(n).
+        parts = [self._buf]
+        size = len(self._buf)
+        cursor = self._cursor
+        todo = self._buf[cursor:]
+        while size < n and todo:
+            block = todo[:n - size]
+            known = len(block) - len(block.lstrip(self._domain))
+            image = block[:known].translate(self._table)
+            parts.append(image)
+            size += len(image)
+            cursor += known
+            todo = todo[known:] + image
+            if known < len(block):
+                break
+        self._buf = "".join(parts)
+        self._cursor = cursor
+        if size < n and todo:
+            raise WordError(f"letter {todo[0]!r} outside morphism domain")
 
 
 def periodic_generator(v: WordLike) -> PeriodicGenerator:
@@ -145,11 +175,13 @@ class InterleavedCopiesGenerator(WordGenerator):
         self.base = base
         self._first = pool[0::2]
         self._second = pool[1::2]
+        lo, hi = base.alphabet.letters
+        self._renamings = [str.maketrans(lo + hi, a + b) for a, b in zip(self._first, self._second)]
         self._rounds_done = 0
 
     def _chunk_text(self, j: int) -> str:
         hi = j * (j + 1) // 2
-        return str(self.base.prefix(hi))[hi - j:hi]
+        return self.base._slice(hi - j, hi)
 
     def copy_chunk(self, i: int, j: int) -> Word:
         """The j-th chunk (length j) of the i-th copy; i, j are 1-based."""
@@ -157,9 +189,7 @@ class InterleavedCopiesGenerator(WordGenerator):
             raise WordError(f"copy index {i} out of range 1..{self.copies}")
         if j < 1:
             raise WordError("round index must be >= 1")
-        lo, hi = self.base.alphabet.letters
-        table = str.maketrans(lo + hi, self._first[i - 1] + self._second[i - 1])
-        return Word._make(self._chunk_text(j).translate(table), self.alphabet)
+        return Word._make(self._chunk_text(j).translate(self._renamings[i - 1]), self.alphabet)
 
     def round_block(self, j: int) -> Word:
         """Round j of the interleaving: chunks of every copy, concatenated."""
@@ -177,9 +207,23 @@ class InterleavedCopiesGenerator(WordGenerator):
         return Morphism(images, domain=self.alphabet, codomain=Alphabet("abc"))
 
     def _grow(self, n: int) -> None:
-        j = self._rounds_done + 1
-        self._buf += str(self.round_block(j))
-        self._rounds_done = j
+        # The chunks of consecutive rounds are consecutive in the base, so
+        # every round this call needs comes from one read of the base.
+        done = self._rounds_done
+        last = done
+        size = len(self._buf)
+        while size < n:
+            last += 1
+            size += self.copies * last
+        text = self.base._slice(done * (done + 1) // 2, last * (last + 1) // 2)
+        parts = [self._buf]
+        start = 0
+        for j in range(done + 1, last + 1):
+            chunk = text[start:start + j]
+            parts.extend([chunk.translate(table) for table in self._renamings])
+            start += j
+        self._buf = "".join(parts)
+        self._rounds_done = last
 
 
 def interleaved_copies_generator(copies: int, base: WordGenerator) -> InterleavedCopiesGenerator:
@@ -197,7 +241,8 @@ class OptimalBinaryGenerator(WordGenerator):
         product over i of  (u_i SEP v_i SEP)^n u_i SEP END
 
     The emitted word is its image under a fixed-length (m-letter) binary
-    encoding of the six letters.
+    encoding of the six letters, so a prefix of n letters encodes only the
+    first ceil(n/m) intermediate letters.
     """
 
     kind = "optimal-binary"
@@ -229,6 +274,8 @@ class OptimalBinaryGenerator(WordGenerator):
         self._u_chunks: list[str] = []
         self._v_chunks: list[str] = []
         self._blocks_done = 0
+        self._intermediate = ""
+        self._encoding = str.maketrans(self.image_morphism().images)
 
     @property
     def implied_delta(self) -> Fraction | None:
@@ -247,24 +294,23 @@ class OptimalBinaryGenerator(WordGenerator):
             self._chunk_lengths.append(j * j * (self.k + 1) * self._chunk_lengths[-1])
         return self._chunk_lengths[i - 1]
 
-    def _take(self, counter: str, amount: int, letters: str) -> str:
-        taken = getattr(self, counter)
-        text = str(self.base.prefix(taken + amount))[taken:taken + amount]
-        setattr(self, counter, taken + amount)
+    def _take(self, start: int, size: int, letters: str) -> str:
         lo, hi = self.base.alphabet.letters
-        return text.translate(str.maketrans(lo + hi, letters))
+        return self.base._slice(start, start + size).translate(str.maketrans(lo + hi, letters))
 
     def chunk(self, i: int) -> Word:
         """u_i over the intermediate alphabet; 1-based."""
         while len(self._u_chunks) < i:
             size = self.chunk_length(len(self._u_chunks) + 1)
-            self._u_chunks.append(self._take("_u_taken", size, self._u_letters))
+            self._u_chunks.append(self._take(self._u_taken, size, self._u_letters))
+            self._u_taken += size
         return Word._make(self._u_chunks[i - 1], self.intermediate_alphabet)
 
     def _v_chunk(self, i: int) -> str:
         while len(self._v_chunks) < i:
             size = self.k * (self.chunk_length(len(self._v_chunks) + 1) + 1) - 1
-            self._v_chunks.append(self._take("_v_taken", size, self._v_letters))
+            self._v_chunks.append(self._take(self._v_taken, size, self._v_letters))
+            self._v_taken += size
         return self._v_chunks[i - 1]
 
     def intermediate_block(self, i: int) -> Word:
@@ -291,10 +337,13 @@ class OptimalBinaryGenerator(WordGenerator):
         return Morphism(images, domain=self.intermediate_alphabet, codomain=Alphabet("ab"))
 
     def _grow(self, n: int) -> None:
-        i = self._blocks_done + 1
-        block = str(self.intermediate_block(i)) + self.terminator
-        self._buf += str(self.image_morphism().apply(Word._make(block, self.intermediate_alphabet)))
-        self._blocks_done = i
+        needed = -(-n // self.m)
+        while len(self._intermediate) < needed:
+            i = self._blocks_done + 1
+            self._intermediate += str(self.intermediate_block(i)) + self.terminator
+            self._blocks_done = i
+        encoded = len(self._buf) // self.m
+        self._buf += self._intermediate[encoded:needed].translate(self._encoding)
 
 
 def optimal_binary_generator(

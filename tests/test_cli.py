@@ -109,6 +109,19 @@ class TestExitCodes:
         assert code == 1
         assert "not a code" in err
 
+    def test_morphic_letter_outside_domain(self, capsys):
+        params = ("--gen", "morphic", "--params", "rules=a=ab,b=bbc;seed=a")
+        code, out, _ = invoke(capsys, "generate", *params, "--prefix", "11")
+        assert (code, out.strip()) == (0, "abbbcbbcbbc")
+        code, out, err = invoke(capsys, "generate", *params, "--prefix", "12")
+        assert (code, out) == (1, "")
+        assert err.strip() == "error: letter 'c' outside morphism domain"
+
+    def test_erasing_morphic_rules_are_1(self, capsys):
+        code, out, err = invoke(capsys, "generate", "--gen", "morphic", "--params", "rules=a=ab,b=;seed=a", "--prefix", "3")
+        assert (code, out) == (1, "")
+        assert err.strip() == "error: generator failed to produce more letters"
+
     def test_success_is_0(self, capsys):
         assert invoke(capsys, "exp", "a")[0] == 0
 

@@ -15,7 +15,7 @@ from morphexp.infinite import (
     generator_from_spec,
     thue_morse,
 )
-from morphexp.morphisms import Morphism
+from morphexp.morphisms import Morphism, parse_morphism
 from morphexp.words import Alphabet, Word, WordError, fractional_exponent, fractional_power
 from profile_oracles import profile_border, profile_sweep
 
@@ -59,6 +59,45 @@ class TestBasicGenerators:
                 assert str(gen.prefix(2 * n)).startswith(shorter)
 
 
+class TestMorphicGrowth:
+    def test_foreign_letter_raises_only_when_reached(self):
+        gen = MorphicGenerator(parse_morphism("a=ab,b=bbc"), "a")
+        assert gen.prefix(11) == "abbbcbbcbbc"
+        with pytest.raises(WordError, match="letter 'c' outside morphism domain"):
+            gen.prefix(12)
+        assert gen.prefix(11) == "abbbcbbcbbc"
+        assert gen.prefix(4) == "abbb"
+
+    def test_erasing_rules_end_growth_with_word_error(self):
+        gen = MorphicGenerator(parse_morphism("a=ab,b="), "a")
+        assert gen.prefix(2) == "ab"
+        with pytest.raises(WordError, match="failed to produce more letters"):
+            gen.prefix(3)
+
+    def test_erased_letters_do_not_stop_later_growth(self):
+        # a -> abbc with b erased: the fixed point is abbc c c c ...
+        gen = MorphicGenerator(parse_morphism("a=abbc,b=,c=cc"), "a")
+        assert gen.prefix(5) == "abbcc"
+        assert gen.prefix(40) == "abb" + "c" * 37
+
+    def test_random_prolongable_morphisms_match_naive_iteration(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            letters = "abcd"[:rng.randrange(2, 5)]
+            word = lambda size: "".join(rng.choice(letters) for _ in range(size))
+            images = {"a": "a" + word(rng.randrange(1, 3))}
+            for letter in letters[1:]:
+                images[letter] = word(rng.randrange(1, 4))
+            h = Morphism(images)
+            naive = "a"
+            while len(naive) < 300:
+                naive = str(h.apply(naive))
+            gen = MorphicGenerator(h, "a")
+            long, short, longer = rng.randrange(50, 150), rng.randrange(0, 50), rng.randrange(150, 301)
+            for n in (long, short, longer, rng.randrange(0, 301)):
+                assert gen.prefix(n) == naive[:n]
+
+
 class TestInterleavedCopies:
     def test_chunk_lengths(self):
         gen = InterleavedCopiesGenerator(2, thue_morse())
@@ -70,6 +109,16 @@ class TestInterleavedCopies:
         gen = InterleavedCopiesGenerator(2, thue_morse())
         assert len(gen.prefix(6)) == 6
         assert str(gen.prefix(6)) == str(gen.round_block(1)) + str(gen.round_block(2))
+
+    def test_prefixes_match_round_blocks(self):
+        rng = random.Random(11)
+        for copies in (1, 2, 3):
+            for base in (thue_morse, lambda: PeriodicGenerator("01")):
+                ref = InterleavedCopiesGenerator(copies, base())
+                text = "".join(str(ref.round_block(j)) for j in range(1, 40))
+                gen = InterleavedCopiesGenerator(copies, base())
+                for n in (rng.randrange(100, 400), rng.randrange(0, 100), len(text), rng.randrange(0, len(text))):
+                    assert gen.prefix(n) == text[:n]
 
     def test_copies_are_renamings_of_the_same_chunk(self):
         gen = InterleavedCopiesGenerator(3, thue_morse())
@@ -155,6 +204,25 @@ class TestOptimalBinary:
         e = fractional_exponent(stretch.apply(h.apply(block))).exponent
         bound = n + Fraction(m - 2, m + 2 * k)
         assert e >= bound - Fraction(1, 10)
+
+
+    def test_prefixes_match_encoded_blocks(self):
+        rng = random.Random(7)
+        for n, k, m in ((1, 2, 7), (2, 2, 8), (1, 3, 11)):
+            ref = OptimalBinaryGenerator(n, k, m)
+            blocks = [str(ref.intermediate_block(i)) + ref.terminator for i in (1, 2, 3)]
+            text = str(ref.image_morphism().apply("".join(blocks)))
+            ends, total = [], 0
+            for block in blocks:
+                total += m * len(block)
+                ends.append(total)
+            lengths = {q * m + d for q in range(1, 6) for d in (-1, 0, 1)}
+            lengths |= {end + d for end in ends for d in (-1, 0, 1) if end + d <= len(text)}
+            lengths = sorted(lengths)
+            rng.shuffle(lengths)
+            gen = OptimalBinaryGenerator(n, k, m)
+            for size in lengths:
+                assert gen.prefix(size) == text[:size]
 
 
 class TestCassaigneMorphism:
