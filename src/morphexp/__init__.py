@@ -5,10 +5,7 @@ from .words import (
     Alphabet,
     FractionalPower,
     ParseError,
-    Rational,
-    Word,
     WordError,
-    as_word,
     border_array,
     fine_wilf_root,
     fractional_exponent,
@@ -41,7 +38,6 @@ from .mapped_exponent import (
     UNKNOWN,
     GapFactorization,
     MappedExponentVerdict,
-    classify_binary,
     classify_general,
     gap_factorization,
     highpower_word,
@@ -70,10 +66,6 @@ from .infinite import (
     cassaigne_morphism,
     factor_complexity,
     generator_from_spec,
-    interleaved_copies_generator,
-    morphic_generator,
-    optimal_binary_generator,
-    periodic_generator,
     thue_morse,
 )
 

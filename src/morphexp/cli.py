@@ -4,15 +4,14 @@ library with text/json/csv output."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .codes import is_synchronizing, parse_code_set, x_degree
 from .infinite import ace_estimate, generator_from_spec
 from .mapped_exponent import (
-    classify_binary,
     classify_general,
     highpower_word,
     lowpower_morphism,
@@ -20,7 +19,6 @@ from .mapped_exponent import (
 )
 from .words import (
     ParseError,
-    Word,
     WordError,
     fractional_exponent,
     integer_exponent,
@@ -28,13 +26,13 @@ from .words import (
 )
 
 
-def _parse_word(literal: str) -> Word:
+def _parse_word(literal: str) -> str:
     for i, ch in enumerate(literal):
         if not (ch.isascii() and ch.isprintable() and ch not in ",= "):
             raise ParseError(f"bad letter {ch!r} in word literal", i)
     if not literal:
         raise ParseError("empty word literal")
-    return Word(literal)
+    return literal
 
 
 def _parse_params(literal: str | None) -> dict[str, str]:
@@ -67,11 +65,11 @@ def _cmd_exp(args: argparse.Namespace) -> None:
     base, e = fractional_exponent(w)
     n, root = integer_exponent(w)
     record = {
-        "word": str(w),
+        "word": w,
         "exponent": str(e),
-        "base": str(base),
+        "base": base,
         "integer_exponent": n,
-        "root": str(root),
+        "root": root,
     }
     _emit(record, f"E = {e} (base {base}); IE = {n} (root {root})", args.format)
 
@@ -88,32 +86,24 @@ def _verdict_text(record: dict) -> str:
 
 def _cmd_classify(args: argparse.Namespace) -> None:
     w = _parse_word(args.word)
-    if len(w.letters()) <= 2:
-        verdict = classify_binary(w)
-    else:
-        verdict = classify_general(w, max_image_len=args.max_image_len)
-    record = {"word": str(w), **verdict.to_record()}
+    verdict = classify_general(w, max_image_len=args.max_image_len)
+    record = {"word": w, **verdict.to_record()}
     _emit(record, _verdict_text(record), args.format)
 
 
 def _cmd_witness(args: argparse.Namespace) -> None:
     w = _parse_word(args.word)
     target = parse_rational(args.target)
-    if len(w.letters()) <= 2:
-        verdict = classify_binary(w, target=target)
-    else:
-        verdict = classify_general(w, max_image_len=args.max_image_len, target=target)
-    record = {"word": str(w), "target": str(target), **verdict.to_record()}
+    verdict = classify_general(w, max_image_len=args.max_image_len, target=target)
+    record = {"word": w, "target": str(target), **verdict.to_record()}
     _emit(record, _verdict_text(record), args.format)
 
 
 def _cmd_lower_bound(args: argparse.Namespace) -> None:
     w = _parse_word(args.word)
-    best, argmax = mapped_exponent_lower_bound(
-        w, args.max_image_len, codomain_size=args.codomain, threads=args.threads
-    )
+    best, argmax = mapped_exponent_lower_bound(w, args.max_image_len, codomain_size=args.codomain)
     record = {
-        "word": str(w),
+        "word": w,
         "max_image_len": args.max_image_len,
         "codomain_size": args.codomain,
         "best_exponent": str(best),
@@ -126,7 +116,7 @@ def _cmd_xdegree(args: argparse.Namespace) -> None:
     w = _parse_word(args.word)
     code = parse_code_set(args.code)
     degree = x_degree(w, code)
-    record = {"word": str(w), "code": code.to_text(), "degree": degree}
+    record = {"word": w, "code": code.to_text(), "degree": degree}
     _emit(record, f"degree = {degree}", args.format)
 
 
@@ -135,7 +125,7 @@ def _cmd_sync(args: argparse.Namespace) -> None:
     code = parse_code_set(args.code)
     probe = args.probe if args.probe is not None else 4 * (len(w) + code.max_len)
     split = is_synchronizing(w, code, probe_len=probe)
-    record = {"word": str(w), "code": code.to_text(), "probe_len": probe, "split": split}
+    record = {"word": w, "code": code.to_text(), "probe_len": probe, "split": split}
     if split is None:
         text = f"no synchronizing split (probe length {probe})"
     else:
@@ -164,8 +154,8 @@ def _cmd_ace(args: argparse.Namespace) -> None:
 def _cmd_generate(args: argparse.Namespace) -> None:
     gen = generator_from_spec(args.gen, _parse_params(args.params))
     word = gen.prefix(args.prefix)
-    record = {"generator": args.gen, "prefix": args.prefix, "word": str(word)}
-    _emit(record, str(word), args.format)
+    record = {"generator": args.gen, "prefix": args.prefix, "word": word}
+    _emit(record, word, args.format)
 
 
 def _cmd_family(args: argparse.Namespace) -> None:
@@ -182,7 +172,7 @@ def _cmd_family(args: argparse.Namespace) -> None:
         "family": args.which,
         "n": args.n,
         "k": args.k if args.which == "lowpower" else None,
-        "word": str(word),
+        "word": word,
         "morphism": h.to_text(),
         "expected_exponent": str(expected),
         "computed_exponent": str(computed),
@@ -228,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--max-image-len", type=int, required=True)
     p.add_argument("--codomain", type=int, default=2)
-    p.add_argument("--threads", type=int, default=1)
     add_format(p)
     p.set_defaults(handler=_cmd_lower_bound)
 
@@ -270,10 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing reads the parser and never changes it, so one per process
+    # serves every call.
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

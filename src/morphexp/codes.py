@@ -14,28 +14,27 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .morphisms import sardinas_patterson
-from .words import ParseError, Word, WordError, WordLike, as_word
+from .morphisms import parse_counts, sardinas_patterson
+from .words import ParseError, WordError
 
 
 class CodeSet:
     """A finite set of nonempty, pairwise distinct words."""
 
-    __slots__ = ("words", "texts")
+    __slots__ = ("words",)
 
-    def __init__(self, words: Iterable[WordLike]):
-        ws = tuple(as_word(x) for x in words)
+    def __init__(self, words: Iterable[str]):
+        ws = tuple(words)
         if not ws:
             raise WordError("empty code set")
         seen = set()
         for w in ws:
             if not w:
                 raise WordError("code sets may not contain the empty word")
-            if str(w) in seen:
-                raise WordError(f"duplicate code word {str(w)!r}")
-            seen.add(str(w))
+            if w in seen:
+                raise WordError(f"duplicate code word {w!r}")
+            seen.add(w)
         self.words = ws
-        self.texts = tuple(str(w) for w in ws)
 
     @property
     def max_len(self) -> int:
@@ -43,28 +42,28 @@ class CodeSet:
 
     def is_code(self) -> bool:
         """True iff every concatenation of elements decodes uniquely."""
-        return sardinas_patterson(self.texts) is None
+        return sardinas_patterson(self.words) is None
 
-    def __iter__(self) -> Iterator[Word]:
+    def __iter__(self) -> Iterator[str]:
         return iter(self.words)
 
     def __len__(self) -> int:
         return len(self.words)
 
     def __contains__(self, w: object) -> bool:
-        return str(w) in self.texts if isinstance(w, (Word, str)) else False
+        return w in self.words
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CodeSet) and set(self.texts) == set(other.texts)
+        return isinstance(other, CodeSet) and set(self.words) == set(other.words)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.texts))
+        return hash(frozenset(self.words))
 
     def __repr__(self) -> str:
-        return f"CodeSet({','.join(self.texts)!r})"
+        return f"CodeSet({self.to_text()!r})"
 
     def to_text(self) -> str:
-        return ",".join(self.texts)
+        return ",".join(self.words)
 
 
 def parse_code_set(literal: str) -> CodeSet:
@@ -88,48 +87,53 @@ class Interpretation:
     """Pieces of one parse, plus the cut offsets separating them (a cut at 0
     or at |w| marks an empty flanking piece)."""
 
-    pieces: tuple[Word, ...]
+    pieces: tuple[str, ...]
     cuts: tuple[int, ...]
 
     def to_text(self) -> str:
-        pieces = "|".join(str(p) if len(p) else "''" for p in self.pieces)
+        pieces = "|".join(p or "''" for p in self.pieces)
         return f"{pieces} @ [{','.join(map(str, self.cuts))}]"
 
 
-def _pieces(word: Word, cuts: tuple[int, ...]) -> tuple[Word, ...]:
-    bounds = (0,) + cuts + (len(word),)
-    return tuple(word[a:b] for a, b in zip(bounds, bounds[1:]))
+def _pieces(text: str, cuts: tuple[int, ...]) -> tuple[str, ...]:
+    bounds = (0,) + cuts + (len(text),)
+    return tuple(text[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
-def x_interpretations(w: WordLike, code: CodeSet) -> list[Interpretation]:
+def _affixes(code: CodeSet) -> tuple[set[str], set[str]]:
+    """Every suffix and every prefix of a code word, the empty word included:
+    the allowed first and last pieces of an interpretation."""
+    suffixes = {x[i:] for x in code.words for i in range(len(x) + 1)}
+    prefixes = {x[:i] for x in code.words for i in range(len(x) + 1)}
+    return suffixes, prefixes
+
+
+def x_interpretations(w: str, code: CodeSet) -> list[Interpretation]:
     """All interpretations of w over the code set, ordered by cut tuple
     (the cut-free interpretation first when it exists)."""
-    word = as_word(w)
-    if not word:
+    if not w:
         raise WordError("empty input")
-    text = str(word)
-    n = len(text)
-    suffixes = {x[i:] for x in code.texts for i in range(len(x) + 1)}
-    prefixes = {x[:i] for x in code.texts for i in range(len(x) + 1)}
-    elements = sorted(code.texts, key=len)
+    n = len(w)
+    suffixes, prefixes = _affixes(code)
+    elements = sorted(code.words, key=len)
 
     found: list[tuple[int, ...]] = []
-    if text in suffixes and text in prefixes:
+    if w in suffixes and w in prefixes:
         found.append(())
 
     def extend(pos: int, cuts: tuple[int, ...]) -> None:
-        if text[pos:] in prefixes:
+        if w[pos:] in prefixes:
             found.append(cuts)
         for x in elements:
             end = pos + len(x)
-            if end <= n and text.startswith(x, pos):
+            if end <= n and w.startswith(x, pos):
                 extend(end, cuts + (end,))
 
     for first_cut in range(n + 1):
-        if text[:first_cut] in suffixes:
+        if w[:first_cut] in suffixes:
             extend(first_cut, (first_cut,))
 
-    return [Interpretation(_pieces(word, cuts), cuts) for cuts in found]
+    return [Interpretation(_pieces(w, cuts), cuts) for cuts in found]
 
 
 def _max_vertex_disjoint_paths(positions: int, starts: set[int], ends: set[int],
@@ -179,7 +183,7 @@ def _max_vertex_disjoint_paths(positions: int, starts: set[int], ends: set[int],
         flow += 1
 
 
-def x_degree(w: WordLike, code: CodeSet) -> int:
+def x_degree(w: str, code: CodeSet) -> int:
     """Maximal number of pairwise disjoint interpretations of w, exactly.
 
     Interpretations with at least one cut are the source-to-sink paths of the
@@ -187,63 +191,36 @@ def x_degree(w: WordLike, code: CodeSet) -> int:
     disjoint family is a maximal set of vertex-disjoint paths; the cut-free
     interpretation conflicts with nothing and contributes one more.
     """
-    word = as_word(w)
-    if not word:
+    if not w:
         raise WordError("empty input")
-    text = str(word)
-    n = len(text)
-    suffixes = {x[i:] for x in code.texts for i in range(len(x) + 1)}
-    prefixes = {x[:i] for x in code.texts for i in range(len(x) + 1)}
-    starts = {c for c in range(n + 1) if text[:c] in suffixes}
-    ends = {c for c in range(n + 1) if text[c:] in prefixes}
+    n = len(w)
+    suffixes, prefixes = _affixes(code)
+    starts = {c for c in range(n + 1) if w[:c] in suffixes}
+    ends = {c for c in range(n + 1) if w[c:] in prefixes}
     edges = [
         (c, c + len(x))
         for c in range(n + 1)
-        for x in code.texts
-        if text.startswith(x, c)
+        for x in code.words
+        if w.startswith(x, c)
     ]
-    whole = 1 if text in suffixes and text in prefixes else 0
+    whole = 1 if w in suffixes and w in prefixes else 0
     return whole + _max_vertex_disjoint_paths(n, starts, ends, edges)
 
 
-def x_factorization_count(w: WordLike, code: CodeSet) -> int:
+def x_factorization_count(w: str, code: CodeSet) -> int:
     """Number of ways to write w as a concatenation of code words."""
-    word = as_word(w)
-    if not word:
+    if not w:
         raise WordError("empty input")
-    text = str(word)
-    n = len(text)
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for pos in range(1, n + 1):
-        total = 0
-        for x in code.texts:
-            lx = len(x)
-            if lx <= pos and ways[pos - lx] and text.startswith(x, pos - lx):
-                total += ways[pos - lx]
-        ways[pos] = total
-    return ways[n]
+    return parse_counts(w, code.words)[len(w)]
 
 
 def _parse_boundaries(text: str, code: CodeSet) -> set[int]:
     """Positions m with text[:m] and text[m:] both concatenations of code
     words.  For a code these are exactly the boundaries of the unique parse."""
     n = len(text)
-    forward = [False] * (n + 1)
-    forward[0] = True
-    for pos in range(1, n + 1):
-        forward[pos] = any(
-            len(x) <= pos and forward[pos - len(x)] and text.startswith(x, pos - len(x))
-            for x in code.texts
-        )
-    backward = [False] * (n + 1)
-    backward[n] = True
-    for pos in range(n - 1, -1, -1):
-        backward[pos] = any(
-            pos + len(x) <= n and backward[pos + len(x)] and text.startswith(x, pos)
-            for x in code.texts
-        )
-    return {m for m in range(n + 1) if forward[m] and backward[m]}
+    forward = parse_counts(text, code.words)
+    backward = parse_counts(text[::-1], [x[::-1] for x in code.words])
+    return {m for m in range(n + 1) if forward[m] and backward[n - m]}
 
 
 def _split_probed(text: str, code: CodeSet, probe_len: int) -> int | None:
@@ -253,7 +230,7 @@ def _split_probed(text: str, code: CodeSet, probe_len: int) -> int | None:
     queue: deque[str] = deque([""])
     while queue and candidates:
         v = queue.popleft()
-        for x in code.texts:
+        for x in code.words:
             u = v + x
             if len(u) > probe_len:
                 continue
@@ -281,7 +258,7 @@ def _split_saturated(text: str, code: CodeSet) -> int | None:
     such path passes through it.
     """
     n = len(text)
-    for x in code.texts:
+    for x in code.words:
         q = x.find(text, 1)
         while q != -1:
             if q + n < len(x):
@@ -290,13 +267,13 @@ def _split_saturated(text: str, code: CodeSet) -> int | None:
 
     enter = {0}
     for c in range(1, n + 1):
-        if any(len(x) > c and x.endswith(text[:c]) for x in code.texts):
+        if any(len(x) > c and x.endswith(text[:c]) for x in code.words):
             enter.add(c)
     leave = {n}
     for c in range(0, n):
-        if any(len(x) > n - c and x.startswith(text[c:]) for x in code.texts):
+        if any(len(x) > n - c and x.startswith(text[c:]) for x in code.words):
             leave.add(c)
-    step = {c: [c + len(x) for x in code.texts if c + len(x) <= n and text.startswith(x, c)]
+    step = {c: [c + len(x) for x in code.words if c + len(x) <= n and text.startswith(x, c)]
             for c in range(n + 1)}
 
     def path_avoiding(t: int) -> bool:
@@ -316,7 +293,7 @@ def _split_saturated(text: str, code: CodeSet) -> int | None:
     return candidates[0] if candidates else None
 
 
-def is_synchronizing(w: WordLike, code: CodeSet, probe_len: int | None = None) -> int | None:
+def is_synchronizing(w: str, code: CodeSet, probe_len: int | None = None) -> int | None:
     """Smallest split t such that, in every probed context, each occurrence
     of w inside a concatenation of code words has a parse boundary exactly t
     letters into w; None if no split survives.
@@ -327,14 +304,12 @@ def is_synchronizing(w: WordLike, code: CodeSet, probe_len: int | None = None) -
     probe_len >= |w| + 2 * max_len the probed answer equals the answer over
     all of X* and is computed directly, without enumerating products.
     """
-    word = as_word(w)
-    if not word:
+    if not w:
         raise WordError("empty input")
     if not code.is_code():
         raise WordError("the word set is not a code")
-    text = str(word)
     if probe_len is None:
-        probe_len = 4 * (len(text) + code.max_len)
-    if probe_len >= len(text) + 2 * code.max_len:
-        return _split_saturated(text, code)
-    return _split_probed(text, code, probe_len)
+        probe_len = 4 * (len(w) + code.max_len)
+    if probe_len >= len(w) + 2 * code.max_len:
+        return _split_saturated(w, code)
+    return _split_probed(w, code, probe_len)

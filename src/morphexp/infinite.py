@@ -19,11 +19,8 @@ from .morphisms import Morphism, parse_morphism
 from .words import (
     Alphabet,
     ParseError,
-    Word,
     WordError,
-    WordLike,
     _select_max_exponent,
-    as_word,
     fresh_letters,
     minimal_period_profile,
 )
@@ -38,10 +35,10 @@ class WordGenerator:
         self.alphabet = alphabet
         self._buf = ""
 
-    def prefix(self, n: int) -> Word:
+    def prefix(self, n: int) -> str:
         if n < 0:
             raise WordError("prefix length must be >= 0")
-        return Word._make(self._slice(0, n), self.alphabet)
+        return self._slice(0, n)
 
     def _slice(self, lo: int, hi: int) -> str:
         """Letters lo..hi-1, grown into the buffer if needed; copies only
@@ -80,16 +77,15 @@ class PeriodicGenerator(WordGenerator):
 
     kind = "periodic"
 
-    def __init__(self, period_word: WordLike):
-        v = as_word(period_word)
-        if not v:
+    def __init__(self, period_word: str):
+        if not period_word:
             raise WordError("empty period word")
-        super().__init__(v.alphabet)
-        self.period_word = v
+        super().__init__(Alphabet(sorted(set(period_word))))
+        self.period_word = period_word
 
     def _grow(self, n: int) -> None:
         reps = -(-(n - len(self._buf)) // len(self.period_word)) + 1
-        self._buf += str(self.period_word) * reps
+        self._buf += self.period_word * reps
 
 
 class MorphicGenerator(WordGenerator):
@@ -105,12 +101,12 @@ class MorphicGenerator(WordGenerator):
 
     def __init__(self, rules: Morphism, seed: str):
         start = rules.apply(seed)
-        if len(start) < 2 or not str(start).startswith(seed):
+        if len(start) < 2 or not start.startswith(seed):
             raise WordError(f"morphism is not prolongable on seed {seed!r}")
         super().__init__(rules.codomain)
         self.rules = rules
         self.seed = seed
-        self._buf = str(start)
+        self._buf = start
         self._cursor = 1
         self._domain = "".join(rules.images)
         self._table = str.maketrans(rules.images)
@@ -138,14 +134,6 @@ class MorphicGenerator(WordGenerator):
         self._cursor = cursor
         if size < n and todo:
             raise WordError(f"letter {todo[0]!r} outside morphism domain")
-
-
-def periodic_generator(v: WordLike) -> PeriodicGenerator:
-    return PeriodicGenerator(v)
-
-
-def morphic_generator(rules: Morphism, seed: str) -> MorphicGenerator:
-    return MorphicGenerator(rules, seed)
 
 
 def thue_morse() -> MorphicGenerator:
@@ -183,18 +171,17 @@ class InterleavedCopiesGenerator(WordGenerator):
         hi = j * (j + 1) // 2
         return self.base._slice(hi - j, hi)
 
-    def copy_chunk(self, i: int, j: int) -> Word:
+    def copy_chunk(self, i: int, j: int) -> str:
         """The j-th chunk (length j) of the i-th copy; i, j are 1-based."""
         if not 1 <= i <= self.copies:
             raise WordError(f"copy index {i} out of range 1..{self.copies}")
         if j < 1:
             raise WordError("round index must be >= 1")
-        return Word._make(self._chunk_text(j).translate(self._renamings[i - 1]), self.alphabet)
+        return self._chunk_text(j).translate(self._renamings[i - 1])
 
-    def round_block(self, j: int) -> Word:
+    def round_block(self, j: int) -> str:
         """Round j of the interleaving: chunks of every copy, concatenated."""
-        parts = [str(self.copy_chunk(i, j)) for i in range(1, self.copies + 1)]
-        return Word._make("".join(parts), self.alphabet)
+        return "".join(self.copy_chunk(i, j) for i in range(1, self.copies + 1))
 
     def embedding_morphism(self) -> Morphism:
         """Spreads copy i over position i of a c-block: the copy's letters
@@ -224,10 +211,6 @@ class InterleavedCopiesGenerator(WordGenerator):
             start += j
         self._buf = "".join(parts)
         self._rounds_done = last
-
-
-def interleaved_copies_generator(copies: int, base: WordGenerator) -> InterleavedCopiesGenerator:
-    return InterleavedCopiesGenerator(copies, base)
 
 
 class OptimalBinaryGenerator(WordGenerator):
@@ -298,13 +281,13 @@ class OptimalBinaryGenerator(WordGenerator):
         lo, hi = self.base.alphabet.letters
         return self.base._slice(start, start + size).translate(str.maketrans(lo + hi, letters))
 
-    def chunk(self, i: int) -> Word:
+    def chunk(self, i: int) -> str:
         """u_i over the intermediate alphabet; 1-based."""
         while len(self._u_chunks) < i:
             size = self.chunk_length(len(self._u_chunks) + 1)
             self._u_chunks.append(self._take(self._u_taken, size, self._u_letters))
             self._u_taken += size
-        return Word._make(self._u_chunks[i - 1], self.intermediate_alphabet)
+        return self._u_chunks[i - 1]
 
     def _v_chunk(self, i: int) -> str:
         while len(self._v_chunks) < i:
@@ -313,13 +296,11 @@ class OptimalBinaryGenerator(WordGenerator):
             self._v_taken += size
         return self._v_chunks[i - 1]
 
-    def intermediate_block(self, i: int) -> Word:
+    def intermediate_block(self, i: int) -> str:
         """(u_i SEP v_i SEP)^n u_i SEP, the repeated core of block i."""
-        u = str(self.chunk(i))
-        v = self._v_chunk(i)
+        u = self.chunk(i)
         sep = self.separator
-        text = (u + sep + v + sep) * self.n + u + sep
-        return Word._make(text, self.intermediate_alphabet)
+        return (u + sep + self._v_chunk(i) + sep) * self.n + u + sep
 
     def image_morphism(self) -> Morphism:
         """Fixed-length binary encoding of the six intermediate letters."""
@@ -340,16 +321,10 @@ class OptimalBinaryGenerator(WordGenerator):
         needed = -(-n // self.m)
         while len(self._intermediate) < needed:
             i = self._blocks_done + 1
-            self._intermediate += str(self.intermediate_block(i)) + self.terminator
+            self._intermediate += self.intermediate_block(i) + self.terminator
             self._blocks_done = i
         encoded = len(self._buf) // self.m
         self._buf += self._intermediate[encoded:needed].translate(self._encoding)
-
-
-def optimal_binary_generator(
-    n: int, k: int, m: int, base: WordGenerator | None = None
-) -> OptimalBinaryGenerator:
-    return OptimalBinaryGenerator(n, k, m, base)
 
 
 def cassaigne_morphism(weights: Sequence[int], m: int) -> Morphism:
@@ -427,7 +402,7 @@ def factor_complexity(gen: WordGenerator, prefix_len: int, n: int) -> int:
     the complexity of the infinite word)."""
     if not 1 <= n <= prefix_len:
         raise WordError(f"factor length {n} out of range 1..{prefix_len}")
-    text = str(gen.prefix(prefix_len))
+    text = gen.prefix(prefix_len)
     return len({text[i:i + n] for i in range(prefix_len - n + 1)})
 
 
@@ -435,7 +410,7 @@ def _base_generator(spec: str) -> WordGenerator:
     if spec == "thue-morse":
         return thue_morse()
     if spec.startswith("periodic:"):
-        return PeriodicGenerator(Word(spec[len("periodic:"):]))
+        return PeriodicGenerator(spec[len("periodic:"):])
     if spec.startswith("morphic:"):
         rest = spec[len("morphic:"):]
         if ":" not in rest:
@@ -461,7 +436,7 @@ def generator_from_spec(name: str, params: dict[str, str]) -> WordGenerator:
             raise ParseError(f"generator {name!r} parameter {key!r} is not an integer: {value!r}") from None
 
     if name == "periodic":
-        return PeriodicGenerator(Word(need("v")))
+        return PeriodicGenerator(need("v"))
     if name == "thue-morse":
         return thue_morse()
     if name == "morphic":

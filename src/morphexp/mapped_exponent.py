@@ -15,7 +15,6 @@ letter that occurs exactly once per period and then pumping around it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from string import digits
@@ -23,10 +22,7 @@ from string import digits
 from .morphisms import Morphism, compose, enumerate_injective, sardinas_patterson
 from .words import (
     Alphabet,
-    Word,
     WordError,
-    WordLike,
-    as_word,
     fractional_exponent,
     fresh_letters,
     prefix_comparable,
@@ -46,14 +42,13 @@ class GapFactorization:
     occurs once."""
 
     letter: str
-    head: Word
-    gap: Word
-    tail: Word
+    head: str
+    gap: str
+    tail: str
     gap_count: int
 
-    def rebuild(self) -> Word:
-        block = self.letter + str(self.gap)
-        return self.head + block * self.gap_count + self.letter + self.tail
+    def rebuild(self) -> str:
+        return self.head + (self.letter + self.gap) * self.gap_count + self.letter + self.tail
 
 
 @dataclass(frozen=True)
@@ -80,25 +75,22 @@ class MappedExponentVerdict:
         }
 
 
-def gap_factorization(w: WordLike, letter: str) -> GapFactorization | None:
+def gap_factorization(w: str, letter: str) -> GapFactorization | None:
     """The unique gap factorization of w at the given letter, or None when
     the letter is absent or its occurrence gaps differ."""
-    word = as_word(w)
-    if not word:
+    if not w:
         raise WordError("empty input")
-    text = str(word)
-    positions = [i for i, ch in enumerate(text) if ch == letter]
+    positions = [i for i, ch in enumerate(w) if ch == letter]
     if not positions:
         return None
-    gaps = {text[a + 1:b] for a, b in zip(positions, positions[1:])}
+    gaps = {w[a + 1:b] for a, b in zip(positions, positions[1:])}
     if len(gaps) > 1:
         return None
-    gap = word[positions[0] + 1:positions[1]] if len(positions) > 1 else word[0:0]
     return GapFactorization(
         letter=letter,
-        head=word[0:positions[0]],
-        gap=gap,
-        tail=word[positions[-1] + 1:],
+        head=w[:positions[0]],
+        gap=gaps.pop() if gaps else "",
+        tail=w[positions[-1] + 1:],
         gap_count=len(positions) - 1,
     )
 
@@ -108,7 +100,7 @@ def _ceil(value: Fraction) -> int:
 
 
 def pump_witness(
-    w: WordLike,
+    w: str,
     fact: GapFactorization,
     base: Morphism,
     target: Fraction | int,
@@ -123,21 +115,21 @@ def pump_witness(
     returned exponent is recomputed from the final image, not trusted from
     the construction.
     """
-    word = as_word(w)
     target = Fraction(target)
     if target < 1:
         raise WordError("target exponent must be >= 1")
-    if fact.rebuild() != word:
+    if fact.rebuild() != w:
         raise WordError("factorization does not rebuild the input word")
     pumped = fact.letter
-    others = [ch for ch in sorted(word.letters()) if ch != pumped]
+    letters = sorted(set(w))
+    others = [ch for ch in letters if ch != pumped]
     missing = [ch for ch in others if ch not in base.images]
     if missing:
         raise WordError(f"base morphism lacks an image for {missing[0]!r}")
     if others and sardinas_patterson([base.images[ch] for ch in others]) is not None:
         raise WordError("base morphism is not injective beside the pumped letter")
 
-    head, gap, tail = (str(base.apply(part)) for part in (fact.head, fact.gap, fact.tail))
+    head, gap, tail = (base.apply(part) for part in (fact.head, fact.gap, fact.tail))
     if not suffix_comparable(head, gap):
         raise WordError("head and gap images are not suffix-comparable")
     if not prefix_comparable(gap, tail):
@@ -150,10 +142,10 @@ def pump_witness(
     s = "" if gap.startswith(tail) else tail[len(gap):]
 
     c = fresh_letters(1, avoid=base.codomain.letters)[0]
-    step_codomain = base.codomain.union(Alphabet([c]))
+    step_codomain = Alphabet(base.codomain.letters + (c,))
     step_images = {ch: base.images[ch] for ch in others}
     step_images[pumped] = s + c + p
-    step = Morphism(step_images, domain=Alphabet(sorted(word.letters())), codomain=step_codomain)
+    step = Morphism(step_images, domain=Alphabet(letters), codomain=step_codomain)
 
     # One period of step(w) is U c V; pump c so each period repeats.
     ahead, behind = head + s, t
@@ -163,41 +155,14 @@ def pump_witness(
     pumper = Morphism(pump_images, domain=step_codomain, codomain=step_codomain)
 
     witness = compose(pumper, step)
-    achieved = fractional_exponent(witness.apply(word)).exponent
+    achieved = fractional_exponent(witness.apply(w)).exponent
     if achieved < target:
         raise WordError(f"pump fell short: reached {achieved}, wanted {target}")
     return witness, achieved
 
 
-def _default_target(word: Word, target: Fraction | int | None) -> Fraction:
-    if target is None:
-        return Fraction(2 * len(word))
-    return Fraction(target)
-
-
-def classify_binary(w: WordLike, target: Fraction | int | None = None) -> MappedExponentVerdict:
-    """Exact decision for words over at most two letters: infinite iff some
-    letter has all its occurrence gaps equal.  Never unknown."""
-    word = as_word(w)
-    if not word:
-        raise WordError("empty input")
-    occurring = sorted(word.letters())
-    if len(occurring) > 2:
-        raise WordError("non-binary alphabet")
-    goal = _default_target(word, target)
-    for letter in occurring:
-        fact = gap_factorization(word, letter)
-        if fact is None:
-            continue
-        # The remaining alphabet is unary or empty, so the comparability
-        # conditions hold for the identity morphism.
-        identity = Morphism.identity(Alphabet([ch for ch in occurring if ch != letter]))
-        return MappedExponentVerdict(INFINITE, witness=pump_witness(word, fact, identity, goal))
-    return MappedExponentVerdict(FINITE)
-
-
 def classify_general(
-    w: WordLike,
+    w: str,
     max_image_len: int = 3,
     codomain_size: int = 2,
     target: Fraction | int | None = None,
@@ -207,89 +172,80 @@ def classify_general(
     finite is exact (no letter admits a gap factorization).  infinite is
     certified by a pumped witness, searching the identity morphism first and
     then every injective morphism with images of length <= max_image_len into
-    a codomain of codomain_size letters.  Everything else is unknown.
+    a codomain of codomain_size letters.  Everything else is unknown.  Over
+    at most two letters the identity step alone decides, so the verdict is
+    never unknown there: the letters beside the factored one form a unary or
+    empty alphabet, which makes every comparability condition hold.
     """
-    word = as_word(w)
-    if not word:
+    if not w:
         raise WordError("empty input")
     if max_image_len < 1:
         raise WordError("max_image_len must be >= 1")
-    letters = sorted(word.letters())
-    facts = [(ch, fact) for ch in letters if (fact := gap_factorization(word, ch)) is not None]
+    letters = sorted(set(w))
+    facts = [(ch, fact) for ch in letters if (fact := gap_factorization(w, ch)) is not None]
     if not facts:
         return MappedExponentVerdict(FINITE)
-    goal = _default_target(word, target)
+    goal = Fraction(2 * len(w) if target is None else target)
 
     for letter, fact in facts:
         if suffix_comparable(fact.head, fact.gap) and prefix_comparable(fact.gap, fact.tail):
             identity = Morphism.identity(Alphabet([ch for ch in letters if ch != letter]))
-            return MappedExponentVerdict(INFINITE, witness=pump_witness(word, fact, identity, goal))
+            return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, identity, goal))
 
     search_codomain = Alphabet(digits[:codomain_size])
     for letter, fact in facts:
         rest = Alphabet([ch for ch in letters if ch != letter])
-        for h in enumerate_injective(rest, search_codomain, max_image_len):
-            if suffix_comparable(h(fact.head), h(fact.gap)) and prefix_comparable(h(fact.gap), h(fact.tail)):
-                return MappedExponentVerdict(INFINITE, witness=pump_witness(word, fact, h, goal))
+        for images in enumerate_injective(rest, search_codomain, max_image_len):
+            # head, gap and tail hold only letters of rest, so translating
+            # them applies the morphism with these images.
+            mapping = dict(zip(rest.letters, images))
+            table = str.maketrans(mapping)
+            head, gap, tail = fact.head.translate(table), fact.gap.translate(table), fact.tail.translate(table)
+            if suffix_comparable(head, gap) and prefix_comparable(gap, tail):
+                h = Morphism(mapping, domain=rest, codomain=search_codomain)
+                return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, h, goal))
     return MappedExponentVerdict(UNKNOWN, search_bound=max_image_len)
 
 
 def mapped_exponent_lower_bound(
-    w: WordLike,
+    w: str,
     max_image_len: int,
     codomain_size: int = 2,
-    threads: int = 1,
 ) -> tuple[Fraction, Morphism]:
     """Exact maximum of E(h(w)) over every injective h with image lengths
     <= max_image_len into a codomain of codomain_size letters; the argmax is
-    the first maximizer in enumeration order, independent of threads."""
-    word = as_word(w)
-    if not word:
+    the first maximizer in enumeration order."""
+    if not w:
         raise WordError("empty input")
     if max_image_len < 1 or codomain_size < 1:
         raise WordError("bounds must be >= 1")
-    if threads < 1:
-        raise WordError("threads must be >= 1")
-    domain = Alphabet(sorted(word.letters()))
+    domain = Alphabet(sorted(set(w)))
     codomain = Alphabet(digits[:codomain_size])
-    candidates = list(enumerate_injective(domain, codomain, max_image_len))
-    if not candidates:
-        raise WordError("no injective morphism exists within the given bounds")
-
-    def score(h: Morphism) -> Fraction:
-        return fractional_exponent(h.apply(word)).exponent
-
-    if threads == 1:
-        scores = list(map(score, candidates))
-    else:
-        # Scores are reduced in enumeration order, so the argmax is the same
-        # as in the sequential run regardless of completion order.
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            scores = list(executor.map(score, candidates))
     best: Fraction | None = None
-    best_h = candidates[0]
-    for h, e in zip(candidates, scores):
+    best_images: tuple[str, ...] = ()
+    for images in enumerate_injective(domain, codomain, max_image_len):
+        e = fractional_exponent(w.translate(str.maketrans(dict(zip(domain.letters, images))))).exponent
         if best is None or e > best:
-            best, best_h = e, h
-    assert best is not None
-    return best, best_h
+            best, best_images = e, images
+    if best is None:
+        raise WordError("no injective morphism exists within the given bounds")
+    return best, Morphism(dict(zip(domain.letters, best_images)), domain=domain, codomain=codomain)
 
 
-def lowpower_morphism(n: int, k: int) -> tuple[Word, Morphism, Fraction]:
+def lowpower_morphism(n: int, k: int) -> tuple[str, Morphism, Fraction]:
     """The family (ab)^n ba with its witness morphism a -> (cd)^k c, b -> dc
     and the exact exponent 1 + (4k+4)/((2k+3)(n-1)+2) the image reaches."""
     if n < 2:
         raise WordError("n must be >= 2")
     if k < 0:
         raise WordError("k must be >= 0")
-    domain = Alphabet("ab")
-    word = Word("ab" * n + "ba", domain)
-    h = Morphism({"a": "cd" * k + "c", "b": "dc"}, domain=domain, codomain=Alphabet("cd"))
+    word = "ab" * n + "ba"
+    h = Morphism({"a": "cd" * k + "c", "b": "dc"}, domain=Alphabet("ab"), codomain=Alphabet("cd"))
     expected = 1 + Fraction(4 * k + 4, (2 * k + 3) * (n - 1) + 2)
     return word, h, expected
 
 
-def highpower_word(n: int) -> tuple[Word, Morphism, Fraction]:
+def highpower_word(n: int) -> tuple[str, Morphism, Fraction]:
     """A 2n-letter word of length 6n with exponent 1 whose image under the
     letter-spreading morphism x_i -> c^(i-1) x c^(n-i) has exponent
     n - n/(6n+1)."""
@@ -298,11 +254,10 @@ def highpower_word(n: int) -> tuple[Word, Morphism, Fraction]:
     letters = fresh_letters(2 * n, avoid="abc")
     first, second = letters[0::2], letters[1::2]
     domain = Alphabet(letters)
-    text = "".join(
+    word = "".join(
         first[i] + first[i] + second[i] + first[i] + second[i] + second[i]
         for i in range(n)
     )
-    word = Word(text, domain)
     images = {}
     for i in range(n):
         images[first[i]] = "c" * i + "a" + "c" * (n - 1 - i)

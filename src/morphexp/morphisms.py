@@ -12,7 +12,7 @@ from collections import deque
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from .words import Alphabet, ParseError, Word, WordError, WordLike, as_word
+from .words import Alphabet, ParseError, WordError
 
 
 def sardinas_patterson(images: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -58,59 +58,77 @@ def sardinas_patterson(images: Sequence[str]) -> tuple[tuple[int, ...], tuple[in
     return None
 
 
+def parse_counts(text: str, pieces: Sequence[str]) -> list[int]:
+    """ways[i]: the number of factorizations of text[:i] into pieces (each
+    usable any number of times).  Run on the reversed text and pieces, it
+    counts the factorizations of the suffixes instead."""
+    n = len(text)
+    ways = [1] + [0] * n
+    for end in range(1, n + 1):
+        total = 0
+        for x in pieces:
+            start = end - len(x)
+            if start >= 0 and ways[start] and text.startswith(x, start):
+                total += ways[start]
+        ways[end] = total
+    return ways
+
+
 class Morphism:
     """A letter-to-word map extended to words by concatenation.
 
     Immutable after construction; the injectivity verdict is computed once on
-    demand and cached, so values are safe to share across threads.
+    demand and cached.
     """
 
     __slots__ = ("domain", "codomain", "images", "_verdict")
 
     def __init__(
         self,
-        images: Mapping[str, WordLike],
+        images: Mapping[str, str],
         domain: Alphabet | None = None,
         codomain: Alphabet | None = None,
     ):
-        imgs = {letter: str(as_word(img)) for letter, img in images.items()}
+        for letter, img in images.items():
+            if not isinstance(img, str):
+                raise WordError(f"image of {letter!r} must be a str, got {type(img).__name__}")
         if domain is None:
-            domain = Alphabet(imgs.keys())
-        if set(imgs) != set(domain.letters):
+            domain = Alphabet(images.keys())
+        if set(images) != set(domain.letters):
             raise WordError("images must cover exactly the domain alphabet")
         if codomain is None:
-            codomain = Alphabet(sorted({ch for img in imgs.values() for ch in img}))
+            codomain = Alphabet(sorted(set("".join(images.values()))))
         else:
-            for letter, img in imgs.items():
-                for ch in img:
-                    if ch not in codomain:
-                        raise WordError(f"image of {letter!r} uses letter {ch!r} outside codomain")
+            allowed = set(codomain.letters)
+            for letter, img in images.items():
+                if not allowed.issuperset(img):
+                    ch = next(ch for ch in img if ch not in allowed)
+                    raise WordError(f"image of {letter!r} uses letter {ch!r} outside codomain")
         self.domain = domain
         self.codomain = codomain
-        self.images = {letter: imgs[letter] for letter in domain.letters}
-        self._verdict: tuple[bool, tuple[Word, Word] | None] | None = None
+        self.images = {letter: images[letter] for letter in domain.letters}
+        self._verdict: tuple[bool, tuple[str, str] | None] | None = None
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Morphism":
         return cls({ch: ch for ch in alphabet}, domain=alphabet, codomain=alphabet)
 
-    def image(self, letter: str) -> Word:
-        return Word._make(self.images[letter], self.codomain)
+    def image(self, letter: str) -> str:
+        return self.images[letter]
 
-    def apply(self, w: WordLike) -> Word:
+    def apply(self, w: str) -> str:
         images = self.images
         try:
-            text = "".join([images[ch] for ch in str(as_word(w))])
+            return "".join([images[ch] for ch in w])
         except KeyError as exc:
             raise WordError(f"letter {exc.args[0]!r} outside morphism domain") from None
-        return Word._make(text, self.codomain)
 
     __call__ = apply
 
     def is_erasing(self) -> bool:
         return any(not img for img in self.images.values())
 
-    def _decide_injectivity(self) -> tuple[bool, tuple[Word, Word] | None]:
+    def _decide_injectivity(self) -> tuple[bool, tuple[str, str] | None]:
         if self._verdict is None:
             letters = self.domain.letters
             witness = sardinas_patterson([self.images[ch] for ch in letters])
@@ -118,45 +136,36 @@ class Morphism:
                 self._verdict = (True, None)
             else:
                 first, second = witness
-                pair = (
-                    Word._make("".join(letters[i] for i in first), self.domain),
-                    Word._make("".join(letters[i] for i in second), self.domain),
-                )
+                pair = ("".join(letters[i] for i in first), "".join(letters[i] for i in second))
                 self._verdict = (False, pair)
         return self._verdict
 
     def is_injective(self) -> bool:
         return self._decide_injectivity()[0]
 
-    def injectivity_counterexample(self) -> tuple[Word, Word] | None:
+    def injectivity_counterexample(self) -> tuple[str, str] | None:
         """A shortest pair of distinct words with equal images, or None."""
         return self._decide_injectivity()[1]
 
-    def decode(self, w: WordLike) -> Word | None:
+    def decode(self, w: str) -> str | None:
         """Preimage of w under an injective morphism, or None when w is not
         in the image submonoid."""
         if not self.is_injective():
             raise WordError("decode requires an injective morphism")
-        text = str(as_word(w))
-        n = len(text)
-        items = list(self.images.items())
-        parseable = [False] * (n + 1)
-        parseable[n] = True
-        for pos in range(n - 1, -1, -1):
-            parseable[pos] = any(
-                parseable[pos + len(img)] for _, img in items if text.startswith(img, pos)
-            )
-        if not parseable[0]:
+        ways = parse_counts(w, list(self.images.values()))
+        pos = len(w)
+        if not ways[pos]:
             return None
+        # The parse is unique, so walking back from the end along parseable
+        # prefixes retraces it.
         out = []
-        pos = 0
-        while pos < n:
-            for letter, img in items:
-                if text.startswith(img, pos) and parseable[pos + len(img)]:
+        while pos:
+            for letter, img in self.images.items():
+                if w.endswith(img, 0, pos) and ways[pos - len(img)]:
                     out.append(letter)
-                    pos += len(img)
+                    pos -= len(img)
                     break
-        return Word._make("".join(out), self.domain)
+        return "".join(reversed(out))
 
     def to_text(self) -> str:
         return ",".join(f"{letter}={self.images[letter]}" for letter in self.domain.letters)
@@ -225,16 +234,16 @@ def words_up_to(alphabet: Alphabet, max_len: int) -> list[str]:
     return out
 
 
-def enumerate_injective(domain: Alphabet, codomain: Alphabet, max_image_len: int) -> Iterator[Morphism]:
-    """Every injective morphism with image lengths in 1..max_image_len, each
-    exactly once, ordered lexicographically on the image tuple (individual
-    images in shortlex order)."""
+def enumerate_injective(
+    domain: Alphabet, codomain: Alphabet, max_image_len: int
+) -> Iterator[tuple[str, ...]]:
+    """The image tuples, in domain-letter order, of every injective morphism
+    with image lengths in 1..max_image_len, each exactly once, ordered
+    lexicographically (individual images in shortlex order).  A tuple becomes
+    a morphism with Morphism(dict(zip(domain, images)), domain, codomain)."""
     if max_image_len < 1:
         raise WordError("max_image_len must be >= 1")
     candidates = words_up_to(codomain, max_image_len)
     for images in product(candidates, repeat=len(domain)):
-        if len(set(images)) != len(images):
-            continue
-        if sardinas_patterson(images) is not None:
-            continue
-        yield Morphism(dict(zip(domain.letters, images)), domain=domain, codomain=codomain)
+        if len(set(images)) == len(images) and sardinas_patterson(images) is None:
+            yield images

@@ -23,15 +23,13 @@ from morphexp.infinite import (
 from morphexp.mapped_exponent import (
     FINITE,
     INFINITE,
-    classify_binary,
     classify_general,
     highpower_word,
     lowpower_morphism,
 )
-from morphexp.morphisms import enumerate_injective
+from morphexp.morphisms import Morphism, enumerate_injective
 from morphexp.words import (
     Alphabet,
-    Word,
     fractional_exponent,
     fractional_power,
     prefix_comparable,
@@ -68,11 +66,14 @@ def test_criterion_1_lowpower_identity():
 
 def test_criterion_2_lowpower_upper_bound():
     with criterion(2, "lowpower strict upper bound over bounded morphisms"):
-        domain = Alphabet("ab")
-        morphisms = list(enumerate_injective(domain, Alphabet("01"), 4))
+        domain, codomain = Alphabet("ab"), Alphabet("01")
+        morphisms = [
+            Morphism(dict(zip(domain, images)), domain=domain, codomain=codomain)
+            for images in enumerate_injective(domain, codomain, 4)
+        ]
         assert morphisms
         for n in (2, 3, 4):
-            word = Word("ab" * n + "ba")
+            word = "ab" * n + "ba"
             bound = 1 + Fraction(2, n - 1)
             for h in morphisms:
                 e = fractional_exponent(h.apply(word)).exponent
@@ -110,7 +111,7 @@ def test_criterion_4_binary_classification_oracle():
         total = 0
         for w in binary_words(12):
             total += 1
-            verdict = classify_binary(w, target=1)
+            verdict = classify_general(w, target=1)
             expected = INFINITE if w in patterns[len(w)] else FINITE
             assert verdict.tag == expected, w
         assert total == 2 ** 13 - 2
@@ -149,12 +150,12 @@ def test_criterion_6_x_degree_bound():
             }
             code = CodeSet(sorted(words))
             x = "".join(rng.choice("ab") for _ in range(code.max_len + rng.randint(1, 3)))
-            power = Word(x * rng.randint(1, 4))
+            power = x * rng.randint(1, 4)
             base, _ = fractional_exponent(power)
             if len(base) <= code.max_len:
                 continue
             done += 1
-            assert x_degree(power, code) <= len(code), (str(power), code.texts)
+            assert x_degree(power, code) <= len(code), (str(power), code.words)
 
 
 def test_criterion_7_interleaved_image_identity():

@@ -5,7 +5,7 @@ import pytest
 from morphexp.cli import run
 from morphexp.codes import CodeSet, is_synchronizing, x_degree
 from morphexp.infinite import ace_estimate, thue_morse
-from morphexp.mapped_exponent import classify_binary, mapped_exponent_lower_bound
+from morphexp.mapped_exponent import classify_general, mapped_exponent_lower_bound
 
 
 def invoke(capsys, *argv):
@@ -122,6 +122,24 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.strip() == "error: generator failed to produce more letters"
 
+    def test_classify_needs_positive_image_length_for_every_word(self, capsys):
+        for word in ("ab", "abc"):
+            code, out, err = invoke(capsys, "classify", word, "--max-image-len", "0")
+            assert (code, out) == (1, "")
+            assert err.strip() == "error: max_image_len must be >= 1"
+
+    def test_threads_option_is_gone(self, capsys):
+        code, out, err = invoke(capsys, "lower-bound", "ab", "--max-image-len", "2", "--threads", "2")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --threads 2" in err
+
+    def test_usage_error_then_valid_command(self, capsys):
+        code, out, err = invoke(capsys, "exp", "abab", "--bogus")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --bogus" in err
+        code, out, err = invoke(capsys, "exp", "abab")
+        assert (code, out.strip(), err) == (0, "E = 2 (base ab); IE = 2 (root ab)", "")
+
     def test_success_is_0(self, capsys):
         assert invoke(capsys, "exp", "a")[0] == 0
 
@@ -130,7 +148,7 @@ class TestThinAdapter:
     def test_classify_equals_library(self, capsys):
         _, out, _ = invoke(capsys, "classify", "abab", "--format", "json")
         record = json.loads(out)
-        verdict = classify_binary("abab")
+        verdict = classify_general("abab")
         assert record["tag"] == verdict.tag
         assert record["achieved_exponent"] == str(verdict.witness[1])
 
@@ -140,11 +158,6 @@ class TestThinAdapter:
         best, argmax = mapped_exponent_lower_bound("aab", 2)
         assert record["best_exponent"] == str(best)
         assert record["argmax_morphism"] == argmax.to_text()
-
-    def test_threads_flag_matches_sequential(self, capsys):
-        _, seq, _ = invoke(capsys, "lower-bound", "ab", "--max-image-len", "2", "--format", "json")
-        _, par, _ = invoke(capsys, "lower-bound", "ab", "--max-image-len", "2", "--threads", "3", "--format", "json")
-        assert seq == par
 
     def test_xdegree_equals_library(self, capsys):
         _, out, _ = invoke(capsys, "xdegree", "aa", "--code", "a", "--format", "json")

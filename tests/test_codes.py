@@ -12,14 +12,14 @@ from morphexp.codes import (
     x_interpretations,
 )
 from morphexp.morphisms import Morphism
-from morphexp.words import Word, WordError, fractional_exponent, is_primitive
+from morphexp.words import WordError, fractional_exponent, is_primitive
 
 
 def brute_interpretations(text, code):
     """All valid cut tuples, by filtering every subset of cut positions."""
     n = len(text)
-    suffixes = {x[i:] for x in code.texts for i in range(len(x) + 1)}
-    prefixes = {x[:i] for x in code.texts for i in range(len(x) + 1)}
+    suffixes = {x[i:] for x in code.words for i in range(len(x) + 1)}
+    prefixes = {x[:i] for x in code.words for i in range(len(x) + 1)}
     out = []
     positions = list(range(n + 1))
     for r in range(len(positions) + 1):
@@ -36,7 +36,7 @@ def brute_interpretations(text, code):
                 continue
             if pieces[0] not in suffixes or pieces[-1] not in prefixes:
                 continue
-            if any(p not in code.texts for p in pieces[1:-1]):
+            if any(p not in code.words for p in pieces[1:-1]):
                 continue
             out.append(cuts)
     return sorted(out)
@@ -81,7 +81,7 @@ class TestInterpretations:
             code = CodeSet(sorted(words))
             text = "".join(rng.choice("ab") for _ in range(rng.randint(1, 7)))
             got = sorted(i.cuts for i in x_interpretations(text, code))
-            assert got == brute_interpretations(text, code), (text, code.texts)
+            assert got == brute_interpretations(text, code), (text, code.words)
 
     def test_enumeration_is_deterministic(self):
         code = CodeSet(["a", "ab", "ba"])
@@ -111,7 +111,7 @@ class TestDegree:
                         break
                 if best:
                     break
-            assert x_degree(text, code) == best, (text, code.texts)
+            assert x_degree(text, code) == best, (text, code.words)
 
     def test_dense_unary_instances(self):
         # Interpretation counts explode here; the degree must still be exact
@@ -130,12 +130,12 @@ class TestDegree:
                      for _ in range(rng.randint(1, 3))}
             code = CodeSet(sorted(words))
             x = "".join(rng.choice("ab") for _ in range(code.max_len + rng.randint(1, 3)))
-            power = Word(x * rng.randint(1, 4))
+            power = x * rng.randint(1, 4)
             base, _ = fractional_exponent(power)
             if len(base) <= code.max_len:
                 continue
             done += 1
-            assert x_degree(power, code) <= len(code), (str(power), code.texts)
+            assert x_degree(power, code) <= len(code), (str(power), code.words)
 
 
 class TestFactorizationCount:
@@ -152,7 +152,7 @@ class TestFactorizationCount:
     def test_codes_have_at_most_one_factorization(self):
         for code in (CodeSet(["ab", "ba"]), CodeSet(["0", "01", "11"]), CodeSet(["aa", "ab"])):
             assert code.is_code()
-            alphabet = sorted({ch for w in code.texts for ch in w})
+            alphabet = sorted({ch for w in code.words for ch in w})
             layer = [""]
             for _ in range(10):
                 layer = [w + ch for w in layer for ch in alphabet]
@@ -206,7 +206,7 @@ class TestSynchronizing:
             text = "".join(rng.choice("ab") for _ in range(rng.randint(1, 5)))
             assert _split_saturated(text, code) == _split_probed(
                 text, code, len(text) + 2 * code.max_len
-            ), (text, code.texts)
+            ), (text, code.words)
             checked += 1
         assert checked > 100
 
@@ -260,8 +260,8 @@ class TestSynchronizing:
 
 class TestCodeSetType:
     def test_parse_formats(self):
-        assert parse_code_set("ab,ba").texts == ("ab", "ba")
-        assert parse_code_set("X=ab,ba").texts == ("ab", "ba")
+        assert parse_code_set("ab,ba").words == ("ab", "ba")
+        assert parse_code_set("X=ab,ba").words == ("ab", "ba")
 
     def test_parse_errors(self):
         with pytest.raises(WordError):

@@ -5,7 +5,6 @@ import pytest
 
 from morphexp.words import (
     Alphabet,
-    Word,
     WordError,
     fine_wilf_root,
     fractional_exponent,
@@ -22,6 +21,7 @@ from morphexp.words import (
     smallest_period,
     suffix_comparable,
 )
+from morphexp.morphisms import Morphism
 from profile_oracles import brute_smallest_period, profile_border, profile_naive, profile_sweep
 
 
@@ -61,7 +61,7 @@ class TestFractionalExponent:
     def test_reconstruction_and_primitivity(self):
         rng = random.Random(2)
         for _ in range(300):
-            w = Word(random_word(rng, "ab", rng.randint(1, 20)))
+            w = random_word(rng, "ab", rng.randint(1, 20))
             base, e = fractional_exponent(w)
             assert e * len(base) == len(w)
             assert is_primitive(base)
@@ -80,14 +80,14 @@ class TestFractionalExponent:
 
 class TestIntegerExponent:
     def test_examples(self):
-        assert integer_exponent("abab") == (2, Word("ab"))
-        assert integer_exponent("abc") == (1, Word("abc"))
-        assert integer_exponent("aaaaaa") == (6, Word("a"))
+        assert integer_exponent("abab") == (2, "ab")
+        assert integer_exponent("abc") == (1, "abc")
+        assert integer_exponent("aaaaaa") == (6, "a")
 
     def test_root_is_primitive_and_rebuilds(self):
         rng = random.Random(4)
         for _ in range(200):
-            w = Word(random_word(rng, "ab", rng.randint(1, 18)))
+            w = random_word(rng, "ab", rng.randint(1, 18))
             n, root = integer_exponent(w)
             assert is_primitive(root)
             assert root * n == w
@@ -165,7 +165,7 @@ class TestComparability:
 
 class TestFineWilf:
     def test_examples(self):
-        assert fine_wilf_root("abab", "ab") == Word("ab")
+        assert fine_wilf_root("abab", "ab") == "ab"
         assert fine_wilf_root("ab", "ba") is None
         assert fine_wilf_root("aabaa", "aabaaaab") is None
 
@@ -226,9 +226,9 @@ class TestOccurrencesInPowers:
 
 class TestMaxExponentFactor:
     def test_examples(self):
-        assert max_exponent_factor("abaab", 1) == (Word("aa"), Fraction(2))
-        assert max_exponent_factor("ababab", 2) == (Word("ababab"), Fraction(3))
-        assert max_exponent_factor("abc", 1) == (Word("a"), Fraction(1))
+        assert max_exponent_factor("abaab", 1) == ("aa", Fraction(2))
+        assert max_exponent_factor("ababab", 2) == ("ababab", Fraction(3))
+        assert max_exponent_factor("abc", 1) == ("a", Fraction(1))
 
     def test_min_len_validation(self):
         with pytest.raises(WordError, match="out of range"):
@@ -312,17 +312,13 @@ class TestPeriodProfile:
 
 class TestWordType:
     def test_alphabet_validation(self):
-        with pytest.raises(WordError):
-            Word("abc", Alphabet("ab"))
-        assert Word("abc").alphabet == Alphabet("abc")
-
-    def test_slicing_and_concatenation(self):
-        w = Word("abba")
-        assert w[1:3] == "bb"
-        assert w[0] == "a"
-        assert w + Word("cc") == "abbacc"
-        assert (w + Word("cc")).alphabet == Alphabet("abc")
-        assert w * 2 == "abbaabba"
+        # Words are plain str; alphabets are checked where they carry
+        # meaning, such as a morphism's codomain.
+        with pytest.raises(WordError, match="outside codomain"):
+            Morphism({"a": "abc"}, codomain=Alphabet("ab"))
+        assert Morphism({"x": "cab"}).codomain == Alphabet("abc")
+        with pytest.raises(WordError, match="duplicate"):
+            Alphabet("aba")
 
     def test_repeat_to_length(self):
         assert repeat_to_length("ab", 5) == "ababa"
