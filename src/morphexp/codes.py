@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Iterator
 
 from .morphisms import parse_counts, sardinas_patterson
@@ -100,12 +101,23 @@ def _pieces(text: str, cuts: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(text[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
-def _affixes(code: CodeSet) -> tuple[set[str], set[str]]:
-    """Every suffix and every prefix of a code word, the empty word included:
-    the allowed first and last pieces of an interpretation."""
+def _flanks(w: str, code: CodeSet) -> tuple[list[int], set[int], bool]:
+    """The cuts an interpretation may start at (w[:c] a suffix of a code
+    word) and end at (w[c:] a prefix of one), and whether the cut-free
+    interpretation exists."""
+    n, m = len(w), code.max_len
     suffixes = {x[i:] for x in code.words for i in range(len(x) + 1)}
     prefixes = {x[:i] for x in code.words for i in range(len(x) + 1)}
-    return suffixes, prefixes
+    starts = [c for c in range(min(n, m) + 1) if w[:c] in suffixes]
+    ends = {c for c in range(max(n - m, 0), n + 1) if w[c:] in prefixes}
+    return starts, ends, w in suffixes and w in prefixes
+
+
+def _steps(w: str, code: CodeSet) -> list[list[int]]:
+    """The parse graph of w over the code: steps[c] lists, in ascending
+    order, the ends c + |x| of the code words x occurring at cut c."""
+    by_len = sorted(code.words, key=len)
+    return [[c + len(x) for x in by_len if w.startswith(x, c)] for c in range(len(w) + 1)]
 
 
 def x_interpretations(w: str, code: CodeSet) -> list[Interpretation]:
@@ -113,66 +125,60 @@ def x_interpretations(w: str, code: CodeSet) -> list[Interpretation]:
     (the cut-free interpretation first when it exists)."""
     if not w:
         raise WordError("empty input")
-    n = len(w)
-    suffixes, prefixes = _affixes(code)
-    elements = sorted(code.words, key=len)
-
-    found: list[tuple[int, ...]] = []
-    if w in suffixes and w in prefixes:
-        found.append(())
-
-    def extend(pos: int, cuts: tuple[int, ...]) -> None:
-        if w[pos:] in prefixes:
-            found.append(cuts)
-        for x in elements:
-            end = pos + len(x)
-            if end <= n and w.startswith(x, pos):
-                extend(end, cuts + (end,))
-
-    for first_cut in range(n + 1):
-        if w[:first_cut] in suffixes:
-            extend(first_cut, (first_cut,))
-
+    starts, ends, whole = _flanks(w, code)
+    steps = _steps(w, code)
+    found: list[tuple[int, ...]] = [()] if whole else []
+    for first in starts:
+        # Depth-first over the parse graph with an explicit stack, children
+        # in ascending order, so cut tuples come out in lexicographic order.
+        path, stack = [first], [iter(steps[first])]
+        if first in ends:
+            found.append((first,))
+        while stack:
+            cut = next(stack[-1], None)
+            if cut is None:
+                stack.pop()
+                path.pop()
+                continue
+            path.append(cut)
+            stack.append(iter(steps[cut]))
+            if cut in ends:
+                found.append(tuple(path))
     return [Interpretation(_pieces(w, cuts), cuts) for cuts in found]
 
 
-def _max_vertex_disjoint_paths(positions: int, starts: set[int], ends: set[int],
-                               edges: list[tuple[int, int]]) -> int:
-    """Maximum number of S->T paths sharing no position node, by augmenting
-    unit flows through split nodes."""
-    source, sink = -1, -2
-    cap: dict[object, dict[object, int]] = {source: {}, sink: {}}
+def _max_vertex_disjoint_paths(steps: list[list[int]], starts: Iterable[int], ends: Iterable[int]) -> int:
+    """Maximum number of start-to-end paths over `steps` sharing no cut, by
+    augmenting unit flows; cut c splits into nodes 2c (in) and 2c + 1 (out)."""
+    source = 2 * len(steps)
+    sink = source + 1
+    cap: list[dict[int, int]] = [{} for _ in range(sink + 1)]
 
-    def node_in(c: int) -> tuple[str, int]:
-        return ("in", c)
+    def add(u: int, v: int) -> None:
+        cap[u][v] = 1
+        cap[v].setdefault(u, 0)
 
-    def node_out(c: int) -> tuple[str, int]:
-        return ("out", c)
-
-    def add(u: object, v: object) -> None:
-        cap.setdefault(u, {})[v] = 1
-        cap.setdefault(v, {}).setdefault(u, 0)
-
-    for c in range(positions + 1):
-        add(node_in(c), node_out(c))
+    for c, targets in enumerate(steps):
+        add(2 * c, 2 * c + 1)
+        for d in targets:
+            add(2 * c + 1, 2 * d)
     for c in starts:
-        add(source, node_in(c))
+        add(source, 2 * c)
     for c in ends:
-        add(node_out(c), sink)
-    for u, v in edges:
-        add(node_out(u), node_in(v))
+        add(2 * c + 1, sink)
 
     flow = 0
     while True:
-        parent: dict[object, object] = {source: source}
+        parent = [-1] * (sink + 1)
+        parent[source] = source
         queue = deque([source])
-        while queue and sink not in parent:
+        while queue and parent[sink] < 0:
             u = queue.popleft()
             for v, residual in cap[u].items():
-                if residual and v not in parent:
+                if residual and parent[v] < 0:
                     parent[v] = u
                     queue.append(v)
-        if sink not in parent:
+        if parent[sink] < 0:
             return flow
         v = sink
         while v != source:
@@ -193,18 +199,8 @@ def x_degree(w: str, code: CodeSet) -> int:
     """
     if not w:
         raise WordError("empty input")
-    n = len(w)
-    suffixes, prefixes = _affixes(code)
-    starts = {c for c in range(n + 1) if w[:c] in suffixes}
-    ends = {c for c in range(n + 1) if w[c:] in prefixes}
-    edges = [
-        (c, c + len(x))
-        for c in range(n + 1)
-        for x in code.words
-        if w.startswith(x, c)
-    ]
-    whole = 1 if w in suffixes and w in prefixes else 0
-    return whole + _max_vertex_disjoint_paths(n, starts, ends, edges)
+    starts, ends, whole = _flanks(w, code)
+    return whole + _max_vertex_disjoint_paths(_steps(w, code), starts, ends)
 
 
 def x_factorization_count(w: str, code: CodeSet) -> int:
@@ -214,102 +210,59 @@ def x_factorization_count(w: str, code: CodeSet) -> int:
     return parse_counts(w, code.words)[len(w)]
 
 
-def _parse_boundaries(text: str, code: CodeSet) -> set[int]:
-    """Positions m with text[:m] and text[m:] both concatenations of code
-    words.  For a code these are exactly the boundaries of the unique parse."""
-    n = len(text)
-    forward = parse_counts(text, code.words)
-    backward = parse_counts(text[::-1], [x[::-1] for x in code.words])
-    return {m for m in range(n + 1) if forward[m] and backward[n - m]}
-
-
-def _split_probed(text: str, code: CodeSet, probe_len: int) -> int | None:
-    """Literal probe: intersect the allowed splits over every product of code
-    words up to probe_len that contains the text."""
-    candidates = set(range(len(text) + 1))
-    queue: deque[str] = deque([""])
-    while queue and candidates:
-        v = queue.popleft()
-        for x in code.words:
-            u = v + x
-            if len(u) > probe_len:
-                continue
-            queue.append(u)
-            start = u.find(text)
-            if start < 0:
-                continue
-            boundaries = _parse_boundaries(u, code)
-            while start >= 0 and candidates:
-                candidates &= {m - start for m in boundaries if 0 <= m - start <= len(text)}
-                start = u.find(text, start + 1)
-    return min(candidates) if candidates else None
-
-
-def _split_saturated(text: str, code: CodeSet) -> int | None:
-    """Splits that survive every occurrence context, however long.
-
-    Occurrence contexts are bounded: the parse of a product is compositional
-    for codes, so the boundaries falling inside an occurrence of the text are
-    decided by the covering code words alone.  Covers with no boundary in the
-    span (the text strictly inside one code word) kill every split; all other
-    covers are paths over boundary positions, entered either at a position
-    whose prefix completes a code word on the left, or at 0 (empty left
-    context), and exited symmetrically.  A split survives exactly when every
-    such path passes through it.
-    """
-    n = len(text)
-    for x in code.words:
-        q = x.find(text, 1)
-        while q != -1:
-            if q + n < len(x):
-                return None
-            q = x.find(text, q + 1)
-
-    enter = {0}
-    for c in range(1, n + 1):
-        if any(len(x) > c and x.endswith(text[:c]) for x in code.words):
-            enter.add(c)
-    leave = {n}
-    for c in range(0, n):
-        if any(len(x) > n - c and x.startswith(text[c:]) for x in code.words):
-            leave.add(c)
-    step = {c: [c + len(x) for x in code.words if c + len(x) <= n and text.startswith(x, c)]
-            for c in range(n + 1)}
-
-    def path_avoiding(t: int) -> bool:
-        seen = set(enter - {t})
-        queue = deque(seen)
-        while queue:
-            c = queue.popleft()
-            if c in leave:
-                return True
-            for d in step[c]:
-                if d != t and d not in seen:
-                    seen.add(d)
-                    queue.append(d)
-        return False
-
-    candidates = [t for t in range(n + 1) if not path_avoiding(t)]
-    return candidates[0] if candidates else None
-
-
 def is_synchronizing(w: str, code: CodeSet, probe_len: int | None = None) -> int | None:
     """Smallest split t such that, in every probed context, each occurrence
     of w inside a concatenation of code words has a parse boundary exactly t
     letters into w; None if no split survives.
 
     The defining condition quantifies over all of X*; this checks it against
-    every v in X* with |v| <= probe_len (default 4 * (|w| + max code length)).
-    Occurrence contexts are bounded by one code word on each side, so for any
-    probe_len >= |w| + 2 * max_len the probed answer equals the answer over
-    all of X* and is computed directly, without enumerating products.
+    every v in X* with |v| <= probe_len (default 4 * (|w| + max code length)),
+    without enumerating products.  The parse is unique, so the boundaries
+    inside an occurrence depend only on its cover, the code words it meets,
+    and a product of length <= probe_len holds the occurrence exactly when
+    the cover is that short.  A cover is a code word holding w strictly
+    inside it, which kills every split, or a path in the parse graph of w
+    from an entry cut c (0, or w[:c] a proper suffix of a code word) to an
+    exit cut e (|w|, or w[e:] a proper prefix of one); its length is |w|
+    plus the letters of its flanking words outside w.  Split t survives when
+    every cover avoiding t is longer than probe_len.
     """
     if not w:
         raise WordError("empty input")
     if not code.is_code():
         raise WordError("the word set is not a code")
+    n = len(w)
     if probe_len is None:
-        probe_len = 4 * (len(w) + code.max_len)
-    if probe_len >= len(w) + 2 * code.max_len:
-        return _split_saturated(w, code)
-    return _split_probed(w, code, probe_len)
+        probe_len = 4 * (n + code.max_len)
+    budget = probe_len - n  # letters the flanking words may add outside w
+    if any(len(x) <= probe_len and w in x[1:-1] for x in code.words):
+        return None
+    enter = {0: 0}
+    leave = {n: 0}
+    for x in code.words:
+        for c in range(1, min(n, len(x) - 1) + 1):
+            if x.endswith(w[:c]):
+                enter[c] = min(enter.get(c, len(x)), len(x) - c)
+            if x.startswith(w[n - c:]):
+                leave[n - c] = min(leave.get(n - c, len(x)), len(x) - c)
+    steps = _steps(w, code)
+    # Cheapest entry reaching each cut, and cheapest exit reachable from it.
+    reach = [enter.get(c, inf) for c in range(n + 1)]
+    for c in range(n + 1):
+        for d in steps[c]:
+            reach[d] = min(reach[d], reach[c])
+    onward = [leave.get(c, inf) for c in range(n + 1)]
+    for c in range(n, -1, -1):
+        onward[c] = min([onward[c]] + [onward[d] for d in steps[c]])
+    for t in range(n + 1):
+        # Cuts increase along a path, so a cover avoiding t ends before t,
+        # starts after it, or jumps over it with one code word.
+        shortest = min(
+            [reach[e] + cost for e, cost in leave.items() if e < t]
+            + [cost + onward[c] for c, cost in enter.items() if c > t]
+            + [reach[u] + onward[d] for u in range(max(t - code.max_len, 0), t) for d in steps[u] if d > t],
+            default=inf,
+        )
+        if shortest > budget:
+            return t
+    return None

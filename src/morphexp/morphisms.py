@@ -60,8 +60,7 @@ def sardinas_patterson(images: Sequence[str]) -> tuple[tuple[int, ...], tuple[in
 
 def parse_counts(text: str, pieces: Sequence[str]) -> list[int]:
     """ways[i]: the number of factorizations of text[:i] into pieces (each
-    usable any number of times).  Run on the reversed text and pieces, it
-    counts the factorizations of the suffixes instead."""
+    usable any number of times)."""
     n = len(text)
     ways = [1] + [0] * n
     for end in range(1, n + 1):

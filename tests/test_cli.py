@@ -109,6 +109,11 @@ class TestExitCodes:
         assert code == 1
         assert "not a code" in err
 
+    def test_long_sync_probe_is_0(self, capsys):
+        code, out, _ = invoke(capsys, "sync", "ab" * 8, "--code", "a,b,cccccccc", "--probe", "31", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["split"] == 0
+
     def test_morphic_letter_outside_domain(self, capsys):
         params = ("--gen", "morphic", "--params", "rules=a=ab,b=bbc;seed=a")
         code, out, _ = invoke(capsys, "generate", *params, "--prefix", "11")

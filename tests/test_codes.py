@@ -13,6 +13,7 @@ from morphexp.codes import (
 )
 from morphexp.morphisms import Morphism
 from morphexp.words import WordError, fractional_exponent, is_primitive
+from sync_oracles import _split_probed
 
 
 def brute_interpretations(text, code):
@@ -80,8 +81,19 @@ class TestInterpretations:
                 words.add("".join(rng.choice("ab") for _ in range(rng.randint(1, 3))))
             code = CodeSet(sorted(words))
             text = "".join(rng.choice("ab") for _ in range(rng.randint(1, 7)))
-            got = sorted(i.cuts for i in x_interpretations(text, code))
+            got = [i.cuts for i in x_interpretations(text, code)]
             assert got == brute_interpretations(text, code), (text, code.words)
+
+    def test_long_single_letter_parse_is_iterative(self):
+        # One cut per letter: a recursive walk would exceed the recursion limit.
+        got = x_interpretations("a" * 2000, CodeSet(["a"]))
+        assert [(i.cuts[0], i.cuts[-1]) for i in got] == [(0, 1999), (0, 2000), (1, 1999), (1, 2000)]
+        assert all(len(i.cuts) == i.cuts[-1] - i.cuts[0] + 1 for i in got)
+
+    def test_order_does_not_depend_on_code_word_order(self):
+        got = [i.cuts for i in x_interpretations("abab", CodeSet(["bab", "ab", "b", "a"]))]
+        assert got == sorted(got)
+        assert got == [i.cuts for i in x_interpretations("abab", CodeSet(["a", "ab", "b", "bab"]))]
 
     def test_enumeration_is_deterministic(self):
         code = CodeSet(["a", "ab", "ba"])
@@ -112,6 +124,12 @@ class TestDegree:
                 if best:
                     break
             assert x_degree(text, code) == best, (text, code.words)
+
+    def test_augmenting_path_reroutes_an_earlier_path(self):
+        # The first augmenting path, through cuts 1 and 3, blocks the path
+        # 2-3; only rerouting it through 4 finds the disjoint pair (1, 4),
+        # (2, 3).
+        assert x_degree("bbaba", CodeSet(["a", "ba", "bab", "bbb"])) == 2
 
     def test_dense_unary_instances(self):
         # Interpretation counts explode here; the degree must still be exact
@@ -189,10 +207,9 @@ class TestSynchronizing:
                 assert is_synchronizing(w, code) is not None, w
 
     def test_saturated_path_equals_literal_probe(self):
-        # Past |w| + 2*max_len the probe answer saturates; the direct
-        # computation must equal a literal product enumeration at that bound.
-        from morphexp.codes import _split_probed, _split_saturated
-
+        # The answer from covers must equal a literal product enumeration at
+        # every probe length, up to and past the saturation bound
+        # |w| + 2*max_len.
         rng = random.Random(99)
         checked = 0
         for _ in range(300):
@@ -204,11 +221,43 @@ class TestSynchronizing:
             if not code.is_code():
                 continue
             text = "".join(rng.choice("ab") for _ in range(rng.randint(1, 5)))
-            assert _split_saturated(text, code) == _split_probed(
-                text, code, len(text) + 2 * code.max_len
-            ), (text, code.words)
+            for probe in range(len(text) + 2 * code.max_len + 2):
+                assert is_synchronizing(text, code, probe_len=probe) == _split_probed(
+                    text, code, probe
+                ), (text, code.words, probe)
             checked += 1
         assert checked > 100
+
+    def test_cover_costs_equal_literal_probe_on_longer_code_words(self):
+        # Words of up to four letters give entries and exits of several
+        # costs; half the texts are cut from products so that covers exist.
+        rng = random.Random(100)
+        # Cut 3 of bbaa is reached from entry 0 (cost 0) and entry 1 (cost 2).
+        cases = [("bbaa", CodeSet(["aa", "ba", "bba", "bbb"]))]
+        while len(cases) < 150:
+            letters = rng.choice(["ab", "abc"])
+            words = {
+                "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 3))
+            }
+            code = CodeSet(sorted(words))
+            if not code.is_code():
+                continue
+            text = "".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+            if rng.random() < 0.5:
+                product = "".join(rng.choice(code.words) for _ in range(4))
+                text = product[rng.randint(0, 2):][: rng.randint(1, 6)] or text
+            cases.append((text, code))
+        for text, code in cases:
+            for probe in range(len(text) + 2 * code.max_len + 2):
+                assert is_synchronizing(text, code, probe_len=probe) == _split_probed(
+                    text, code, probe
+                ), (text, code.words, probe)
+
+    def test_long_probe_does_not_enumerate_products(self):
+        # The literal probe enumerates every product up to the probe length;
+        # here that is exponential in the length of the c-word.
+        assert is_synchronizing("ab" * 8, CodeSet(["a", "b", "c" * 8]), probe_len=31) == 0
 
     def test_unit_code_makes_every_position_a_boundary(self):
         assert is_synchronizing("ab" * 15, CodeSet(["a", "b"])) == 0

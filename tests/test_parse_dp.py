@@ -1,10 +1,12 @@
-"""The forward parse count (`morphisms.parse_counts`) and its three callers,
-against brute-force enumeration of every factorization."""
+"""The forward parse count (`morphisms.parse_counts`) and its three callers
+(`x_factorization_count`, `Morphism.decode` and the sync oracle's
+`_parse_boundaries`), against brute-force enumeration of every factorization."""
 
 import random
 
-from morphexp.codes import CodeSet, _parse_boundaries, x_factorization_count
+from morphexp.codes import CodeSet, x_factorization_count
 from morphexp.morphisms import Morphism
+from sync_oracles import _parse_boundaries
 
 
 def brute_factorizations(text, pieces):
