@@ -7,6 +7,7 @@ import argparse
 import functools
 import json
 import sys
+from string import digits
 from typing import Sequence
 
 from .codes import is_synchronizing, parse_code_set, x_degree
@@ -101,6 +102,8 @@ def _cmd_witness(args: argparse.Namespace) -> None:
 
 def _cmd_lower_bound(args: argparse.Namespace) -> None:
     w = _parse_word(args.word)
+    if args.codomain > len(digits):
+        raise ParseError(f"--codomain must be <= {len(digits)}, the number of codomain letters")
     best, argmax = mapped_exponent_lower_bound(w, args.max_image_len, codomain_size=args.codomain)
     record = {
         "word": w,
@@ -123,6 +126,8 @@ def _cmd_xdegree(args: argparse.Namespace) -> None:
 def _cmd_sync(args: argparse.Namespace) -> None:
     w = _parse_word(args.word)
     code = parse_code_set(args.code)
+    if args.probe is not None and args.probe < 0:
+        raise ParseError("--probe must be >= 0")
     probe = args.probe if args.probe is not None else 4 * (len(w) + code.max_len)
     split = is_synchronizing(w, code, probe_len=probe)
     record = {"word": w, "code": code.to_text(), "probe_len": probe, "split": split}

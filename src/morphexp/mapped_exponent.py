@@ -19,19 +19,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from string import digits
 
-from .morphisms import Morphism, compose, enumerate_injective, sardinas_patterson
+from .morphisms import Morphism, _injective_images, compose, sardinas_patterson
 from .words import (
     Alphabet,
     WordError,
     fractional_exponent,
     fresh_letters,
     prefix_comparable,
+    smallest_period,
     suffix_comparable,
 )
 
 INFINITE = "infinite"
 FINITE = "finite"
 UNKNOWN = "unknown"
+
+# The most letters a built witness or family image may have.  Sizes follow
+# from the inputs, so anything longer is refused before it is built.
+MAX_BUILD_LETTERS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,17 @@ class MappedExponentVerdict:
             "achieved_exponent": str(e) if e is not None else None,
             "search_bound": self.search_bound,
         }
+
+
+def _search_codomain(codomain_size: int) -> Alphabet:
+    if codomain_size > len(digits):
+        raise WordError(f"codomain size must be <= {len(digits)}")
+    return Alphabet(digits[:codomain_size])
+
+
+def _check_build_size(what: str, letters: int) -> None:
+    if letters > MAX_BUILD_LETTERS:
+        raise WordError(f"{what} would have {letters} letters, more than the limit of {MAX_BUILD_LETTERS}")
 
 
 def gap_factorization(w: str, letter: str) -> GapFactorization | None:
@@ -150,6 +166,9 @@ def pump_witness(
     # One period of step(w) is U c V; pump c so each period repeats.
     ahead, behind = head + s, t
     pump = max(1, _ceil(target))
+    # Each of the gap_count + 1 letters c of step(w) grows by the pumped part.
+    step_len = sum(len(step_images[ch]) for ch in w)
+    _check_build_size("the witness image", step_len + (fact.gap_count + 1) * (len(behind) + len(ahead) + 1) * (pump - 1))
     pump_images = {ch: ch for ch in step_codomain if ch != c}
     pump_images[c] = c + (behind + ahead + c) * (pump - 1)
     pumper = Morphism(pump_images, domain=step_codomain, codomain=step_codomain)
@@ -192,10 +211,10 @@ def classify_general(
             identity = Morphism.identity(Alphabet([ch for ch in letters if ch != letter]))
             return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, identity, goal))
 
-    search_codomain = Alphabet(digits[:codomain_size])
+    search_codomain = _search_codomain(codomain_size)
     for letter, fact in facts:
         rest = Alphabet([ch for ch in letters if ch != letter])
-        for images in enumerate_injective(rest, search_codomain, max_image_len):
+        for images in _injective_images(len(rest), search_codomain, max_image_len, canonical=True):
             # head, gap and tail hold only letters of rest, so translating
             # them applies the morphism with these images.
             mapping = dict(zip(rest.letters, images))
@@ -220,15 +239,19 @@ def mapped_exponent_lower_bound(
     if max_image_len < 1 or codomain_size < 1:
         raise WordError("bounds must be >= 1")
     domain = Alphabet(sorted(set(w)))
-    codomain = Alphabet(digits[:codomain_size])
-    best: Fraction | None = None
-    best_images: tuple[str, ...] = ()
-    for images in enumerate_injective(domain, codomain, max_image_len):
-        e = fractional_exponent(w.translate(str.maketrans(dict(zip(domain.letters, images))))).exponent
-        if best is None or e > best:
-            best, best_images = e, images
-    if best is None:
+    codomain = _search_codomain(codomain_size)
+    # E(h(w)) = |h(w)| / smallest period, compared as integer pairs.
+    best_len, best_period = 0, 1
+    best_images: tuple[str, ...] | None = None
+    ords = [ord(ch) for ch in domain.letters]
+    for images in _injective_images(len(domain), codomain, max_image_len, canonical=True):
+        image = w.translate(dict(zip(ords, images)))
+        period = smallest_period(image)
+        if len(image) * best_period > best_len * period:
+            best_len, best_period, best_images = len(image), period, images
+    if best_images is None:
         raise WordError("no injective morphism exists within the given bounds")
+    best = Fraction(best_len, best_period)
     return best, Morphism(dict(zip(domain.letters, best_images)), domain=domain, codomain=codomain)
 
 
@@ -239,6 +262,8 @@ def lowpower_morphism(n: int, k: int) -> tuple[str, Morphism, Fraction]:
         raise WordError("n must be >= 2")
     if k < 0:
         raise WordError("k must be >= 0")
+    # |h(a)| = 2k + 1 and |h(b)| = 2, with n + 1 copies of each letter.
+    _check_build_size("the family image", (n + 1) * (2 * k + 3))
     word = "ab" * n + "ba"
     h = Morphism({"a": "cd" * k + "c", "b": "dc"}, domain=Alphabet("ab"), codomain=Alphabet("cd"))
     expected = 1 + Fraction(4 * k + 4, (2 * k + 3) * (n - 1) + 2)

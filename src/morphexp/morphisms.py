@@ -9,7 +9,6 @@ distinct words with equal images is produced.
 from __future__ import annotations
 
 from collections import deque
-from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .words import Alphabet, ParseError, WordError
@@ -242,7 +241,87 @@ def enumerate_injective(
     a morphism with Morphism(dict(zip(domain, images)), domain, codomain)."""
     if max_image_len < 1:
         raise WordError("max_image_len must be >= 1")
+    yield from _injective_images(len(domain), codomain, max_image_len)
+
+
+def _injective_images(
+    size: int, codomain: Alphabet, max_image_len: int, canonical: bool = False
+) -> Iterator[tuple[str, ...]]:
+    """The injective image tuples of length `size` over codomain, in the
+    order of `enumerate_injective`, found depth first.
+
+    Images are assigned one domain letter at a time, and a branch is dropped
+    as soon as its partial tuple repeats an image or is not a code: every
+    subset of a code is a code.  Sardinas-Patterson runs only once a partial
+    tuple is neither prefix-free nor suffix-free, since a set that is either
+    is a code.
+
+    canonical=True keeps one tuple per renaming of the codomain letters: the
+    one whose images, read in order, introduce new letters in codomain order.
+    It is the lexicographic minimum of its renaming orbit, and renaming keeps
+    image lengths, injectivity and every exponent and comparability of the
+    images, so a search that stops at its first hit (or keeps its first
+    maximizer) finds the same tuple either way.
+    """
+    if size == 0:
+        yield ()
+        return
     candidates = words_up_to(codomain, max_image_len)
-    for images in product(candidates, repeat=len(domain)):
-        if len(set(images)) == len(images) and sardinas_patterson(images) is None:
-            yield images
+    # Candidate i is the bit 1 << i; prefixed[i] holds i and every candidate
+    # that is a prefix of it or has it as a prefix, suffixed[i] the same for
+    # suffixes.
+    index = {x: i for i, x in enumerate(candidates)}
+    prefixed = [1 << i for i in range(len(candidates))]
+    suffixed = prefixed[:]
+    for i, x in enumerate(candidates):
+        for k in range(1, len(x)):
+            for related, j in ((prefixed, index[x[:k]]), (suffixed, index[x[k:]])):
+                related[i] |= 1 << j
+                related[j] |= 1 << i
+    masks = [(1 << i, prefixed[i], suffixed[i]) for i in range(len(candidates))]
+    if canonical:
+        # choices[m]: the images open to a tuple whose images so far use the
+        # first m codomain letters, each with the letter count after it.
+        rank = {ch: i for i, ch in enumerate(codomain.letters)}
+        choices = []
+        for m in range(len(codomain) + 1):
+            row = []
+            for i, x in enumerate(candidates):
+                used = m
+                for ch in x:
+                    if rank[ch] == used:
+                        used += 1
+                    elif rank[ch] > used:
+                        break
+                else:
+                    row.append((x, *masks[i], used))
+            choices.append(row)
+    else:
+        choices = [[(x, *masks[i], 0) for i, x in enumerate(candidates)]]
+    last = size - 1
+    images: list[str] = []
+    # Per depth: the bits of the images so far, the unions of their prefixed
+    # and suffixed masks, and whether they are prefix-free and suffix-free.
+    states = [(0, 0, 0, True, True)]
+    stack = [iter(choices[0])]
+    while stack:
+        chosen, near_prefix, near_suffix, prefix_free, suffix_free = states[-1]
+        for x, bit, pre, suf, used in stack[-1]:
+            if chosen & bit:
+                continue
+            pfree = prefix_free and not near_prefix & bit
+            sfree = suffix_free and not near_suffix & bit
+            if not (pfree or sfree) and sardinas_patterson(images + [x]) is not None:
+                continue
+            if len(images) == last:
+                yield (*images, x)
+                continue
+            images.append(x)
+            states.append((chosen | bit, near_prefix | pre, near_suffix | suf, pfree, sfree))
+            stack.append(iter(choices[used]))
+            break
+        else:
+            stack.pop()
+            states.pop()
+            if images:
+                images.pop()

@@ -1,0 +1,81 @@
+"""Reference injective-morphism search for the tests.
+
+`injective_product` is the plain enumeration the library's depth-first
+search must reproduce: every tuple of `product` over the candidate images,
+kept when its images are distinct and form a code.  `canonical_product`
+keeps from it the tuples whose images, read in order, introduce new codomain
+letters in codomain order (one tuple per renaming of the codomain letters).
+`lower_bound_oracle` (None when no injective morphism exists) and
+`classify_oracle` run the two searches of `morphexp.mapped_exponent` over
+this full enumeration.
+"""
+
+from fractions import Fraction
+from itertools import product
+from string import digits
+
+from morphexp.mapped_exponent import (
+    FINITE,
+    INFINITE,
+    UNKNOWN,
+    MappedExponentVerdict,
+    gap_factorization,
+    pump_witness,
+)
+from morphexp.morphisms import Morphism, sardinas_patterson, words_up_to
+from morphexp.words import Alphabet, fractional_exponent, prefix_comparable, suffix_comparable
+
+
+def injective_product(domain, codomain, max_image_len):
+    candidates = words_up_to(codomain, max_image_len)
+    for images in product(candidates, repeat=len(domain)):
+        if len(set(images)) == len(images) and sardinas_patterson(images) is None:
+            yield images
+
+
+def is_canonical(images, codomain):
+    order = []
+    for ch in "".join(images):
+        if ch not in order:
+            order.append(ch)
+    return order == list(codomain.letters[:len(order)])
+
+
+def canonical_product(domain, codomain, max_image_len):
+    for images in injective_product(domain, codomain, max_image_len):
+        if is_canonical(images, codomain):
+            yield images
+
+
+def lower_bound_oracle(w, max_image_len, codomain_size=2):
+    domain = Alphabet(sorted(set(w)))
+    codomain = Alphabet(digits[:codomain_size])
+    best, best_images = None, None
+    for images in injective_product(domain, codomain, max_image_len):
+        e = fractional_exponent(w.translate(str.maketrans(dict(zip(domain.letters, images))))).exponent
+        if best is None or e > best:
+            best, best_images = e, images
+    if best is None:
+        return None
+    return best, Morphism(dict(zip(domain.letters, best_images)), domain=domain, codomain=codomain)
+
+
+def classify_oracle(w, max_image_len=3, codomain_size=2, target=None):
+    letters = sorted(set(w))
+    facts = [(ch, fact) for ch in letters if (fact := gap_factorization(w, ch)) is not None]
+    if not facts:
+        return MappedExponentVerdict(FINITE)
+    goal = Fraction(2 * len(w) if target is None else target)
+    for letter, fact in facts:
+        if suffix_comparable(fact.head, fact.gap) and prefix_comparable(fact.gap, fact.tail):
+            identity = Morphism.identity(Alphabet([ch for ch in letters if ch != letter]))
+            return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, identity, goal))
+    codomain = Alphabet(digits[:codomain_size])
+    for letter, fact in facts:
+        rest = Alphabet([ch for ch in letters if ch != letter])
+        for images in injective_product(rest, codomain, max_image_len):
+            h = Morphism(dict(zip(rest.letters, images)), domain=rest, codomain=codomain)
+            head, gap, tail = h.apply(fact.head), h.apply(fact.gap), h.apply(fact.tail)
+            if suffix_comparable(head, gap) and prefix_comparable(gap, tail):
+                return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, h, goal))
+    return MappedExponentVerdict(UNKNOWN, search_bound=max_image_len)

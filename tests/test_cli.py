@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -144,6 +145,35 @@ class TestExitCodes:
         assert "unrecognized arguments: --bogus" in err
         code, out, err = invoke(capsys, "exp", "abab")
         assert (code, out.strip(), err) == (0, "E = 2 (base ab); IE = 2 (root ab)", "")
+
+    def test_codomain_above_ten_letters_is_2(self, capsys):
+        code, out, err = invoke(capsys, "lower-bound", "ab", "--max-image-len", "1", "--codomain", "11")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: --codomain must be <= 10")
+        code, out, _ = invoke(capsys, "lower-bound", "ab", "--max-image-len", "1", "--codomain", "10", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["codomain_size"] == 10
+
+    def test_negative_sync_probe_is_2(self, capsys):
+        code, out, err = invoke(capsys, "sync", "ab", "--code", "a,b", "--probe", "-5")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: --probe must be >= 0")
+
+    def test_oversized_builds_are_1_before_allocating(self, capsys):
+        cases = (
+            ("witness", "ab", "--target", "100000000000"),
+            ("family", "lowpower", "--n", "100000000", "--k", "3"),
+        )
+        for argv in cases:
+            tracemalloc.start()
+            try:
+                code, out, err = invoke(capsys, *argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: ") and "more than the limit" in err, argv
+            assert peak < 1 << 20, argv
 
     def test_success_is_0(self, capsys):
         assert invoke(capsys, "exp", "a")[0] == 0

@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+import morphexp.mapped_exponent as mapped_exponent
+
 from morphexp.mapped_exponent import (
     FINITE,
     INFINITE,
@@ -210,6 +212,13 @@ class TestLowerBound:
         with pytest.raises(WordError):
             mapped_exponent_lower_bound("ab", 2, codomain_size=1)
 
+    def test_codomain_beyond_the_digits_rejected(self):
+        assert mapped_exponent_lower_bound("ab", 1, codomain_size=10)[1].codomain == Alphabet("0123456789")
+        with pytest.raises(WordError, match="codomain size must be <= 10"):
+            mapped_exponent_lower_bound("ab", 1, codomain_size=11)
+        with pytest.raises(WordError, match="codomain size must be <= 10"):
+            classify_general("abcabac", codomain_size=11)
+
 
 class TestClassifyFuzz:
     def test_random_words_over_four_letters(self):
@@ -227,6 +236,32 @@ class TestClassifyFuzz:
             elif verdict.tag == UNKNOWN:
                 assert verdict.search_bound == 2
         assert seen == {INFINITE, FINITE, UNKNOWN}
+
+
+class TestBuildLimit:
+    # The size checks predict the exact length of what would be built: the
+    # limit set to that length passes and one letter less is refused.
+    def test_witness_image_length_is_predicted_exactly(self, monkeypatch):
+        for w, target in (("abab", 5), ("aaa", 3), ("cabcb", 4), ("abacbc", 4), ("abcbac", 9)):
+            h, _ = classify_general(w, target=target).witness
+            length = len(h.apply(w))
+            monkeypatch.setattr(mapped_exponent, "MAX_BUILD_LETTERS", length)
+            assert classify_general(w, target=target).witness[0] == h
+            monkeypatch.setattr(mapped_exponent, "MAX_BUILD_LETTERS", length - 1)
+            with pytest.raises(WordError, match="the witness image would have"):
+                classify_general(w, target=target)
+            monkeypatch.undo()
+
+    def test_family_image_length_is_predicted_exactly(self, monkeypatch):
+        for n, k in ((2, 0), (3, 2), (7, 5)):
+            word, h, _ = lowpower_morphism(n, k)
+            length = len(h.apply(word))
+            monkeypatch.setattr(mapped_exponent, "MAX_BUILD_LETTERS", length)
+            lowpower_morphism(n, k)
+            monkeypatch.setattr(mapped_exponent, "MAX_BUILD_LETTERS", length - 1)
+            with pytest.raises(WordError, match="the family image would have"):
+                lowpower_morphism(n, k)
+            monkeypatch.undo()
 
 
 class TestLowpowerFamily:
