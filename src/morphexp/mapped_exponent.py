@@ -168,7 +168,8 @@ def pump_witness(
     pump = max(1, _ceil(target))
     # Each of the gap_count + 1 letters c of step(w) grows by the pumped part.
     step_len = sum(len(step_images[ch]) for ch in w)
-    _check_build_size("the witness image", step_len + (fact.gap_count + 1) * (len(behind) + len(ahead) + 1) * (pump - 1))
+    growth = (len(behind) + len(ahead) + 1) * (pump - 1)
+    _check_build_size("the witness image", step_len + (fact.gap_count + 1) * growth)
     pump_images = {ch: ch for ch in step_codomain if ch != c}
     pump_images[c] = c + (behind + ahead + c) * (pump - 1)
     pumper = Morphism(pump_images, domain=step_codomain, codomain=step_codomain)

@@ -278,7 +278,6 @@ def _injective_images(
             for related, j in ((prefixed, index[x[:k]]), (suffixed, index[x[k:]])):
                 related[i] |= 1 << j
                 related[j] |= 1 << i
-    masks = [(1 << i, prefixed[i], suffixed[i]) for i in range(len(candidates))]
     if canonical:
         # choices[m]: the images open to a tuple whose images so far use the
         # first m codomain letters, each with the letter count after it.
@@ -294,10 +293,10 @@ def _injective_images(
                     elif rank[ch] > used:
                         break
                 else:
-                    row.append((x, *masks[i], used))
+                    row.append((x, 1 << i, prefixed[i], suffixed[i], used))
             choices.append(row)
     else:
-        choices = [[(x, *masks[i], 0) for i, x in enumerate(candidates)]]
+        choices = [[(x, 1 << i, prefixed[i], suffixed[i], 0) for i, x in enumerate(candidates)]]
     last = size - 1
     images: list[str] = []
     # Per depth: the bits of the images so far, the unions of their prefixed
