@@ -8,7 +8,7 @@ import functools
 import json
 import sys
 from string import digits
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .codes import is_synchronizing, parse_code_set, x_degree
 from .infinite import ace_estimate, generator_from_spec
@@ -50,13 +50,14 @@ def _parse_params(literal: str | None) -> dict[str, str]:
     return params
 
 
-def _emit(record: dict, text: str, fmt: str, csv: str | None = None) -> None:
+def _emit(record: dict, text: str, fmt: str, csv: Callable[[], str] | None = None) -> None:
+    # csv builds the table only when that format is asked for.
     if fmt == "json":
         print(json.dumps(record, sort_keys=True))
     elif fmt == "csv":
         if csv is None:
             raise ParseError("csv output is not available for this subcommand")
-        print(csv)
+        print(csv())
     else:
         print(text)
 
@@ -153,7 +154,7 @@ def _cmd_ace(args: argparse.Namespace) -> None:
         f"estimate = {estimate.estimate} "
         f"(factor length {estimate.witness_length} at offset {estimate.witness_offset})"
     )
-    _emit(record, text, args.format, csv=estimate.to_csv())
+    _emit(record, text, args.format, csv=estimate.to_csv)
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:

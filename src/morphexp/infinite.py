@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .morphisms import Morphism, parse_morphism
 from .words import (
+    MAX_BUILD_LETTERS,
     Alphabet,
     ParseError,
     WordError,
@@ -38,6 +40,8 @@ class WordGenerator:
     def prefix(self, n: int) -> str:
         if n < 0:
             raise WordError("prefix length must be >= 0")
+        if n > MAX_BUILD_LETTERS:
+            raise WordError(f"the prefix would have {n} letters, more than the limit of {MAX_BUILD_LETTERS}")
         return self._slice(0, n)
 
     def _slice(self, lo: int, hi: int) -> str:
@@ -351,21 +355,38 @@ class AceEstimate:
     `estimate` is max over factor lengths >= tail of the exact maximal
     exponent at that length: a lower bound for the infinite word's asymptotic
     critical exponent, monotone in prefix_length and non-increasing in tail.
+    `minper` and `start` are the prefix's period profile, indexed by factor
+    length; the per-length exponents and offsets are derived from them only
+    when read.
     """
 
     prefix_length: int
     tail: int
-    per_length: dict[int, Fraction]
-    offsets: dict[int, int]
+    minper: list[int]
+    start: list[int]
     estimate: Fraction
     witness_offset: int
     witness_length: int
 
+    @property
+    def per_length(self) -> dict[int, Fraction]:
+        """Maximal exponent per factor length in tail..prefix_length."""
+        return {n: Fraction(n, self.minper[n]) for n in range(self.tail, self.prefix_length + 1)}
+
+    @property
+    def offsets(self) -> dict[int, int]:
+        """Leftmost start of a maximal-exponent factor per length."""
+        return {n: self.start[n] for n in range(self.tail, self.prefix_length + 1)}
+
     def rows(self) -> list[tuple[int, int, int, int]]:
-        return [
-            (length, e.numerator, e.denominator, self.offsets[length])
-            for length, e in sorted(self.per_length.items())
-        ]
+        """(length, exponent numerator, exponent denominator, offset) per
+        factor length in tail..prefix_length, the exponent in lowest terms."""
+        rows = []
+        for length in range(self.tail, self.prefix_length + 1):
+            period = self.minper[length]
+            g = gcd(length, period)
+            rows.append((length, length // g, period // g, self.start[length]))
+        return rows
 
     def to_csv(self) -> str:
         lines = ["factor_length,max_exponent_num,max_exponent_den,witness_offset"]
@@ -378,19 +399,13 @@ def ace_estimate(gen: WordGenerator, prefix_len: int, tail: int) -> AceEstimate:
     for factor lengths tail..prefix_len."""
     if not 1 <= tail <= prefix_len:
         raise WordError(f"tail {tail} out of range 1..{prefix_len}")
-    word = gen.prefix(prefix_len)
-    minper, start = minimal_period_profile(word)
-    per_length = {}
-    offsets = {}
-    for length in range(tail, prefix_len + 1):
-        per_length[length] = Fraction(length, minper[length])
-        offsets[length] = start[length]
+    minper, start = minimal_period_profile(gen.prefix(prefix_len))
     best_len, best_per, best_start = _select_max_exponent(minper, start, tail, prefix_len)
     return AceEstimate(
         prefix_length=prefix_len,
         tail=tail,
-        per_length=per_length,
-        offsets=offsets,
+        minper=minper,
+        start=start,
         estimate=Fraction(best_len, best_per),
         witness_offset=best_start,
         witness_length=best_len,

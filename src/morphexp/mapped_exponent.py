@@ -21,6 +21,7 @@ from string import digits
 
 from .morphisms import Morphism, _injective_images, compose, sardinas_patterson
 from .words import (
+    MAX_BUILD_LETTERS,
     Alphabet,
     WordError,
     fractional_exponent,
@@ -33,10 +34,6 @@ from .words import (
 INFINITE = "infinite"
 FINITE = "finite"
 UNKNOWN = "unknown"
-
-# The most letters a built witness or family image may have.  Sizes follow
-# from the inputs, so anything longer is refused before it is built.
-MAX_BUILD_LETTERS = 10_000_000
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ from typing import Iterable, Iterator, NamedTuple
 # the lowercase codomains used throughout.
 LETTER_POOL = ascii_uppercase + ascii_lowercase + digits
 
+# The most letters a built word (a witness or family image, a generator
+# prefix) may have.  Sizes follow from the inputs, so anything longer is
+# refused before it is built.
+MAX_BUILD_LETTERS = 10_000_000
+
 
 class WordError(ValueError):
     """An operation's precondition was violated."""
@@ -235,6 +240,10 @@ def minimal_period_profile(w: str) -> tuple[list[int], list[int]]:
         powers = [agree]
         while powers[-1]:
             powers.append(powers[-1] & (powers[-1] >> (1 << (len(powers) - 1))))
+        # powers[-1] == 0: no run reaches 2**(len(powers) - 1) agreements,
+        # so a shift that needs that many settles nothing.
+        if (unsettled - p) >> (len(powers) - 1):
+            continue
         # Longest run, by descending through the powers.
         longest, runs = 1 << (len(powers) - 2), powers[-2]
         for j in range(len(powers) - 3, -1, -1):

@@ -1,0 +1,47 @@
+"""Reference ACE report for the tests.
+
+`ace_oracle` builds the per-length report of `morphexp.infinite.ace_estimate`
+the direct way: one `Fraction` per factor length and a dict of offsets, with
+the rows and CSV read off them, over a period profile from `profile_sweep`.
+The library keeps only the profile and derives the same values from it, so
+the two can be compared field by field.
+"""
+
+from fractions import Fraction
+from typing import NamedTuple
+
+from profile_oracles import profile_sweep
+
+
+class AceReport(NamedTuple):
+    per_length: dict
+    offsets: dict
+    rows: list
+    csv: str
+    estimate: Fraction
+    witness_offset: int
+    witness_length: int
+
+
+def ace_oracle(text, tail):
+    minper, start = profile_sweep(text)
+    per_length = {}
+    offsets = {}
+    for length in range(tail, len(text) + 1):
+        per_length[length] = Fraction(length, minper[length])
+        offsets[length] = start[length]
+    rows = [(length, e.numerator, e.denominator, offsets[length]) for length, e in sorted(per_length.items())]
+    lines = ["factor_length,max_exponent_num,max_exponent_den,witness_offset"]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    estimate = max(per_length.values())
+    # Ties go to the shortest length, at its leftmost start.
+    witness_length = min(n for n, e in per_length.items() if e == estimate)
+    return AceReport(per_length, offsets, rows, "\n".join(lines), estimate, offsets[witness_length], witness_length)
+
+
+def report_of(est):
+    """The same fields read from an `AceEstimate`."""
+    return AceReport(
+        est.per_length, est.offsets, est.rows(), est.to_csv(),
+        est.estimate, est.witness_offset, est.witness_length,
+    )

@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import morphexp
 from morphexp.cli import run
 from morphexp.codes import CodeSet, is_synchronizing, x_degree
 from morphexp.infinite import ace_estimate, thue_morse
@@ -175,6 +181,22 @@ class TestExitCodes:
             assert err.startswith("error: ") and "more than the limit" in err, argv
             assert peak < 1 << 20, argv
 
+    def test_oversized_prefixes_are_1_before_allocating(self, capsys):
+        cases = (
+            ("ace", "--gen", "periodic", "--params", "v=ab", "--prefix", "300000000", "--tail", "1"),
+            ("generate", "--gen", "thue-morse", "--prefix", "1000000000"),
+        )
+        for argv in cases:
+            tracemalloc.start()
+            try:
+                code, out, err = invoke(capsys, *argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: the prefix would have") and "more than the limit" in err, argv
+            assert peak < 1 << 20, argv
+
     def test_success_is_0(self, capsys):
         assert invoke(capsys, "exp", "a")[0] == 0
 
@@ -208,3 +230,65 @@ class TestThinAdapter:
         est = ace_estimate(thue_morse(), 128, 8)
         assert record["estimate"] == str(est.estimate)
         assert record["witness_offset"] == est.witness_offset
+
+
+# SHA-256 of `ace ... --tail 8` stdout as the per-length Fractions built
+# directly printed it, keyed by (generator, params, prefix, format).
+ACE_DIGESTS = {
+    ("thue-morse", None, 64, "text"): "f104fee2459fe55b1505040b942f679fcddff65c29c7605f726635d2f4aaaf4b",
+    ("thue-morse", None, 64, "json"): "c66abb8885b5839f994e32b63056dbb86d132a70d88b95eb8d0ed75c190485e1",
+    ("thue-morse", None, 64, "csv"): "7f387ba128c644ab0e8b0d903589fa704687eecb31c105fb98954f67c66aa554",
+    ("thue-morse", None, 256, "text"): "f104fee2459fe55b1505040b942f679fcddff65c29c7605f726635d2f4aaaf4b",
+    ("thue-morse", None, 256, "json"): "63a830ba28254776f65d84f1a8fe76dff247b7df42e6441efb1b67a141708df8",
+    ("thue-morse", None, 256, "csv"): "04cf5b075f8cf83736aeabd74f36a21ee7f5794c90e3562e95a9fc96f2032806",
+    ("thue-morse", None, 1024, "text"): "f104fee2459fe55b1505040b942f679fcddff65c29c7605f726635d2f4aaaf4b",
+    ("thue-morse", None, 1024, "json"): "48cc5d9dfe714d74dd7431b878bc8820cf923f57e8dee5f06e706baabe5ca30d",
+    ("thue-morse", None, 1024, "csv"): "b41ea66664f1a0aeacefe2a849b0ddbaca2570d9f1031aa4b4b09b5a14635264",
+    ("optimal-binary", "n=2;k=2;m=8", 64, "text"): "ffa2cbb27b340217e6918095cfa36d39e0c33843b5e65868ef6778f48f909e1e",
+    ("optimal-binary", "n=2;k=2;m=8", 64, "json"): "c7278fe84380906cae8de8c1d05b3785c3ac6a266e2da35b8e4c2597fd8d1465",
+    ("optimal-binary", "n=2;k=2;m=8", 64, "csv"): "37c54df8db6370aa9b3ff678d9d811346c5a130e6f6227ed548d0dbbec8af5e8",
+    ("optimal-binary", "n=2;k=2;m=8", 256, "text"): "ffa2cbb27b340217e6918095cfa36d39e0c33843b5e65868ef6778f48f909e1e",
+    ("optimal-binary", "n=2;k=2;m=8", 256, "json"): "63e0b74efaf9d028c80912121e812e304b1149aa59f83aa19eadd4ed5366d26c",
+    ("optimal-binary", "n=2;k=2;m=8", 256, "csv"): "266004224fc119aea30f6c4d620cb2f9eef6f36fff36a5683c6f6c5f886f405b",
+    ("optimal-binary", "n=2;k=2;m=8", 1024, "text"): "ffa2cbb27b340217e6918095cfa36d39e0c33843b5e65868ef6778f48f909e1e",
+    ("optimal-binary", "n=2;k=2;m=8", 1024, "json"): "4b96af552f33362801005a5bcc41a75a204ccd15a8fd0a64e1461dc59f3e5e48",
+    ("optimal-binary", "n=2;k=2;m=8", 1024, "csv"): "cf9fccce9af443c35971163c07ef5b58d6de400ec0de2bc761f950aa8daef509",
+    ("interleaved", "n=3", 64, "text"): "4096168c40a321d2f0b78e242e1bd1a0372abc72abbd17a97530988bb39c5aa9",
+    ("interleaved", "n=3", 64, "json"): "eae18cf59bb0cd555978979e803d5ff38f04122a0148d66704ebfb2e1fb6a366",
+    ("interleaved", "n=3", 64, "csv"): "8a4386c499b7a3cad6fdf81e322f61319fe94d600cfe844be1dd1c13caece996",
+    ("interleaved", "n=3", 256, "text"): "7f4d19ac83aa2dcf49fb34350260da6c37933030f53fa2a48f7e4ef0e2ca21c9",
+    ("interleaved", "n=3", 256, "json"): "8dad37daee172dc1f089cf5da3b3e1db71d003ea8f4403e7ce786b09d8467bf5",
+    ("interleaved", "n=3", 256, "csv"): "197b35b791dda6b7cd8f4d0c7bb1b98e6475400a7b8bc9161d915fe11ab3bbac",
+    ("interleaved", "n=3", 1024, "text"): "7f4d19ac83aa2dcf49fb34350260da6c37933030f53fa2a48f7e4ef0e2ca21c9",
+    ("interleaved", "n=3", 1024, "json"): "53b985e141c4358e8ca749021bf9e5278278f85e618939bf5605b4f90d14c894",
+    ("interleaved", "n=3", 1024, "csv"): "89589fb1e04d843f9f943433277a58edd1b7bb4382a35edf5141e93d5d58f25d",
+    ("periodic", "v=abcabb", 64, "text"): "d576216ff20aedd36d0e7205d6310b866dd5bb2a48f64b43783b27c339f98fae",
+    ("periodic", "v=abcabb", 64, "json"): "de939407f49c8ebdc0d44f24d064c28a5849cb14ee63a4e04720f3ee635c2bae",
+    ("periodic", "v=abcabb", 64, "csv"): "813ad285db8f1d0b025056cb845c74484a524e415e6581e794d3d61d95902ff2",
+    ("periodic", "v=abcabb", 256, "text"): "f4ad28c35a39d04635dd9daea19f641553b177998c1ba88bb9f5b3a5caa49b2b",
+    ("periodic", "v=abcabb", 256, "json"): "6d5adaf327bb4748fa347650923dd0cfc636177efa6d1749f801cd20ad6f1310",
+    ("periodic", "v=abcabb", 256, "csv"): "a9a650a3af33a7ba6b3951ed94e933dcb931a4d37d11707f101e6d0eec1a6033",
+    ("periodic", "v=abcabb", 1024, "text"): "b6e93ae1e344583ad5ef69bcb630855317d6ca5d33660d0d8c8d8968b43a589c",
+    ("periodic", "v=abcabb", 1024, "json"): "bef0e2bf98c8e4f07bb4811b60056ee62910cbdf14e9c37c60d7fcd9c9ba54d3",
+    ("periodic", "v=abcabb", 1024, "csv"): "867f2436d05dcd9f0080822dc8268c9df42df7192aac26ed31091d0612612878",
+}
+
+
+class TestAceByteStable:
+    def test_stdout_digests(self, capsys):
+        for (gen, params, prefix, fmt), digest in ACE_DIGESTS.items():
+            extra = ("--params", params) if params else ()
+            code, out, _ = invoke(capsys, "ace", "--gen", gen, *extra, "--prefix", str(prefix), "--tail", "8", "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (gen, prefix, fmt)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_morphexp(self):
+        src = str(Path(morphexp.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "morphexp", "exp", "abab"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "E = 2 (base ab); IE = 2 (root ab)", "")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from morphexp import infinite
 from morphexp.infinite import (
     InterleavedCopiesGenerator,
     MorphicGenerator,
@@ -17,6 +18,7 @@ from morphexp.infinite import (
 )
 from morphexp.morphisms import Morphism, parse_morphism
 from morphexp.words import Alphabet, WordError, fractional_exponent, fractional_power
+from ace_oracles import ace_oracle, report_of
 from profile_oracles import profile_border, profile_sweep
 
 
@@ -291,6 +293,51 @@ class TestAceEstimate:
             ace_estimate(thue_morse(), 10, 0)
         with pytest.raises(WordError):
             ace_estimate(thue_morse(), 10, 11)
+
+
+class TestAceRows:
+    # The report derived from the stored profile, field by field, against
+    # the per-length Fractions and offsets dict built directly.
+    def check(self, gen, text, tail):
+        assert report_of(ace_estimate(gen, len(text), tail)) == ace_oracle(text, tail), (text, tail)
+
+    def test_random_words(self):
+        rng = random.Random(70)
+        for _ in range(150):
+            alphabet = "abcd"[:rng.randint(1, 4)]
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 40)))
+            for tail in {1, rng.randint(1, len(text)), len(text)}:
+                self.check(PeriodicGenerator(text), text, tail)
+
+    def test_cli_generators(self):
+        rng = random.Random(71)
+        specs = (
+            ("thue-morse", {}),
+            ("optimal-binary", {"n": "2", "k": "2", "m": "8"}),
+            ("interleaved", {"n": "3"}),
+            ("periodic", {"v": "abcabb"}),
+            ("morphic", {"rules": "a=ab,b=ca,c=b", "seed": "a"}),
+        )
+        for name, params in specs:
+            for n in (1, 37, 150):
+                text = generator_from_spec(name, params).prefix(n)
+                for tail in {1, min(2, n), rng.randint(1, n), n}:
+                    self.check(generator_from_spec(name, params), text, tail)
+
+
+class TestPrefixLimit:
+    def test_limit_is_checked_before_growing(self, monkeypatch):
+        monkeypatch.setattr(infinite, "MAX_BUILD_LETTERS", 100)
+        gen = thue_morse()
+        assert len(gen.prefix(100)) == 100
+        with pytest.raises(WordError, match="the prefix would have 101 letters, more than the limit of 100"):
+            gen.prefix(101)
+        with pytest.raises(WordError, match="more than the limit"):
+            ace_estimate(PeriodicGenerator("ab"), 101, 1)
+
+    def test_default_limit(self):
+        with pytest.raises(WordError, match="more than the limit of 10000000"):
+            PeriodicGenerator("ab").prefix(10_000_001)
 
 
 class TestFactorComplexity:
