@@ -30,6 +30,7 @@ from .morphisms import (
     enumerate_injective,
     parse_morphism,
     sardinas_patterson,
+    spreading_morphism,
     words_up_to,
 )
 from .mapped_exponent import (
@@ -56,6 +57,7 @@ from .codes import (
 )
 from .infinite import (
     AceEstimate,
+    ImageGenerator,
     InterleavedCopiesGenerator,
     MorphicGenerator,
     OptimalBinaryGenerator,

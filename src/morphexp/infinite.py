@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import gcd
+from itertools import count
+from math import factorial, gcd
 from typing import Iterable, Iterator, Sequence
 
-from .morphisms import Morphism, parse_morphism
+from .morphisms import Morphism, parse_morphism, spreading_morphism
 from .words import (
     MAX_BUILD_LETTERS,
     Alphabet,
@@ -27,11 +27,11 @@ from .words import (
     minimal_period_profile,
 )
 
+MAX_PROFILE_LETTERS = 100_000
+
 
 class WordGenerator:
     """Base for on-demand prefix producers of an infinite word."""
-
-    kind = "custom-stream"
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -61,25 +61,28 @@ class WordGenerator:
 
 
 class StreamGenerator(WordGenerator):
-    """Wraps any letter iterator; single consumer."""
+    """Wraps any iterator of blocks (letters are one-letter blocks); single
+    consumer."""
 
-    kind = "custom-stream"
-
-    def __init__(self, letters: Iterable[str], alphabet: Alphabet):
+    def __init__(self, blocks: Iterable[str], alphabet: Alphabet):
         super().__init__(alphabet)
-        self._letters: Iterator[str] = iter(letters)
+        self._blocks: Iterator[str] = iter(blocks)
 
     def _grow(self, n: int) -> None:
-        letters = list(islice(self._letters, n - len(self._buf)))
-        if not letters:
+        parts = [self._buf]
+        size = len(self._buf)
+        for block in self._blocks:
+            parts.append(block)
+            size += len(block)
+            if size >= n:
+                break
+        if size == len(self._buf):
             raise WordError("letter stream exhausted")
-        self._buf += "".join(letters)
+        self._buf = "".join(parts)
 
 
 class PeriodicGenerator(WordGenerator):
     """The word v v v ..."""
-
-    kind = "periodic"
 
     def __init__(self, period_word: str):
         if not period_word:
@@ -92,52 +95,65 @@ class PeriodicGenerator(WordGenerator):
         self._buf += self.period_word * reps
 
 
-class MorphicGenerator(WordGenerator):
-    """Fixed point of a morphism prolongable on its seed letter.
+class ImageGenerator(WordGenerator):
+    """The image h(x) of a base word x under a morphism h; with no base, x is
+    the generator's own word (see MorphicGenerator).
 
-    The buffer always equals h(buffer[:cursor]), so the fixed point grows by
-    expanding the unexpanded letters as whole blocks.  A letter outside the
+    The buffer always equals h(x[:cursor]).  A missing stretch of the prefix
+    is filled by expanding the next ceil(missing / shortest image) base
+    letters as one block, so a prefix costs O(n).  A letter outside the
     domain raises only once the cursor reaches it while the requested prefix
     is still longer than the buffer.
     """
 
-    kind = "morphic-fixed-point"
-
-    def __init__(self, rules: Morphism, seed: str):
-        start = rules.apply(seed)
-        if len(start) < 2 or not start.startswith(seed):
-            raise WordError(f"morphism is not prolongable on seed {seed!r}")
-        super().__init__(rules.codomain)
-        self.rules = rules
-        self.seed = seed
-        self._buf = start
-        self._cursor = 1
-        self._domain = "".join(rules.images)
-        self._table = str.maketrans(rules.images)
+    def __init__(self, h: Morphism, base: WordGenerator | None):
+        shortest = min(map(len, h.images.values()), default=0)
+        if base is not None and not shortest:
+            raise WordError("erasing morphism: the image of a base word may stop growing")
+        super().__init__(h.codomain)
+        self.morphism = h
+        self.base = base
+        self._cursor = 0
+        self._step = max(shortest, 1)
+        self._domain = "".join(h.images)
+        self._table = str.maketrans(h.images)
 
     def _grow(self, n: int) -> None:
-        # `todo` is buffer[cursor:], the letters not yet expanded.  For a
-        # non-erasing morphism every pass but the last expands all of `todo`
-        # and the last, n - size letters, reaches n: each letter is expanded
-        # once, so a prefix costs O(n).
+        # Without a base, `todo` holds the unexpanded letters buffer[cursor:]
+        # and the images of this call, which join the buffer only at its end.
         parts = [self._buf]
         size = len(self._buf)
         cursor = self._cursor
-        todo = self._buf[cursor:]
-        while size < n and todo:
-            block = todo[:n - size]
+        todo = self._buf[cursor:] if self.base is None else ""
+        while size < n:
+            want = -(-(n - size) // self._step)
+            block = todo[:want] if self.base is None else self.base._slice(cursor, cursor + want)
+            if not block:
+                break
             known = len(block) - len(block.lstrip(self._domain))
             image = block[:known].translate(self._table)
             parts.append(image)
             size += len(image)
             cursor += known
-            todo = todo[known:] + image
-            if known < len(block):
-                break
+            if known < len(block) and size < n:
+                raise WordError(f"letter {block[known]!r} outside morphism domain")
+            if self.base is None:
+                todo = todo[known:] + image
         self._buf = "".join(parts)
         self._cursor = cursor
-        if size < n and todo:
-            raise WordError(f"letter {todo[0]!r} outside morphism domain")
+
+
+class MorphicGenerator(ImageGenerator):
+    """Fixed point of a morphism prolongable on its seed letter: its own image."""
+
+    def __init__(self, rules: Morphism, seed: str):
+        start = rules.apply(seed)
+        if len(start) < 2 or not start.startswith(seed):
+            raise WordError(f"morphism is not prolongable on seed {seed!r}")
+        super().__init__(rules, None)
+        self.seed = seed
+        self._buf = start
+        self._cursor = 1
 
 
 def thue_morse() -> MorphicGenerator:
@@ -154,8 +170,6 @@ class InterleavedCopiesGenerator(WordGenerator):
     chunk) + 'c' with exponent jn^2/(jn+1) = n - n/(jn+1).
     """
 
-    kind = "interleaved-big-acei"
-
     def __init__(self, copies: int, base: WordGenerator):
         if copies < 1:
             raise WordError("copies must be >= 1")
@@ -165,15 +179,9 @@ class InterleavedCopiesGenerator(WordGenerator):
         super().__init__(Alphabet(pool))
         self.copies = copies
         self.base = base
-        self._first = pool[0::2]
-        self._second = pool[1::2]
         lo, hi = base.alphabet.letters
-        self._renamings = [str.maketrans(lo + hi, a + b) for a, b in zip(self._first, self._second)]
+        self._renamings = [str.maketrans(lo + hi, a + b) for a, b in zip(pool[0::2], pool[1::2])]
         self._rounds_done = 0
-
-    def _chunk_text(self, j: int) -> str:
-        hi = j * (j + 1) // 2
-        return self.base._slice(hi - j, hi)
 
     def copy_chunk(self, i: int, j: int) -> str:
         """The j-th chunk (length j) of the i-th copy; i, j are 1-based."""
@@ -181,7 +189,8 @@ class InterleavedCopiesGenerator(WordGenerator):
             raise WordError(f"copy index {i} out of range 1..{self.copies}")
         if j < 1:
             raise WordError("round index must be >= 1")
-        return self._chunk_text(j).translate(self._renamings[i - 1])
+        hi = j * (j + 1) // 2
+        return self.base._slice(hi - j, hi).translate(self._renamings[i - 1])
 
     def round_block(self, j: int) -> str:
         """Round j of the interleaving: chunks of every copy, concatenated."""
@@ -190,12 +199,7 @@ class InterleavedCopiesGenerator(WordGenerator):
     def embedding_morphism(self) -> Morphism:
         """Spreads copy i over position i of a c-block: the copy's letters
         map to c^(i-1) a c^(n-i) and c^(i-1) b c^(n-i)."""
-        n = self.copies
-        images = {}
-        for i in range(n):
-            images[self._first[i]] = "c" * i + "a" + "c" * (n - 1 - i)
-            images[self._second[i]] = "c" * i + "b" + "c" * (n - 1 - i)
-        return Morphism(images, domain=self.alphabet, codomain=Alphabet("abc"))
+        return spreading_morphism(self.alphabet.letters)
 
     def _grow(self, n: int) -> None:
         # The chunks of consecutive rounds are consecutive in the base, so
@@ -217,22 +221,51 @@ class InterleavedCopiesGenerator(WordGenerator):
         self._rounds_done = last
 
 
-class OptimalBinaryGenerator(WordGenerator):
+def _chunk_lengths(k: int, i: int) -> tuple[int, int]:
+    """(|u_i|, |v_i|): |u_i| = (k+1)^i ((i-1)!)^2 solves |u_1| = k+1 and
+    |u_(i+1)| = i^2 (k+1) |u_i|, and |v_i| + 1 = k (|u_i| + 1)."""
+    if i < 1:
+        raise WordError("chunk index must be >= 1")
+    u = (k + 1) ** i * factorial(i - 1) ** 2
+    return u, k * (u + 1) - 1
+
+
+def _chunk(source: WordGenerator, k: int, i: int, which: int, letters: str) -> str:
+    """u_i (which = 0) or v_i (which = 1): the i-th of the consecutive chunks
+    of source with those lengths, renamed onto `letters`."""
+    start = sum(_chunk_lengths(k, j)[which] for j in range(1, i))
+    end = start + _chunk_lengths(k, i)[which]
+    lo, hi = source.alphabet.letters
+    return source._slice(start, end).translate(str.maketrans(lo + hi, letters))
+
+
+def _intermediate_pieces(source: WordGenerator, n: int, k: int, letters: Sequence[str]) -> Iterator[str]:
+    """The intermediate word of OptimalBinaryGenerator as pieces: per block i,
+    u_i SEP v_i SEP, n times, then u_i SEP END.  Each chunk is read from the
+    source only when the stream reaches it.  A module function, so that the
+    stream holds no reference to its generator."""
+    u1, u2, v1, v2, sep, end = letters
+    for i in count(1):
+        u = _chunk(source, k, i, 0, u1 + u2)
+        yield from (u, sep)
+        v = _chunk(source, k, i, 1, v1 + v2)
+        yield from (v, sep, *(u, sep, v, sep) * (n - 1), u, sep, end)
+
+
+class OptimalBinaryGenerator(ImageGenerator):
     """Binary word whose plain repetitions stay near n + 1/(k+1) while a
     suitable injective morphism pushes them near n + 1.
 
-    A six-letter intermediate word is built from a binary base u split into
-    chunks u_i (schedule: |u_1| = k+1, |u_(i+1)| = i^2 (k+1) |u_i|) and a
-    renamed copy split into chunks v_i with |v_i| + 1 = k (|u_i| + 1):
+    A six-letter intermediate word is built from a binary source word u split
+    into chunks u_i (schedule: |u_1| = k+1, |u_(i+1)| = i^2 (k+1) |u_i|) and
+    a renamed copy split into chunks v_i with |v_i| + 1 = k (|u_i| + 1):
 
         product over i of  (u_i SEP v_i SEP)^n u_i SEP END
 
-    The emitted word is its image under a fixed-length (m-letter) binary
-    encoding of the six letters, so a prefix of n letters encodes only the
+    The emitted word is its image under a fixed-length (m-letter) Cassaigne
+    encoding of the six letters, so a prefix of n letters reads only the
     first ceil(n/m) intermediate letters.
     """
-
-    kind = "optimal-binary"
 
     def __init__(self, n: int, k: int, m: int, base: WordGenerator | None = None):
         if n < 1:
@@ -241,28 +274,17 @@ class OptimalBinaryGenerator(WordGenerator):
             raise WordError("constraint violated: k must be >= 2")
         if m <= 2 * k + 2:
             raise WordError(f"constraint violated: m must exceed 2k+2 = {2 * k + 2}")
-        base = base if base is not None else thue_morse()
-        if len(base.alphabet) != 2:
+        source = base if base is not None else thue_morse()
+        if len(source.alphabet) != 2:
             raise WordError("base generator must be over a binary alphabet")
-        super().__init__(Alphabet("ab"))
-        self.n = n
-        self.k = k
-        self.m = m
-        self.base = base
-        u1, u2, v1, v2, sep, end = fresh_letters(6, avoid="ab")
-        self._u_letters = u1 + u2
-        self._v_letters = v1 + v2
-        self.separator = sep
-        self.terminator = end
-        self.intermediate_alphabet = Alphabet([u1, u2, v1, v2, sep, end])
-        self._chunk_lengths = [k + 1]
-        self._u_taken = 0
-        self._v_taken = 0
-        self._u_chunks: list[str] = []
-        self._v_chunks: list[str] = []
-        self._blocks_done = 0
-        self._intermediate = ""
-        self._encoding = str.maketrans(self.image_morphism().images)
+        h = cassaigne_morphism((m - 1, m - 2, 2, 1, 3, 4), m)
+        letters = h.domain.letters
+        super().__init__(h, StreamGenerator(_intermediate_pieces(source, n, k, letters), h.domain))
+        self.n, self.k, self.m = n, k, m
+        self.source = source
+        self._u_letters, self._v_letters = letters[0] + letters[1], letters[2] + letters[3]
+        self.separator, self.terminator = letters[4:]
+        self.intermediate_alphabet = h.domain
 
     @property
     def implied_delta(self) -> Fraction | None:
@@ -274,31 +296,14 @@ class OptimalBinaryGenerator(WordGenerator):
         return Fraction(2 + 2 * self.k, slack)
 
     def chunk_length(self, i: int) -> int:
-        if i < 1:
-            raise WordError("chunk index must be >= 1")
-        while len(self._chunk_lengths) < i:
-            j = len(self._chunk_lengths)
-            self._chunk_lengths.append(j * j * (self.k + 1) * self._chunk_lengths[-1])
-        return self._chunk_lengths[i - 1]
-
-    def _take(self, start: int, size: int, letters: str) -> str:
-        lo, hi = self.base.alphabet.letters
-        return self.base._slice(start, start + size).translate(str.maketrans(lo + hi, letters))
+        return _chunk_lengths(self.k, i)[0]
 
     def chunk(self, i: int) -> str:
         """u_i over the intermediate alphabet; 1-based."""
-        while len(self._u_chunks) < i:
-            size = self.chunk_length(len(self._u_chunks) + 1)
-            self._u_chunks.append(self._take(self._u_taken, size, self._u_letters))
-            self._u_taken += size
-        return self._u_chunks[i - 1]
+        return _chunk(self.source, self.k, i, 0, self._u_letters)
 
     def _v_chunk(self, i: int) -> str:
-        while len(self._v_chunks) < i:
-            size = self.k * (self.chunk_length(len(self._v_chunks) + 1) + 1) - 1
-            self._v_chunks.append(self._take(self._v_taken, size, self._v_letters))
-            self._v_taken += size
-        return self._v_chunks[i - 1]
+        return _chunk(self.source, self.k, i, 1, self._v_letters)
 
     def intermediate_block(self, i: int) -> str:
         """(u_i SEP v_i SEP)^n u_i SEP, the repeated core of block i."""
@@ -308,27 +313,7 @@ class OptimalBinaryGenerator(WordGenerator):
 
     def image_morphism(self) -> Morphism:
         """Fixed-length binary encoding of the six intermediate letters."""
-        m = self.m
-        u1, u2 = self._u_letters
-        v1, v2 = self._v_letters
-        images = {
-            u1: "a" + "b" * (m - 1),
-            u2: "aa" + "b" * (m - 2),
-            v1: "a" * (m - 2) + "bb",
-            v2: "a" * (m - 1) + "b",
-            self.separator: "a" * (m - 3) + "bbb",
-            self.terminator: "a" * (m - 4) + "bbbb",
-        }
-        return Morphism(images, domain=self.intermediate_alphabet, codomain=Alphabet("ab"))
-
-    def _grow(self, n: int) -> None:
-        needed = -(-n // self.m)
-        while len(self._intermediate) < needed:
-            i = self._blocks_done + 1
-            self._intermediate += self.intermediate_block(i) + self.terminator
-            self._blocks_done = i
-        encoded = len(self._buf) // self.m
-        self._buf += self._intermediate[encoded:needed].translate(self._encoding)
+        return self.morphism
 
 
 def cassaigne_morphism(weights: Sequence[int], m: int) -> Morphism:
@@ -396,9 +381,12 @@ class AceEstimate:
 
 def ace_estimate(gen: WordGenerator, prefix_len: int, tail: int) -> AceEstimate:
     """Exact per-length maximal exponents over the length-prefix_len prefix,
-    for factor lengths tail..prefix_len."""
+    for factor lengths tail..prefix_len; the profile is quadratic, so the
+    prefix may have at most MAX_PROFILE_LETTERS letters."""
     if not 1 <= tail <= prefix_len:
         raise WordError(f"tail {tail} out of range 1..{prefix_len}")
+    if prefix_len > MAX_PROFILE_LETTERS:
+        raise WordError(f"the prefix would have {prefix_len} letters, more than the limit of {MAX_PROFILE_LETTERS}")
     minper, start = minimal_period_profile(gen.prefix(prefix_len))
     best_len, best_per, best_start = _select_max_exponent(minper, start, tail, prefix_len)
     return AceEstimate(

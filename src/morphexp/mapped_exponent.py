@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from string import digits
 
-from .morphisms import Morphism, _injective_images, compose, sardinas_patterson
+from .morphisms import Morphism, _injective_images, compose, sardinas_patterson, spreading_morphism
 from .words import (
     MAX_BUILD_LETTERS,
     Alphabet,
@@ -275,16 +275,5 @@ def highpower_word(n: int) -> tuple[str, Morphism, Fraction]:
     if n < 2:
         raise WordError("n must be >= 2")
     letters = fresh_letters(2 * n, avoid="abc")
-    first, second = letters[0::2], letters[1::2]
-    domain = Alphabet(letters)
-    word = "".join(
-        first[i] + first[i] + second[i] + first[i] + second[i] + second[i]
-        for i in range(n)
-    )
-    images = {}
-    for i in range(n):
-        images[first[i]] = "c" * i + "a" + "c" * (n - 1 - i)
-        images[second[i]] = "c" * i + "b" + "c" * (n - 1 - i)
-    h = Morphism(images, domain=domain, codomain=Alphabet("abc"))
-    expected = n - Fraction(n, 6 * n + 1)
-    return word, h, expected
+    word = "".join(a + a + b + a + b + b for a, b in zip(letters[0::2], letters[1::2]))
+    return word, spreading_morphism(letters), n - Fraction(n, 6 * n + 1)

@@ -121,11 +121,6 @@ class Morphism:
         except KeyError as exc:
             raise WordError(f"letter {exc.args[0]!r} outside morphism domain") from None
 
-    __call__ = apply
-
-    def is_erasing(self) -> bool:
-        return any(not img for img in self.images.values())
-
     def _decide_injectivity(self) -> tuple[bool, tuple[str, str] | None]:
         if self._verdict is None:
             letters = self.domain.letters
@@ -220,6 +215,14 @@ def binary_embedding(source: Alphabet) -> Morphism:
         for i, letter in enumerate(source.letters, start=1)
     }
     return Morphism(images, domain=source, codomain=codomain)
+
+
+def spreading_morphism(letters: Sequence[str]) -> Morphism:
+    """The letter-spreading morphism over n letter pairs: the i-th pair,
+    letters[2i] and letters[2i+1], maps to c^i a c^(n-1-i) and c^i b c^(n-1-i)."""
+    n = len(letters) // 2
+    images = {ch: "c" * (j // 2) + "ab"[j % 2] + "c" * (n - 1 - j // 2) for j, ch in enumerate(letters)}
+    return Morphism(images, domain=Alphabet(letters), codomain=Alphabet("abc"))
 
 
 def words_up_to(alphabet: Alphabet, max_len: int) -> list[str]:

@@ -93,9 +93,6 @@ class FractionalPower(NamedTuple):
     base: str
     exponent: Fraction
 
-    def word(self) -> str:
-        return fractional_power(self.base, self.exponent)
-
 
 def border_array(text: str) -> list[int]:
     """Failure function: border[i] = length of the longest proper border of

@@ -197,6 +197,20 @@ class TestExitCodes:
             assert err.startswith("error: the prefix would have") and "more than the limit" in err, argv
             assert peak < 1 << 20, argv
 
+    def test_ace_prefix_over_the_profile_budget_is_1(self, capsys):
+        # Far below the build limit, but the quadratic profile would run for
+        # minutes; ace refuses it before generating.
+        argv = ("ace", "--gen", "thue-morse", "--prefix", "100001", "--tail", "1")
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the prefix would have 100001 letters, more than the limit of 100000")
+        assert peak < 1 << 20
+
     def test_success_is_0(self, capsys):
         assert invoke(capsys, "exp", "a")[0] == 0
 
@@ -281,6 +295,25 @@ class TestAceByteStable:
             code, out, _ = invoke(capsys, "ace", "--gen", gen, *extra, "--prefix", str(prefix), "--tail", "8", "--format", fmt)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (gen, prefix, fmt)
+
+
+# sha256 of `family highpower --n N` stdout, recorded before the spreading
+# morphism moved to morphisms.spreading_morphism.
+HIGHPOWER_DIGESTS = {
+    2: "450c45a747ffd343da37ecc74aeb01d2c40eeda034541dd07c8a79cdff27c2f0",
+    3: "b965b21050cb63e67eac4372d95179c1fa4f67e5e7ff3bf604b0fa585c51b281",
+    4: "748a5c2345a381e5511c2fb740343fd1e73e2057730f91865af05ec47b51d2cf",
+    5: "a0e8b5edc60e5a34e354db01c09c88d05aa841621402f935c2a5613b62f48cf8",
+    6: "80aa565e0cf97b3ac4ba341a85670cb231cb7fb51cbd1537f1898c9f5e91b8a5",
+}
+
+
+class TestHighpowerByteStable:
+    def test_stdout_digests(self, capsys):
+        for n, digest in HIGHPOWER_DIGESTS.items():
+            code, out, _ = invoke(capsys, "family", "highpower", "--n", str(n))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, n
 
 
 class TestModuleEntryPoint:

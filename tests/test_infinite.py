@@ -1,10 +1,14 @@
+import gc
+import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from morphexp import infinite
 from morphexp.infinite import (
+    ImageGenerator,
     InterleavedCopiesGenerator,
     MorphicGenerator,
     OptimalBinaryGenerator,
@@ -100,6 +104,71 @@ class TestMorphicGrowth:
                 assert gen.prefix(n) == naive[:n]
 
 
+class TestImageGenerator:
+    def test_random_morphisms_match_applying_to_the_base_prefix(self):
+        rng = random.Random(12)
+        bases = (
+            lambda: PeriodicGenerator("abcab"),
+            lambda: PeriodicGenerator("ba"),
+            lambda: MorphicGenerator(parse_morphism("a=abc,b=ac,c=b"), "a"),
+            lambda: MorphicGenerator(parse_morphism("a=ab,b=ca,c=bb"), "a"),
+        )
+        for trial in range(120):
+            make_base = bases[trial % len(bases)]
+            letters = make_base().alphabet.letters
+            uniform = trial % 2 == 0
+            size = rng.randint(1, 4)
+            h = Morphism({
+                ch: "".join(rng.choice("xyz") for _ in range(size if uniform else rng.randint(1, 4)))
+                for ch in letters
+            })
+            base_text = make_base().prefix(400)
+            text = h.apply(base_text)
+            # Lengths at the image boundaries of base letters, one off each
+            # side, and random lengths, asked for in random order.
+            ends = [len(h.apply(base_text[:i])) for i in range(1, 40)]
+            lengths = {end + d for end in ends for d in (-1, 0, 1) if end + d >= 0}
+            lengths |= {rng.randrange(0, 400) for _ in range(6)}
+            lengths = sorted(lengths)
+            rng.shuffle(lengths)
+            gen = ImageGenerator(h, make_base())
+            for n in lengths:
+                assert gen.prefix(n) == text[:n], (h, n)
+                assert ImageGenerator(h, make_base()).prefix(n) == text[:n], (h, n)
+
+    def test_reads_only_the_base_letters_it_needs(self):
+        # A stream of one-letter blocks grows exactly as far as it is read.
+        base = StreamGenerator(itertools.cycle("ab"), Alphabet("ab"))
+        gen = ImageGenerator(Morphism({"a": "xyz", "b": "zzy"}), base)
+        assert gen.prefix(7) == "xyzzzyx"
+        assert len(base._buf) == 3
+        gen.prefix(300)
+        assert len(base._buf) == 100
+
+    def test_erasing_morphism_over_a_base_is_refused(self):
+        with pytest.raises(WordError, match="erasing morphism"):
+            ImageGenerator(parse_morphism("a=x,b="), PeriodicGenerator("ab"))
+
+    def test_base_letter_outside_domain_raises_only_when_reached(self):
+        gen = ImageGenerator(parse_morphism("a=xy"), StreamGenerator("aaab", Alphabet("ab")))
+        assert gen.prefix(6) == "xyxyxy"
+        with pytest.raises(WordError, match="letter 'b' outside morphism domain"):
+            gen.prefix(7)
+        assert gen.prefix(5) == "xyxyx"
+
+    def test_image_of_interleaved_copies_has_the_spread_exponent(self):
+        # The paper's h(x): x has ACE 2, and h(x) under the letter-spreading
+        # morphism reaches jn^2/(jn+1) = n - n/(jn+1) for some round j.
+        for n, letters in ((3, 1000), (3, 2000), (3, 4000), (4, 1000)):
+            x = InterleavedCopiesGenerator(n, thue_morse())
+            assert ace_estimate(x, letters, 8).estimate == 2
+            image = ImageGenerator(x.embedding_morphism(), InterleavedCopiesGenerator(n, thue_morse()))
+            e = ace_estimate(image, n * letters, 8 * n).estimate
+            j = e / (n * (n - e))
+            assert j.denominator == 1 and j >= 20, (n, letters, e)
+            assert e == Fraction(j * n * n, j * n + 1)
+
+
 class TestInterleavedCopies:
     def test_chunk_lengths(self):
         gen = InterleavedCopiesGenerator(2, thue_morse())
@@ -172,6 +241,10 @@ class TestOptimalBinary:
         assert gen.chunk_length(1) == 4
         assert gen.chunk_length(2) == 1 * 1 * 4 * 4
         assert gen.chunk_length(3) == 2 * 2 * 4 * 16
+        for i in range(3, 9):
+            assert gen.chunk_length(i + 1) == i * i * 4 * gen.chunk_length(i)
+        with pytest.raises(WordError, match="chunk index must be >= 1"):
+            gen.chunk(0)
 
     def test_block_exponent(self):
         for n, k in ((1, 2), (2, 2), (2, 3)):
@@ -225,6 +298,25 @@ class TestOptimalBinary:
             gen = OptimalBinaryGenerator(n, k, m)
             for size in lengths:
                 assert gen.prefix(size) == text[:size]
+
+
+    def test_image_morphism_images(self):
+        for m in (7, 8, 11, 30):
+            h = OptimalBinaryGenerator(1, 2, m).image_morphism()
+            assert list(h.images.values()) == [
+                "a" + "b" * (m - 1), "aa" + "b" * (m - 2), "a" * (m - 2) + "bb",
+                "a" * (m - 1) + "b", "a" * (m - 3) + "bbb", "a" * (m - 4) + "bbbb",
+            ]
+            assert h == cassaigne_morphism((m - 1, m - 2, 2, 1, 3, 4), m)
+            assert h.codomain == Alphabet("ab")
+
+    def test_long_prefix_builds_few_intermediate_letters(self):
+        # 400,000 letters need 50,000 intermediate letters; building whole
+        # blocks with their u_5 and v_5 chunks took 1,001,068.
+        gen = OptimalBinaryGenerator(2, 2, 8)
+        gen.prefix(400_000)
+        assert len(gen.base._buf) <= 200_000
+
 
 
 class TestCassaigneMorphism:
@@ -325,6 +417,33 @@ class TestAceRows:
                     self.check(generator_from_spec(name, params), text, tail)
 
 
+class TestReferenceCycles:
+    SPECS = (
+        ("periodic", {"v": "abcabb"}),
+        ("thue-morse", {}),
+        ("morphic", {"rules": "a=ab,b=ca,c=b", "seed": "a"}),
+        ("interleaved", {"n": "3"}),
+        ("interleaved", {"n": "2", "base": "morphic:0=001,1=10:0"}),
+        ("optimal-binary", {"n": "2", "k": "2", "m": "8"}),
+        ("optimal-binary", {"n": "1", "k": "2", "m": "9", "base": "periodic:01"}),
+    )
+
+    def test_generators_are_freed_by_refcounting(self):
+        # A generator in a reference cycle lives until the cycle collector
+        # runs, with every buffer it grew.
+        for name, params in self.SPECS:
+            gen = generator_from_spec(name, params)
+            gen.prefix(1000)
+            parts = [gen] + [part for part in (getattr(gen, "base", None), getattr(gen, "source", None)) if part]
+            refs = [weakref.ref(part) for part in parts]
+            gc.disable()
+            try:
+                del gen, parts
+                assert [ref() for ref in refs] == [None] * len(refs), name
+            finally:
+                gc.enable()
+
+
 class TestPrefixLimit:
     def test_limit_is_checked_before_growing(self, monkeypatch):
         monkeypatch.setattr(infinite, "MAX_BUILD_LETTERS", 100)
@@ -334,6 +453,14 @@ class TestPrefixLimit:
             gen.prefix(101)
         with pytest.raises(WordError, match="more than the limit"):
             ace_estimate(PeriodicGenerator("ab"), 101, 1)
+
+    def test_ace_prefix_has_its_own_limit(self, monkeypatch):
+        monkeypatch.setattr(infinite, "MAX_PROFILE_LETTERS", 50)
+        assert ace_estimate(thue_morse(), 50, 1).prefix_length == 50
+        with pytest.raises(WordError, match="the prefix would have 51 letters, more than the limit of 50"):
+            ace_estimate(thue_morse(), 51, 1)
+        assert len(thue_morse().prefix(51)) == 51
+        assert infinite.MAX_PROFILE_LETTERS < infinite.MAX_BUILD_LETTERS
 
     def test_default_limit(self):
         with pytest.raises(WordError, match="more than the limit of 10000000"):
