@@ -99,35 +99,44 @@ class ImageGenerator(WordGenerator):
     """The image h(x) of a base word x under a morphism h; with no base, x is
     the generator's own word (see MorphicGenerator).
 
-    The buffer always equals h(x[:cursor]).  A missing stretch of the prefix
-    is filled by expanding the next ceil(missing / shortest image) base
-    letters as one block, so a prefix costs O(n).  A letter outside the
+    The buffer always equals g(x[:cursor]), where g is h over a base and the
+    long-image power of h (see `_long_power`) without one.  A missing stretch
+    of the prefix is filled by expanding the next ceil(missing / longest
+    image of g) letters of x, so a prefix costs O(n) and the buffer ends less
+    than one image of g past the requested length.  A letter outside the
     domain raises only once the cursor reaches it while the requested prefix
     is still longer than the buffer.
     """
 
     def __init__(self, h: Morphism, base: WordGenerator | None):
-        shortest = min(map(len, h.images.values()), default=0)
-        if base is not None and not shortest:
+        if base is not None and not min(map(len, h.images.values()), default=0):
             raise WordError("erasing morphism: the image of a base word may stop growing")
         super().__init__(h.codomain)
         self.morphism = h
         self.base = base
         self._cursor = 0
-        self._step = max(shortest, 1)
-        self._domain = "".join(h.images)
-        self._table = str.maketrans(h.images)
+        images = h.images if base is not None else _long_power(h.images)
+        self._longest = max(max(map(len, images.values()), default=0), 1)
+        self._domain = "".join(images)
+        self._table = str.maketrans(images)
 
     def _grow(self, n: int) -> None:
-        # Without a base, `todo` holds the unexpanded letters buffer[cursor:]
-        # and the images of this call, which join the buffer only at its end.
+        # Without a base, the letters to expand are todo[at:] followed by the
+        # images in `fresh`; those join todo only when a block reaches them,
+        # and a lone image once todo is used up joins without a copy.
         parts = [self._buf]
         size = len(self._buf)
         cursor = self._cursor
-        todo = self._buf[cursor:] if self.base is None else ""
+        todo, at, fresh = self._buf, cursor, []
         while size < n:
-            want = -(-(n - size) // self._step)
-            block = todo[:want] if self.base is None else self.base._slice(cursor, cursor + want)
+            want = -(-(n - size) // self._longest)
+            if self.base is not None:
+                block = self.base._slice(cursor, cursor + want)
+            else:
+                if at + want > len(todo) and fresh:
+                    rest = [todo[at:]] if at < len(todo) else []
+                    todo, at, fresh = "".join(rest + fresh), 0, []
+                block = todo[at:at + want]
             if not block:
                 break
             known = len(block) - len(block.lstrip(self._domain))
@@ -137,23 +146,47 @@ class ImageGenerator(WordGenerator):
             cursor += known
             if known < len(block) and size < n:
                 raise WordError(f"letter {block[known]!r} outside morphism domain")
-            if self.base is None:
-                todo = todo[known:] + image
+            at += known
+            fresh.append(image)
         self._buf = "".join(parts)
         self._cursor = cursor
 
 
+def _long_power(images: dict[str, str]) -> dict[str, str]:
+    """The images of h^j for the least j whose longest image has at least 64
+    letters, stopping once no image length changes and at j = 64.  A fixed
+    point of h is one of h^j, and translate costs about the same per input
+    letter whatever the image length, so long images make growth cheap.
+    j = 1 when some image letter has no image of its own (h^2 undefined)."""
+    if not set("".join(images.values())) <= images.keys():
+        return images
+    power = images
+    sizes = list(map(len, power.values()))
+    for _ in range(63):
+        if max(sizes, default=0) >= 64:
+            break
+        # h^(j+1)(a) = h^j(h(a)), joined from the images of h^j.
+        longer = {letter: "".join([power[ch] for ch in image]) for letter, image in images.items()}
+        longer_sizes = list(map(len, longer.values()))
+        if longer_sizes == sizes:
+            break
+        power, sizes = longer, longer_sizes
+    return power
+
+
 class MorphicGenerator(ImageGenerator):
-    """Fixed point of a morphism prolongable on its seed letter: its own image."""
+    """Fixed point x = lim h^k(seed) of a morphism h prolongable on its seed:
+    h(seed) is seed followed by at least one letter.  The word is its own
+    image, grown from h^j(seed) with the long-image power h^j of h."""
 
     def __init__(self, rules: Morphism, seed: str):
         start = rules.apply(seed)
-        if len(start) < 2 or not start.startswith(seed):
+        if len(start) <= len(seed) or not start.startswith(seed):
             raise WordError(f"morphism is not prolongable on seed {seed!r}")
         super().__init__(rules, None)
         self.seed = seed
-        self._buf = start
-        self._cursor = 1
+        self._buf = seed.translate(self._table)
+        self._cursor = len(seed)
 
 
 def thue_morse() -> MorphicGenerator:

@@ -48,6 +48,14 @@ class TestTextOutput:
         assert code == 0
         assert out.strip() == "abcabca"
 
+    def test_generate_from_a_multi_letter_seed(self, capsys):
+        params = ("--gen", "morphic", "--params")
+        code, out, _ = invoke(capsys, "generate", *params, "rules=a=ab,b=ba;seed=ab", "--prefix", "10")
+        assert (code, out.strip()) == (0, "abbabaabba")  # h^4(ab) starts so
+        code, out, err = invoke(capsys, "generate", *params, "rules=a=ab,b=;seed=ab", "--prefix", "10")
+        assert (code, out) == (1, "")  # h(ab) == ab
+        assert err.strip() == "error: morphism is not prolongable on seed 'ab'"
+
     def test_sync(self, capsys):
         code, out, _ = invoke(capsys, "sync", "aa", "--code", "ab,ba")
         assert code == 0
@@ -295,6 +303,34 @@ class TestAceByteStable:
             code, out, _ = invoke(capsys, "ace", "--gen", gen, *extra, "--prefix", str(prefix), "--tail", "8", "--format", fmt)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (gen, prefix, fmt)
+
+
+# SHA-256 of `generate ... --format json` stdout, recorded before morphic
+# fixed points grew through a power of their morphism, keyed by
+# (generator, params, prefix).
+GENERATE_DIGESTS = {
+    ("thue-morse", None, 1000): "dc3c80f75d96e36487fd0fc8e6595a5730fe0961d636c4964562e5465f27a175",
+    ("thue-morse", None, 100000): "d4183566efa9b8650228df6362501888c33d31554030b8dcc03c2d45882c50e1",
+    ("morphic", "rules=a=ab,b=aa,c=bb;seed=a", 1000): "8e4622056e85a04e908197b9089b2553c24aeedd70c42b145d185de1b1f4db6e",
+    ("morphic", "rules=a=ab,b=aa,c=bb;seed=a", 100000): "b4d65d3521954ef1fc05f3431d6abeec6d7b00aceefe75fb20f74e485115ea41",
+    ("morphic", "rules=a=ab,b=a;seed=a", 1000): "8028bb89205b701f4f7f22d16f7b040b365716f395a84b9bebf5cbbe6295dcdc",
+    ("morphic", "rules=a=ab,b=a;seed=a", 100000): "10eaf28624988a0a4e1a254c3af204c5b8383fb0ef5219ca48d78955c4cb5b65",
+    ("morphic", "rules=a=abbc,b=,c=cc;seed=a", 1000): "d4fab11e370a9bfbab3cc605fe919502156d24d971d8727d62ebd0e2910299da",
+    ("morphic", "rules=a=abbc,b=,c=cc;seed=a", 100000): "9d8dbe9deedacc88798428f90b6cbfb0b6fdb8d9bed503a746b46ea6d25884e0",
+    ("interleaved", "n=3", 1000): "5b899514c8b6d5d0ce622c782f8ed2b0053290723591934d1f177146b2f2cb1b",
+    ("interleaved", "n=3", 100000): "63bb9b19f9d21c7ee868b90576a520a0cb047ba268f1366e2d72b00a680b9727",
+    ("optimal-binary", "n=2;k=2;m=8", 1000): "a866f5c5158644843da62b8422a4a5615dff4c31e2159d727a4a566771099fe9",
+    ("optimal-binary", "n=2;k=2;m=8", 100000): "636db2565c5ca4529710108323a7196083b6d7b45a74b73f01f6cd369c17e0ac",
+}
+
+
+class TestGenerateByteStable:
+    def test_stdout_digests(self, capsys):
+        for (gen, params, prefix), digest in GENERATE_DIGESTS.items():
+            extra = ("--params", params) if params else ()
+            code, out, _ = invoke(capsys, "generate", "--gen", gen, *extra, "--prefix", str(prefix), "--format", "json")
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (gen, params, prefix)
 
 
 # sha256 of `family highpower --n N` stdout, recorded before the spreading

@@ -103,6 +103,130 @@ class TestMorphicGrowth:
             for n in (long, short, longer, rng.randrange(0, 301)):
                 assert gen.prefix(n) == naive[:n]
 
+    def test_skewed_images_build_less_than_one_image_past_the_prefix(self):
+        # Blocks sized by the shortest image built 1,001,002 letters for
+        # the first rules and 262,143 for the second.
+        gen = MorphicGenerator(parse_morphism("a=ab,b=" + "b" * 1000 + ",c=c"), "a")
+        assert gen.prefix(20_000) == "a" + "b" * 19_999
+        assert len(gen._buf) < 20_000 + 1000
+        gen = MorphicGenerator(parse_morphism("a=aab,b=b"), "a")
+        gen.prefix(200_000)
+        assert len(gen._buf) < 200_000 + 127  # |h^6(a)| = 127
+
+    def test_multi_letter_seed_grows_its_own_fixed_point(self):
+        h = parse_morphism("a=ab,b=ba")
+        assert MorphicGenerator(h, "ab").prefix(32) == h.apply(h.apply(h.apply(h.apply("ab"))))
+        assert MorphicGenerator(parse_morphism("a=a,b=bc,c=c"), "ab").prefix(6) == "abcccc"
+        for rules, seed in (("a=ab,b=", "ab"), ("a=a,b=b", "ab"), ("a=ba,b=ab", "ab")):
+            with pytest.raises(WordError, match="not prolongable"):
+                MorphicGenerator(parse_morphism(rules), seed)
+
+
+def power_by_rule(h):
+    """Images of h^j by applying h to words: j is the least power whose
+    longest image has >= 64 letters, stopping once no length changes and at
+    j = 64; j = 1 when h^2 is undefined."""
+    if any(ch not in h.images for image in h.images.values() for ch in image):
+        return dict(h.images)
+    power = dict(h.images)
+    for _ in range(63):
+        if max(map(len, power.values())) >= 64:
+            break
+        longer = {letter: h.apply(image) for letter, image in power.items()}
+        if [len(w) for w in longer.values()] == [len(w) for w in power.values()]:
+            break
+        power = longer
+    return power
+
+
+def naive_fixed_point(h, seed, size):
+    """h^k(seed) for the first k with at least `size` letters, or the whole
+    (finite) word once h^k(seed) stops growing."""
+    word = seed
+    while len(word) < size:
+        longer = h.apply(word)
+        if longer == word:
+            break
+        word = longer
+    return word
+
+
+class TestLongImagePower:
+    def random_prolongable(self, rng):
+        # Rejection sampling: 2 to 4 letters, images of length 0 to 3.
+        while True:
+            letters = "abcd"[:rng.randrange(2, 5)]
+            word = lambda size: "".join(rng.choice(letters) for _ in range(size))
+            h = Morphism({letter: word(rng.randrange(0, 4)) for letter in letters})
+            seed = word(rng.randrange(1, 4))
+            start = h.apply(seed)
+            if len(start) > len(seed) and start.startswith(seed):
+                return h, seed
+
+    def check(self, rng, h, seed):
+        size = 600
+        naive = naive_fixed_point(h, seed, size)
+        power = power_by_rule(h)
+        gen = MorphicGenerator(h, seed)
+        assert gen.morphism is h
+        # Prefix lengths at the image boundaries of h^j on x, one letter
+        # either side, and random lengths, asked for in random order.
+        ends, total = [], 0
+        for ch in naive[:60]:
+            total += len(power[ch])
+            ends.append(total)
+        lengths = {end + d for end in ends for d in (-1, 0, 1) if 0 <= end + d <= size}
+        lengths |= {rng.randrange(0, size + 1) for _ in range(6)}
+        lengths = sorted(lengths)
+        rng.shuffle(lengths)
+        longest = max(map(len, power.values()))
+        start = len("".join(power[ch] for ch in seed))
+        asked = 0  # the longest prefix the shared generator has built
+        for n in lengths:
+            if n > len(naive):
+                for g in (gen, MorphicGenerator(h, seed)):
+                    with pytest.raises(WordError, match="failed to produce more letters"):
+                        g.prefix(n)
+                asked = len(naive)
+                continue
+            asked = max(asked, n)
+            for g, built in ((gen, asked), (MorphicGenerator(h, seed), n)):
+                assert g.prefix(n) == naive[:n], (h, seed, n)
+                assert len(g._buf) < max(built + longest, start + 1), (h, seed, n)
+
+    def test_random_rules_and_seeds_match_naive_iteration(self):
+        rng = random.Random(9)
+        seen = set()
+        for _ in range(300):
+            h, seed = self.random_prolongable(rng)
+            seen.add(len(seed))
+            self.check(rng, h, seed)
+        assert seen == {1, 2, 3}
+
+    def test_skewed_rules_match_naive_iteration(self):
+        rng = random.Random(10)
+        for k in (1, 2, 5, 31, 62, 63, 64, 200):
+            for rules in (f"a=a{'b' * k},b=b", f"a=ab,b={'b' * k}", f"a=a{'b' * k},b=bc,c=c", f"a=aab{'c' * k},b=b,c=a"):
+                self.check(rng, parse_morphism(rules), "a")
+
+    def test_power_rule(self):
+        def lengths(rules):
+            return {letter: len(image) for letter, image in infinite._long_power(parse_morphism(rules).images).items()}
+
+        assert lengths("0=01,1=10") == {"0": 64, "1": 64}  # j = 6
+        assert lengths("a=ab,b=b") == {"a": 64, "b": 1}  # j = 63
+        assert lengths("a=aab,b=b") == {"a": 127, "b": 1}  # j = 6
+        assert lengths("a=ab,b=a") == {"a": 89, "b": 55}  # Fibonacci, j = 10
+        assert lengths("a=abc,b=b,c=c") == {"a": 65, "b": 1, "c": 1}  # j = 32
+        # The lengths alternate between (2, 0, 1) and (1, 0, 2): j = 64.
+        assert lengths("a=bc,b=,c=a") == {"a": 1, "b": 0, "c": 2}
+        assert lengths("a=ab,b=bbc") == {"a": 2, "b": 3}  # h^2 undefined: j = 1
+        # No length changes: j = 1, where h^64 would be the identity.
+        assert infinite._long_power(parse_morphism("a=b,b=a").images) == {"a": "b", "b": "a"}
+        for rules in ("0=01,1=10", "a=ab,b=b", "a=ab,b=a", "a=bc,b=,c=a", "a=abbc,b=,c=cc", "a=ab,b=", "a=b,b=a"):
+            h = parse_morphism(rules)
+            assert infinite._long_power(h.images) == power_by_rule(h), rules
+
 
 class TestImageGenerator:
     def test_random_morphisms_match_applying_to_the_base_prefix(self):
@@ -144,6 +268,12 @@ class TestImageGenerator:
         assert len(base._buf) == 3
         gen.prefix(300)
         assert len(base._buf) == 100
+
+    def test_skewed_images_build_less_than_one_image_past_the_prefix(self):
+        # Blocks sized by the shortest image built 5,005,000 letters here.
+        gen = ImageGenerator(parse_morphism("a=x,b=" + "y" * 1000), PeriodicGenerator("ab"))
+        assert gen.prefix(10_000) == ("x" + "y" * 1000) * 9 + "x" + "y" * 990
+        assert len(gen._buf) < 10_000 + 1000
 
     def test_erasing_morphism_over_a_base_is_refused(self):
         with pytest.raises(WordError, match="erasing morphism"):
