@@ -120,20 +120,26 @@ def _steps(w: str, code: CodeSet) -> list[list[int]]:
     return [[c + len(x) for x in by_len if w.startswith(x, c)] for c in range(len(w) + 1)]
 
 
-def x_interpretations(w: str, code: CodeSet) -> list[Interpretation]:
-    """All interpretations of w over the code set, ordered by cut tuple
-    (the cut-free interpretation first when it exists)."""
+def x_interpretations(w: str, code: CodeSet) -> Iterator[Interpretation]:
+    """The interpretations of w over the code set, produced one at a time
+    and ordered by cut tuple (the cut-free interpretation first when it
+    exists).  An empty word is refused at the call."""
     if not w:
         raise WordError("empty input")
+    return _interpretations(w, code)
+
+
+def _interpretations(w: str, code: CodeSet) -> Iterator[Interpretation]:
     starts, ends, whole = _flanks(w, code)
     steps = _steps(w, code)
-    found: list[tuple[int, ...]] = [()] if whole else []
+    if whole:
+        yield Interpretation(_pieces(w, ()), ())
     for first in starts:
         # Depth-first over the parse graph with an explicit stack, children
         # in ascending order, so cut tuples come out in lexicographic order.
         path, stack = [first], [iter(steps[first])]
         if first in ends:
-            found.append((first,))
+            yield Interpretation(_pieces(w, (first,)), (first,))
         while stack:
             cut = next(stack[-1], None)
             if cut is None:
@@ -143,8 +149,8 @@ def x_interpretations(w: str, code: CodeSet) -> list[Interpretation]:
             path.append(cut)
             stack.append(iter(steps[cut]))
             if cut in ends:
-                found.append(tuple(path))
-    return [Interpretation(_pieces(w, cuts), cuts) for cuts in found]
+                cuts = tuple(path)
+                yield Interpretation(_pieces(w, cuts), cuts)
 
 
 def _max_vertex_disjoint_paths(steps: list[list[int]], starts: Iterable[int], ends: Iterable[int]) -> int:

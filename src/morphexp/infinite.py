@@ -115,7 +115,9 @@ class ImageGenerator(WordGenerator):
         self.morphism = h
         self.base = base
         self._cursor = 0
-        images = h.images if base is not None else _long_power(h.images)
+        self._expand_with(h.images)
+
+    def _expand_with(self, images: dict[str, str]) -> None:
         self._longest = max(max(map(len, images.values()), default=0), 1)
         self._domain = "".join(images)
         self._table = str.maketrans(images)
@@ -152,14 +154,23 @@ class ImageGenerator(WordGenerator):
         self._cursor = cursor
 
 
-def _long_power(images: dict[str, str]) -> dict[str, str]:
-    """The images of h^j for the least j whose longest image has at least 64
-    letters, stopping once no image length changes and at j = 64.  A fixed
-    point of h is one of h^j, and translate costs about the same per input
-    letter whatever the image length, so long images make growth cheap.
-    j = 1 when some image letter has no image of its own (h^2 undefined)."""
-    if not set("".join(images.values())) <= images.keys():
+def _long_power(images: dict[str, str], seed: str) -> dict[str, str]:
+    """The images of h^j on the letters of the fixed point grown from seed
+    (those reachable from it under h), for the least j whose longest image
+    among them has at least 64 letters, stopping once none of their image
+    lengths changes and at j = 64.  A fixed point of h is one of h^j, and
+    translate costs about the same per input letter whatever the image
+    length, so long images make growth cheap.  j = 1, with every image of h,
+    when some reachable letter has no image (h^2 undefined on the word)."""
+    reachable, todo = set(seed), list(seed)
+    while todo:
+        for ch in images.get(todo.pop(), ""):
+            if ch not in reachable:
+                reachable.add(ch)
+                todo.append(ch)
+    if not reachable <= images.keys():
         return images
+    images = {letter: image for letter, image in images.items() if letter in reachable}
     power = images
     sizes = list(map(len, power.values()))
     for _ in range(63):
@@ -184,6 +195,7 @@ class MorphicGenerator(ImageGenerator):
         if len(start) <= len(seed) or not start.startswith(seed):
             raise WordError(f"morphism is not prolongable on seed {seed!r}")
         super().__init__(rules, None)
+        self._expand_with(_long_power(rules.images, seed))
         self.seed = seed
         self._buf = seed.translate(self._table)
         self._cursor = len(seed)

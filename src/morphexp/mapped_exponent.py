@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from string import digits
 
-from .morphisms import Morphism, _injective_images, compose, sardinas_patterson, spreading_morphism
+from .morphisms import Morphism, _search_spaces, compose, sardinas_patterson, spreading_morphism
 from .words import (
     MAX_BUILD_LETTERS,
     Alphabet,
@@ -212,7 +212,7 @@ def classify_general(
     search_codomain = _search_codomain(codomain_size)
     for letter, fact in facts:
         rest = Alphabet([ch for ch in letters if ch != letter])
-        for images in _injective_images(len(rest), search_codomain, max_image_len, canonical=True):
+        for images in _search_spaces.canonical(len(rest), search_codomain, max_image_len):
             # head, gap and tail hold only letters of rest, so translating
             # them applies the morphism with these images.
             mapping = dict(zip(rest.letters, images))
@@ -242,11 +242,18 @@ def mapped_exponent_lower_bound(
     best_len, best_period = 0, 1
     best_images: tuple[str, ...] | None = None
     ords = [ord(ch) for ch in domain.letters]
-    for images in _injective_images(len(domain), codomain, max_image_len, canonical=True):
+    for images in _search_spaces.canonical(len(domain), codomain, max_image_len):
         image = w.translate(dict(zip(ords, images)))
+        n = len(image)
+        if best_len:
+            # Only a period p <= bound beats the best (n / p > best_len /
+            # best_period), and such a p puts image[:n - bound] at p.
+            bound = (n * best_period - 1) // best_len
+            if bound < 1 or image.find(image[:n - bound], 1, n) == -1:
+                continue
         period = smallest_period(image)
-        if len(image) * best_period > best_len * period:
-            best_len, best_period, best_images = len(image), period, images
+        if n * best_period > best_len * period:
+            best_len, best_period, best_images = n, period, images
     if best_images is None:
         raise WordError("no injective morphism exists within the given bounds")
     best = Fraction(best_len, best_period)

@@ -9,6 +9,7 @@ distinct words with equal images is produced.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 from .words import Alphabet, ParseError, WordError
@@ -327,3 +328,73 @@ def _injective_images(
             states.pop()
             if images:
                 images.pop()
+
+
+# The most image tuples the search memo holds, over all its spaces.
+MAX_CACHED_TUPLES = 100_000
+
+
+class _SearchSpaces:
+    """The canonical search spaces met so far in this process, keyed by
+    (domain size, codomain letters, max image length).
+
+    A space is the list of its tuples found so far, in the order of
+    `_injective_images`, and a one-item list holding the search that yields
+    the rest (None once the space is complete).  Searches replay the found
+    tuples and extend the space only as far as they read, so a search that
+    stops at its first hit enumerates no further than its own depth-first
+    search would.  Once the memo holds MAX_CACHED_TUPLES tuples, a search
+    that reads past the end of its space goes on uncached.
+    """
+
+    def __init__(self) -> None:
+        self.spaces: dict[tuple[int, tuple[str, ...], int], tuple[list[tuple[str, ...]], list]] = {}
+        self.tuples = 0
+
+    def clear(self) -> None:
+        self.spaces.clear()
+        self.tuples = 0
+
+    def canonical(self, size: int, codomain: Alphabet, max_image_len: int) -> Iterator[tuple[str, ...]]:
+        """The tuples of _injective_images(size, codomain, max_image_len,
+        canonical=True), in the same order."""
+        def search(skip: int) -> Iterator[tuple[str, ...]]:
+            return islice(_injective_images(size, codomain, max_image_len, canonical=True), skip, None)
+
+        key = (size, codomain.letters, max_image_len)
+        space = self.spaces.get(key)
+        if space is None:
+            if self.tuples >= MAX_CACHED_TUPLES:
+                yield from search(0)
+                return
+            space = self.spaces[key] = ([], [search(0)])
+        found, rest = space
+        i = 0
+        while True:
+            # Another search may extend the space while this one is paused.
+            while i < len(found):
+                yield found[i]
+                i += 1
+            more = rest[0]
+            if more is None:
+                return
+            if self.tuples >= MAX_CACHED_TUPLES:
+                # This search takes the open one over and leaves the space a
+                # fresh one that skips the tuples it holds.
+                rest[0] = search(i)
+                yield from more
+                return
+            try:
+                images = next(more, None)
+            except BaseException:
+                # A generator that raised is finished: restart past `found`.
+                rest[0] = search(i)
+                raise
+            if images is None:
+                rest[0] = None
+                return
+            found.append(images)
+            self.tuples += 1
+
+
+_search_spaces = _SearchSpaces()

@@ -86,9 +86,15 @@ class TestInterpretations:
 
     def test_long_single_letter_parse_is_iterative(self):
         # One cut per letter: a recursive walk would exceed the recursion limit.
-        got = x_interpretations("a" * 2000, CodeSet(["a"]))
+        got = list(x_interpretations("a" * 2000, CodeSet(["a"])))
         assert [(i.cuts[0], i.cuts[-1]) for i in got] == [(0, 1999), (0, 2000), (1, 1999), (1, 2000)]
         assert all(len(i.cuts) == i.cuts[-1] - i.cuts[0] + 1 for i in got)
+
+    def test_interpretations_are_produced_one_at_a_time(self):
+        # 'a' * 24 over {a, aa} has 300,100 interpretations: the first few
+        # come without building the rest.
+        got = x_interpretations("a" * 24, CodeSet(["a", "aa"]))
+        assert [next(got).cuts for _ in range(3)] == [tuple(range(23)), tuple(range(24)), tuple(range(25))]
 
     def test_order_does_not_depend_on_code_word_order(self):
         got = [i.cuts for i in x_interpretations("abab", CodeSet(["bab", "ab", "b", "a"]))]

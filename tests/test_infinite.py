@@ -122,13 +122,17 @@ class TestMorphicGrowth:
                 MorphicGenerator(parse_morphism(rules), seed)
 
 
-def power_by_rule(h):
-    """Images of h^j by applying h to words: j is the least power whose
-    longest image has >= 64 letters, stopping once no length changes and at
-    j = 64; j = 1 when h^2 is undefined."""
-    if any(ch not in h.images for image in h.images.values() for ch in image):
+def power_by_rule(h, seed):
+    """Images of h^j by applying h to words, on the letters of the words
+    h^k(seed): j is the least power whose longest image has >= 64 letters,
+    stopping once no length changes and at j = 64; j = 1, with every image,
+    when h^2 is undefined on those letters."""
+    letters = set(seed)
+    for _ in h.images:
+        letters |= {ch for letter in letters for ch in h.images.get(letter, "")}
+    if not letters <= h.images.keys():
         return dict(h.images)
-    power = dict(h.images)
+    power = {letter: image for letter, image in h.images.items() if letter in letters}
     for _ in range(63):
         if max(map(len, power.values())) >= 64:
             break
@@ -166,7 +170,7 @@ class TestLongImagePower:
     def check(self, rng, h, seed):
         size = 600
         naive = naive_fixed_point(h, seed, size)
-        power = power_by_rule(h)
+        power = power_by_rule(h, seed)
         gen = MorphicGenerator(h, seed)
         assert gen.morphism is h
         # Prefix lengths at the image boundaries of h^j on x, one letter
@@ -210,10 +214,11 @@ class TestLongImagePower:
                 self.check(rng, parse_morphism(rules), "a")
 
     def test_power_rule(self):
-        def lengths(rules):
-            return {letter: len(image) for letter, image in infinite._long_power(parse_morphism(rules).images).items()}
+        def lengths(rules, seed="a"):
+            images = infinite._long_power(parse_morphism(rules).images, seed)
+            return {letter: len(image) for letter, image in images.items()}
 
-        assert lengths("0=01,1=10") == {"0": 64, "1": 64}  # j = 6
+        assert lengths("0=01,1=10", "0") == {"0": 64, "1": 64}  # j = 6
         assert lengths("a=ab,b=b") == {"a": 64, "b": 1}  # j = 63
         assert lengths("a=aab,b=b") == {"a": 127, "b": 1}  # j = 6
         assert lengths("a=ab,b=a") == {"a": 89, "b": 55}  # Fibonacci, j = 10
@@ -222,10 +227,25 @@ class TestLongImagePower:
         assert lengths("a=bc,b=,c=a") == {"a": 1, "b": 0, "c": 2}
         assert lengths("a=ab,b=bbc") == {"a": 2, "b": 3}  # h^2 undefined: j = 1
         # No length changes: j = 1, where h^64 would be the identity.
-        assert infinite._long_power(parse_morphism("a=b,b=a").images) == {"a": "b", "b": "a"}
-        for rules in ("0=01,1=10", "a=ab,b=b", "a=ab,b=a", "a=bc,b=,c=a", "a=abbc,b=,c=cc", "a=ab,b=", "a=b,b=a"):
+        assert infinite._long_power(parse_morphism("a=b,b=a").images, "a") == {"a": "b", "b": "a"}
+        # Letters that never occur in the fixed point neither keep j = 1
+        # nor get a power of their own.
+        assert lengths("a=ab,b=b,c=" + "c" * 64) == {"a": 64, "b": 1}  # j = 63
+        assert lengths("a=ab,b=b,c=") == {"a": 64, "b": 1}
+        assert lengths("a=ab,b=b,c=cd") == {"a": 64, "b": 1}  # h^2 undefined on c only
+        assert lengths("a=ab,b=bc,c=c,d=" + "d" * 64) == {"a": 67, "b": 12, "c": 1}  # j = 11
+        for rules in ("0=01,1=10", "a=ab,b=b", "a=ab,b=a", "a=bc,b=,c=a", "a=abbc,b=,c=cc", "a=ab,b=", "a=b,b=a",
+                      "a=ab,b=b,c=" + "c" * 64, "a=ab,b=b,c=cd", "a=ab,b=bc,c=c,d=" + "d" * 64):
             h = parse_morphism(rules)
-            assert infinite._long_power(h.images) == power_by_rule(h), rules
+            for seed in sorted(h.images):
+                assert infinite._long_power(h.images, seed) == power_by_rule(h, seed), (rules, seed)
+
+
+    def test_letters_outside_the_fixed_point_do_not_set_the_power(self):
+        # With c counted, j stayed 1 and every block expanded a single a.
+        gen = MorphicGenerator(parse_morphism("a=ab,b=b,c=" + "c" * 64), "a")
+        assert "a".translate(gen._table) == "a" + "b" * 63
+        assert gen.prefix(1000) == "a" + "b" * 999
 
 
 class TestImageGenerator:

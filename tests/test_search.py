@@ -1,12 +1,15 @@
 """The depth-first injective-morphism search against the product oracle."""
 
 import random
+from functools import cache
 from string import digits
 
 import pytest
 
+import morphexp.mapped_exponent as mapped_exponent_module
 import morphexp.morphisms as morphisms_module
 import search_oracles
+from morphexp.cli import run
 from morphexp.mapped_exponent import (
     INFINITE,
     UNKNOWN,
@@ -14,8 +17,8 @@ from morphexp.mapped_exponent import (
     gap_factorization,
     mapped_exponent_lower_bound,
 )
-from morphexp.morphisms import _injective_images, enumerate_injective
-from morphexp.words import Alphabet, WordError, prefix_comparable, suffix_comparable
+from morphexp.morphisms import _injective_images, _search_spaces, enumerate_injective
+from morphexp.words import Alphabet, WordError, fractional_exponent, prefix_comparable, suffix_comparable
 from search_oracles import (
     canonical_product,
     classify_oracle,
@@ -37,6 +40,20 @@ def shapes():
                     yield size, max_image_len, codomain_size
 
 
+# The (domain size, max image length, codomain size) of the benchmark's
+# lower-bound queries, which use words of six letters.
+BENCH_SHAPES = ((2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2))
+
+
+@cache
+def oracle_space(size, max_image_len, codomain_size):
+    return list(canonical_product(Alphabet("abcd"[:size]), Alphabet(digits[:codomain_size]), max_image_len))
+
+
+def memo_space(size, max_image_len, codomain_size):
+    return _search_spaces.canonical(size, Alphabet(digits[:codomain_size]), max_image_len)
+
+
 def random_alphabets(rng, size, codomain_size):
     letters = rng.sample("abcdefgh", size)
     codomain = rng.sample("0123456789xyz", codomain_size)
@@ -47,6 +64,17 @@ def random_word(rng, letters, length):
     while True:
         w = "".join(rng.choice(letters) for _ in range(length))
         if set(w) == set(letters):
+            return w
+
+
+def searching_word(rng, letters):
+    """A word over exactly these letters whose classification searches: the
+    last letter occurs twice and splits it into head, gap and tail."""
+    rest = letters[:-1]
+    while True:
+        head, gap, tail = ("".join(rng.choice(rest) for _ in range(rng.randint(0, 4))) for _ in range(3))
+        w = head + letters[-1] + gap + letters[-1] + tail
+        if set(w) == set(letters) and reaches_search(w):
             return w
 
 
@@ -145,3 +173,192 @@ class TestSearchWork:
         enumerated = sum(1 for _ in injective_product(Alphabet("abc"), codomain, 3))
         assert enumerated == 51_828
         assert len(oracle_calls) == 54_834
+
+
+class TestSearchMemo:
+    def interleave(self, rng, rounds, cap=None):
+        """Reads iterators of random spaces, two of them sharing a space, a
+        tuple at a time in random order, each up to a random length."""
+        every = list(shapes())
+        for _ in range(rounds):
+            picked = rng.sample(every, 2)
+            picked += [rng.choice(picked) for _ in range(2)]
+            runs = [(shape, memo_space(*shape), rng.randint(0, len(oracle_space(*shape)) + 1), [])
+                    for shape in picked]
+            while runs:
+                run_ = rng.choice(runs)
+                shape, it, stop, got = run_
+                images = next(it, None) if len(got) < stop else None
+                if images is None:
+                    assert got == oracle_space(*shape)[:stop], shape
+                    runs.remove(run_)
+                else:
+                    got.append(images)
+                held = sum(len(found) for found, _ in _search_spaces.spaces.values())
+                assert held == _search_spaces.tuples
+                if cap is not None:
+                    assert held <= cap
+
+    def test_repeated_shapes_replay_the_space(self):
+        rng = random.Random(6101)
+        order = [shape for shape in shapes() for _ in range(3)]
+        rng.shuffle(order)
+        for shape in order:
+            assert list(memo_space(*shape)) == oracle_space(*shape), shape
+        assert _search_spaces.tuples == sum(len(oracle_space(*shape)) for shape in shapes())
+
+    def test_interleaved_iterators_match_the_oracle(self):
+        self.interleave(random.Random(6102), rounds=40)
+
+    @pytest.mark.parametrize("cap", [0, 1, 40, 500])
+    def test_a_full_memo_holds_no_more_than_the_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(morphisms_module, "MAX_CACHED_TUPLES", cap)
+        self.interleave(random.Random(f"6103:{cap}"), rounds=25, cap=cap)
+
+    def test_a_search_that_raises_leaves_the_space_whole(self, monkeypatch):
+        real = morphisms_module.sardinas_patterson
+        calls = []
+
+        def failing(images):
+            calls.append(images)
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+            return real(images)
+
+        monkeypatch.setattr(morphisms_module, "sardinas_patterson", failing)
+        with pytest.raises(KeyboardInterrupt):
+            list(memo_space(3, 3, 2))
+        assert list(memo_space(3, 3, 2)) == oracle_space(3, 3, 2)
+
+    def test_first_hit_then_full_search_on_one_space(self):
+        rng = random.Random(6104)
+        partial = 0
+        for size, max_image_len, codomain_size in shapes():
+            if size == 1:
+                continue  # over two letters the identity step decides
+            for _ in range(2):
+                _search_spaces.clear()
+                w = searching_word(rng, "abcde"[:size + 1])
+                target = rng.randint(1, 6)
+                expected = classify_oracle(w, max_image_len, codomain_size, target).to_record()
+                assert classify_general(w, max_image_len, codomain_size, target).to_record() == expected, w
+                found, _ = _search_spaces.spaces[(size, tuple(digits[:codomain_size]), max_image_len)]
+                partial += len(found) < len(oracle_space(size, max_image_len, codomain_size))
+
+            v = random_word(rng, "abcd"[:size], rng.randint(size, 6))
+            expected_bound = lower_bound_oracle(v, max_image_len, codomain_size)
+            if expected_bound is None:
+                with pytest.raises(WordError, match="no injective morphism"):
+                    mapped_exponent_lower_bound(v, max_image_len, codomain_size)
+            else:
+                best, argmax = mapped_exponent_lower_bound(v, max_image_len, codomain_size)
+                assert (best, argmax.to_text()) == (expected_bound[0], expected_bound[1].to_text()), v
+            assert classify_general(w, max_image_len, codomain_size, target).to_record() == expected, w
+        assert partial >= 5
+
+    def count_visits(self, monkeypatch):
+        visits = []
+        real = morphisms_module._injective_images
+
+        def counting(*args, **kwargs):
+            for images in real(*args, **kwargs):
+                visits.append(images)
+                yield images
+
+        monkeypatch.setattr(morphisms_module, "_injective_images", counting)
+        return visits
+
+    def test_a_first_search_visits_no_more_tuples_than_its_own_enumeration(self, monkeypatch):
+        visits = self.count_visits(monkeypatch)
+        rng = random.Random(6105)
+        fewer = 0
+        for size, max_image_len, codomain_size in shapes():
+            if size == 1:
+                continue
+            w = searching_word(rng, "abcde"[:size + 1])
+            # One enumeration per factorization, up to the first witness.
+            own = 0
+            for ch in sorted(set(w)):
+                fact = gap_factorization(w, ch)
+                if fact is None:
+                    continue
+                rest = [x for x in sorted(set(w)) if x != ch]
+                for images in oracle_space(size, max_image_len, codomain_size):
+                    own += 1
+                    table = str.maketrans(dict(zip(rest, images)))
+                    head, gap, tail = (part.translate(table) for part in (fact.head, fact.gap, fact.tail))
+                    if suffix_comparable(head, gap) and prefix_comparable(gap, tail):
+                        break
+                else:
+                    continue
+                break
+            _search_spaces.clear()
+            visits.clear()
+            classify_general(w, max_image_len, codomain_size)
+            assert len(visits) <= own, (w, max_image_len, codomain_size)
+            fewer += len(visits) < own
+
+            v = random_word(rng, "abcd"[:size], size + 2)
+            _search_spaces.clear()
+            visits.clear()
+            try:
+                mapped_exponent_lower_bound(v, max_image_len, codomain_size)
+            except WordError:
+                pass
+            assert len(visits) == len(oracle_space(size, max_image_len, codomain_size))
+            visits.clear()
+            try:
+                mapped_exponent_lower_bound(v, max_image_len, codomain_size)
+            except WordError:
+                pass
+            assert not visits
+        assert fewer
+
+
+class TestScoring:
+    def test_lower_bound_keeps_the_first_maximizer_among_ties(self):
+        rng = random.Random(6201)
+        ties = 0
+        for size, max_image_len, codomain_size in shapes():
+            if len(oracle_space(size, max_image_len, codomain_size)) > 1_000:
+                continue
+            for _ in range(10):
+                w = random_word(rng, "abcd"[:size], rng.randint(size, 8))
+                expected = lower_bound_oracle(w, max_image_len, codomain_size)
+                if expected is None:
+                    continue
+                best, argmax = mapped_exponent_lower_bound(w, max_image_len, codomain_size)
+                assert (best, argmax.to_text()) == (expected[0], expected[1].to_text()), (w, max_image_len)
+                exponents = [fractional_exponent(w.translate(str.maketrans(dict(zip("abcd", images))))).exponent
+                             for images in oracle_space(size, max_image_len, codomain_size)]
+                ties += exponents.count(best) > 1
+        assert ties >= 20
+
+    def test_only_tuples_that_can_beat_the_best_are_scored(self, monkeypatch):
+        scored = []
+        real = mapped_exponent_module.smallest_period
+
+        def counting(w):
+            scored.append(w)
+            return real(w)
+
+        monkeypatch.setattr(mapped_exponent_module, "smallest_period", counting)
+        rng = random.Random(6202)
+        enumerated = 0
+        for size, max_image_len, codomain_size in BENCH_SHAPES:
+            for _ in range(20):
+                w = random_word(rng, "abc"[:size], 6)
+                mapped_exponent_lower_bound(w, max_image_len, codomain_size)
+                enumerated += len(oracle_space(size, max_image_len, codomain_size))
+        assert 5 * len(scored) < enumerated
+
+    def test_long_words_at_image_length_one(self, capsys):
+        # Recorded before scoring skipped tuples that cannot beat the best.
+        rng = random.Random(20000)
+        u = "".join(rng.choice("ab") for _ in range(7001))
+        assert run(["lower-bound", (u * 3)[:20000], "--max-image-len", "1"]) == 0
+        assert capsys.readouterr().out == "best E = 20000/7001 via a=0,b=1\n"
+        rng = random.Random(20001)
+        w = "".join(rng.choice("abc") for _ in range(20000))
+        assert run(["lower-bound", w, "--max-image-len", "1", "--codomain", "3"]) == 0
+        assert capsys.readouterr().out == "best E = 1 via a=0,b=1,c=2\n"
