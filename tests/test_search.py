@@ -222,11 +222,11 @@ class TestSearchMemo:
         def failing(images):
             calls.append(images)
             if len(calls) == 5:
-                raise KeyboardInterrupt
+                raise RuntimeError("interrupted")
             return real(images)
 
         monkeypatch.setattr(morphisms_module, "sardinas_patterson", failing)
-        with pytest.raises(KeyboardInterrupt):
+        with pytest.raises(RuntimeError, match="interrupted"):
             list(memo_space(3, 3, 2))
         assert list(memo_space(3, 3, 2)) == oracle_space(3, 3, 2)
 
