@@ -21,16 +21,18 @@ from .mapped_exponent import (
 from .words import (
     ParseError,
     WordError,
+    _integer_power,
     fractional_exponent,
-    integer_exponent,
     parse_rational,
 )
 
 
 def _parse_word(literal: str) -> str:
-    for i, ch in enumerate(literal):
-        if not (ch.isascii() and ch.isprintable() and ch not in ",= "):
-            raise ParseError(f"bad letter {ch!r} in word literal", i)
+    # The whole-string checks run in C; the loop only finds the bad letter.
+    if not (literal.isascii() and literal.isprintable()) or "," in literal or "=" in literal or " " in literal:
+        for i, ch in enumerate(literal):
+            if not (ch.isascii() and ch.isprintable() and ch not in ",= "):
+                raise ParseError(f"bad letter {ch!r} in word literal", i)
     if not literal:
         raise ParseError("empty word literal")
     return literal
@@ -64,8 +66,9 @@ def _emit(record: dict, text: str, fmt: str, csv: Callable[[], str] | None = Non
 
 def _cmd_exp(args: argparse.Namespace) -> None:
     w = _parse_word(args.word)
-    base, e = fractional_exponent(w)
-    n, root = integer_exponent(w)
+    power = fractional_exponent(w)
+    base, e = power
+    n, root = _integer_power(w, power)
     record = {
         "word": w,
         "exponent": str(e),

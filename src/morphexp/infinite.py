@@ -10,8 +10,9 @@ never a claimed limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from math import factorial, gcd
 from typing import Iterable, Iterator, Sequence
@@ -22,7 +23,7 @@ from .words import (
     Alphabet,
     ParseError,
     WordError,
-    _select_max_exponent,
+    _max_exponent,
     fresh_letters,
     minimal_period_profile,
 )
@@ -294,7 +295,11 @@ def _intermediate_pieces(source: WordGenerator, n: int, k: int, letters: Sequenc
         u = _chunk(source, k, i, 0, u1 + u2)
         yield from (u, sep)
         v = _chunk(source, k, i, 1, v1 + v2)
-        yield from (v, sep, *(u, sep, v, sep) * (n - 1), u, sep, end)
+        yield from (v, sep)
+        # One repeat at a time: n may be far larger than the prefix needs.
+        for _ in range(n - 1):
+            yield from (u, sep, v, sep)
+        yield from (u, sep, end)
 
 
 class OptimalBinaryGenerator(ImageGenerator):
@@ -385,18 +390,32 @@ class AceEstimate:
     `estimate` is max over factor lengths >= tail of the exact maximal
     exponent at that length: a lower bound for the infinite word's asymptotic
     critical exponent, monotone in prefix_length and non-increasing in tail.
-    `minper` and `start` are the prefix's period profile, indexed by factor
-    length; the per-length exponents and offsets are derived from them only
-    when read.
+    It and its witness come from a direct search; `minper` and `start`, the
+    prefix's period profile indexed by factor length, are built from `word`
+    only when first read, and the per-length exponents and offsets are
+    derived from them.
     """
 
     prefix_length: int
     tail: int
-    minper: list[int]
-    start: list[int]
+    word: str = field(repr=False)
     estimate: Fraction
     witness_offset: int
     witness_length: int
+
+    @cached_property
+    def _profile(self) -> tuple[list[int], list[int]]:
+        return minimal_period_profile(self.word)
+
+    @property
+    def minper(self) -> list[int]:
+        """Minimum smallest period over the factors of each length."""
+        return self._profile[0]
+
+    @property
+    def start(self) -> list[int]:
+        """Leftmost start of a factor of each length with that period."""
+        return self._profile[1]
 
     @property
     def per_length(self) -> dict[int, Fraction]:
@@ -426,19 +445,19 @@ class AceEstimate:
 
 def ace_estimate(gen: WordGenerator, prefix_len: int, tail: int) -> AceEstimate:
     """Exact per-length maximal exponents over the length-prefix_len prefix,
-    for factor lengths tail..prefix_len; the profile is quadratic, so the
-    prefix may have at most MAX_PROFILE_LETTERS letters."""
+    for factor lengths tail..prefix_len.  The search for the estimate and
+    the profile behind the per-length rows are both quadratic at worst, so
+    the prefix may have at most MAX_PROFILE_LETTERS letters."""
     if not 1 <= tail <= prefix_len:
         raise WordError(f"tail {tail} out of range 1..{prefix_len}")
     if prefix_len > MAX_PROFILE_LETTERS:
         raise WordError(f"the prefix would have {prefix_len} letters, more than the limit of {MAX_PROFILE_LETTERS}")
-    minper, start = minimal_period_profile(gen.prefix(prefix_len))
-    best_len, best_per, best_start = _select_max_exponent(minper, start, tail, prefix_len)
+    word = gen.prefix(prefix_len)
+    best_len, best_per, best_start = _max_exponent(word, tail)
     return AceEstimate(
         prefix_length=prefix_len,
         tail=tail,
-        minper=minper,
-        start=start,
+        word=word,
         estimate=Fraction(best_len, best_per),
         witness_offset=best_start,
         witness_length=best_len,

@@ -148,9 +148,14 @@ def fractional_exponent(w: str) -> FractionalPower:
 
 def integer_exponent(w: str) -> tuple[int, str]:
     """IE(w): maximal n with w = root^n, root primitive."""
-    p = smallest_period(w)
-    if len(w) % p == 0:
-        return len(w) // p, w[:p]
+    return _integer_power(w, fractional_exponent(w))
+
+
+def _integer_power(w: str, power: FractionalPower) -> tuple[int, str]:
+    """IE(w) read off E(w) = power: w is a proper power of its primitive base
+    exactly when the exponent is an integer, and primitive otherwise."""
+    if power.exponent.denominator == 1:
+        return power.exponent.numerator, power.base
     return 1, w
 
 
@@ -196,6 +201,42 @@ def fine_wilf_root(u: str, v: str) -> str | None:
     return primitive_root(u)
 
 
+def _letter_planes(w: str) -> list[int]:
+    """One int per letter of w whose bit i is set iff w[i] is that letter."""
+    letters = set(w)
+    rev = w[::-1]  # bit i of a plane is position i
+    zeros = {ord(ch): "0" for ch in letters}
+    return [int(rev.translate({**zeros, ord(ch): "1"}), 2) for ch in letters]
+
+
+def _agreements(planes: list[int], p: int) -> int:
+    """The agreement mask at shift p: bit i is set iff w[i] == w[i + p]."""
+    agree = 0
+    for plane in planes:
+        agree |= plane & (plane >> p)
+    return agree
+
+
+def _run_powers(agree: int) -> list[int]:
+    """powers[j]: starts of runs of at least 2**j agreements, for j up to
+    the first power that is 0, which ends the list."""
+    powers = [agree]
+    while powers[-1]:
+        powers.append(powers[-1] & (powers[-1] >> (1 << (len(powers) - 1))))
+    return powers
+
+
+def _longest_run(powers: list[int]) -> tuple[int, int]:
+    """The longest run of agreements and the starts of runs that long, by
+    descending through the powers of a nonzero mask."""
+    longest, runs = 1 << (len(powers) - 2), powers[-2]
+    for j in range(len(powers) - 3, -1, -1):
+        longer = runs & (powers[j] >> longest)
+        if longer:
+            longest, runs = longest + (1 << j), longer
+    return longest, runs
+
+
 def minimal_period_profile(w: str) -> tuple[list[int], list[int]]:
     """Per factor length L in 1..|w|: the minimum smallest-period over all
     length-L factors, and the leftmost start position achieving it.
@@ -216,10 +257,7 @@ def minimal_period_profile(w: str) -> tuple[list[int], list[int]]:
     n = len(w)
     minper = list(range(n + 1))  # a length-L factor trivially has period L
     start = [0] * (n + 1)
-    letters = set(w)
-    rev = w[::-1]  # bit i of a plane is position i
-    zeros = {ord(ch): "0" for ch in letters}
-    planes = [int(rev.translate({**zeros, ord(ch): "1"}), 2) for ch in letters]
+    planes = _letter_planes(w)
     # minper is non-decreasing in L (a factor's prefix keeps its period), so
     # the lengths still unsettled at any shift are exactly those >= unsettled.
     unsettled = 2
@@ -228,25 +266,15 @@ def minimal_period_profile(w: str) -> tuple[list[int], list[int]]:
         unsettled = max(unsettled, p + 1)
         if unsettled > n:
             break
-        agree = 0
-        for plane in planes:
-            agree |= plane & (plane >> p)
+        agree = _agreements(planes, p)
         if not agree:
             continue
-        # powers[j]: starts of runs of at least 2**j agreements.
-        powers = [agree]
-        while powers[-1]:
-            powers.append(powers[-1] & (powers[-1] >> (1 << (len(powers) - 1))))
+        powers = _run_powers(agree)
         # powers[-1] == 0: no run reaches 2**(len(powers) - 1) agreements,
         # so a shift that needs that many settles nothing.
         if (unsettled - p) >> (len(powers) - 1):
             continue
-        # Longest run, by descending through the powers.
-        longest, runs = 1 << (len(powers) - 2), powers[-2]
-        for j in range(len(powers) - 3, -1, -1):
-            longer = runs & (powers[j] >> longest)
-            if longer:
-                longest, runs = longest + (1 << j), longer
+        longest, _ = _longest_run(powers)
         if p + longest < unsettled:
             continue
         # Runs of the first unsettled length's k = L - p agreements, composed
@@ -265,14 +293,40 @@ def minimal_period_profile(w: str) -> tuple[list[int], list[int]]:
     return minper, start
 
 
-def _select_max_exponent(minper: list[int], start: list[int], lo: int, hi: int) -> tuple[int, int, int]:
-    """Pick (length, period, start) maximizing length/period over lengths in
-    lo..hi; ties broken by shorter length, then leftmost start."""
-    best_len, best_per, best_start = lo, minper[lo], start[lo]
-    for length in range(lo + 1, hi + 1):
-        p = minper[length]
-        if length * best_per > best_len * p:
-            best_len, best_per, best_start = length, p, start[length]
+def _max_exponent(w: str, min_len: int) -> tuple[int, int, int]:
+    """(length, period, start) of a factor of maximal exponent length/period
+    among factors of length >= min_len; ties go to the shortest length, at
+    its leftmost start.
+
+    Shifts p = 1, 2, ... are visited in order, from the exponent-1 answer
+    (min_len, min_len, 0).  The best factor with period p has length p +
+    longest(p), the longest run of agreements at shift p, so p can win only
+    with a run of at least k agreements, k the least run that reaches
+    length min_len and beats the best exponent so far strictly (ties keep
+    the smaller p, that is the shorter factor).  Runs of k are tested by
+    doubling, which rejects most shifts after a few operations; only the
+    shifts that pass pay for longest(p) and its leftmost start.  A run has
+    at most n - p agreements, so once k exceeds that, no later shift can win
+    either (the exponent at shift p is at most n/p) and the search stops.
+    Quadratic at worst, like the profile, but without its table.
+    """
+    n = len(w)
+    planes = _letter_planes(w)
+    best_len, best_per, best_start = min_len, min_len, 0
+    for p in range(1, n):
+        k = max((best_len - best_per) * p // best_per + 1, min_len - p, 1)
+        if k > n - p:
+            break
+        runs = agree = _agreements(planes, p)
+        have = 1
+        while runs and have < k:
+            step = min(have, k - have)
+            runs &= runs >> step
+            have += step
+        if not runs:
+            continue
+        longest, runs = _longest_run(_run_powers(agree))
+        best_len, best_per, best_start = p + longest, p, (runs & -runs).bit_length() - 1
     return best_len, best_per, best_start
 
 
@@ -283,6 +337,5 @@ def max_exponent_factor(w: str, min_len: int = 1) -> tuple[str, Fraction]:
         raise WordError("empty input")
     if not 1 <= min_len <= len(w):
         raise WordError(f"min_len {min_len} out of range 1..{len(w)}")
-    minper, start = minimal_period_profile(w)
-    length, period, pos = _select_max_exponent(minper, start, min_len, len(w))
+    length, period, pos = _max_exponent(w, min_len)
     return w[pos:pos + length], Fraction(length, period)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -9,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import morphexp
+from morphexp import infinite, words
 from morphexp.cli import run
 from morphexp.codes import CodeSet, is_synchronizing, x_degree
 from morphexp.infinite import ace_estimate, thue_morse
 from morphexp.mapped_exponent import classify_general, mapped_exponent_lower_bound
+from morphexp.words import fractional_exponent, integer_exponent
 
 
 def invoke(capsys, *argv):
@@ -219,6 +222,34 @@ class TestExitCodes:
         assert err.startswith("error: the prefix would have 100001 letters, more than the limit of 100000")
         assert peak < 1 << 20
 
+    def test_huge_optimal_binary_n_is_0(self, capsys):
+        # The prefix reads about a dozen of block 1's n - 1 repeats; all of
+        # them at once would need gigabytes.
+        argv = ("generate", "--gen", "optimal-binary", "--prefix", "1000", "--params")
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(capsys, *argv, "n=1000000000;k=2;m=7")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert peak < 1 << 20
+        assert len(out) == 1001
+        assert invoke(capsys, *argv, "n=100;k=2;m=7") == (0, out, "")
+
+    def test_bad_word_letters_are_2_at_the_first_bad_position(self, capsys):
+        cases = {
+            "ab,cd": "bad letter ',' in word literal (position 2)",
+            "a=b": "bad letter '=' in word literal (position 1)",
+            "ab c": "bad letter ' ' in word literal (position 2)",
+            "ab\u00e9": "bad letter '\u00e9' in word literal (position 2)",
+            "ab\tc": "bad letter '\\t' in word literal (position 2)",
+            "a\u00e9,": "bad letter '\u00e9' in word literal (position 1)",
+            "": "empty word literal (position 0)",
+        }
+        for word, message in cases.items():
+            assert invoke(capsys, "exp", word) == (2, "", f"usage error: {message}\n"), word
+
     def test_success_is_0(self, capsys):
         assert invoke(capsys, "exp", "a")[0] == 0
 
@@ -245,6 +276,20 @@ class TestThinAdapter:
     def test_sync_equals_library(self, capsys):
         _, out, _ = invoke(capsys, "sync", "aa", "--code", "ab,ba", "--format", "json")
         assert json.loads(out)["split"] == is_synchronizing("aa", CodeSet(["ab", "ba"]))
+
+    def test_exp_equals_library_with_one_period_computation(self, capsys, monkeypatch):
+        rng = random.Random(3)
+        calls = []
+        smallest_period = words.smallest_period
+        monkeypatch.setattr(words, "smallest_period", lambda w: calls.append(w) or smallest_period(w))
+        for _ in range(100):
+            w = "".join(rng.choice("ab") for _ in range(rng.randint(1, 12))) * rng.randint(1, 3)
+            calls.clear()
+            _, out, _ = invoke(capsys, "exp", w, "--format", "json")
+            assert calls == [w]
+            base, e = fractional_exponent(w)
+            n, root = integer_exponent(w)
+            assert json.loads(out) == {"word": w, "exponent": str(e), "base": base, "integer_exponent": n, "root": root}
 
     def test_ace_equals_library(self, capsys):
         _, out, _ = invoke(capsys, "ace", "--gen", "thue-morse", "--prefix", "128", "--tail", "8", "--format", "json")
@@ -297,11 +342,25 @@ ACE_DIGESTS = {
 
 
 class TestAceByteStable:
-    def test_stdout_digests(self, capsys):
+    def test_stdout_digests(self, capsys, monkeypatch):
+        # Only csv builds the period profile, once; text and json never do.
+        built = []
+        profile = words.minimal_period_profile
+
+        def refuse(w):
+            raise AssertionError("the period profile was built")
+
+        def counted(w):
+            built.append(len(w))
+            return profile(w)
+
+        monkeypatch.setattr(words, "minimal_period_profile", refuse)
         for (gen, params, prefix, fmt), digest in ACE_DIGESTS.items():
+            monkeypatch.setattr(infinite, "minimal_period_profile", counted if fmt == "csv" else refuse)
+            built.clear()
             extra = ("--params", params) if params else ()
             code, out, _ = invoke(capsys, "ace", "--gen", gen, *extra, "--prefix", str(prefix), "--tail", "8", "--format", fmt)
-            assert code == 0
+            assert (code, built) == (0, [prefix] if fmt == "csv" else [])
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (gen, prefix, fmt)
 
 

@@ -6,6 +6,7 @@ import pytest
 from morphexp.words import (
     Alphabet,
     WordError,
+    _max_exponent,
     fine_wilf_root,
     fractional_exponent,
     fractional_power,
@@ -22,6 +23,7 @@ from morphexp.words import (
     suffix_comparable,
 )
 from morphexp.morphisms import Morphism
+from ace_oracles import ace_oracle
 from profile_oracles import brute_smallest_period, profile_border, profile_naive, profile_sweep
 
 
@@ -269,6 +271,35 @@ class TestMaxExponentFactor:
             got = minimal_period_profile(w)
             assert got == profile_border(w), w
             assert got == profile_sweep(w), w
+
+
+class TestMaxExponentSearch:
+    def test_differential_fuzz_against_the_profile(self):
+        # Every min_len of every word, against the estimate and witness that
+        # the reference report reads off a swept profile.
+        rng = random.Random(13)
+        ties = 0
+        for trial in range(500):
+            alphabet = "abcd"[:rng.randint(1, 4)]
+            if trial % 2:
+                w = random_word(rng, alphabet, rng.randint(1, 40))
+            else:
+                # A power prefix, where long runs push the bound, followed by
+                # a random tail that breaks them.
+                v = random_word(rng, alphabet, rng.randint(1, 6))
+                w = repeat_to_length(v, rng.randint(1, 30)) + random_word(rng, alphabet, rng.randint(0, 10))
+            for min_len in range(1, len(w) + 1):
+                report = ace_oracle(w, min_len)
+                period = report.witness_length // report.estimate
+                expected = (report.witness_length, period, report.witness_offset)
+                assert _max_exponent(w, min_len) == expected, (w, min_len)
+                ties += sum(e == report.estimate for e in report.per_length.values()) > 1
+        assert ties > 100
+
+    def test_long_periodic_word_is_settled_at_its_period(self):
+        w = repeat_to_length("abcabb", 100_000)
+        assert _max_exponent(w, 8) == (100_000, 6, 0)
+        assert _max_exponent("ab" * 50 + "c", 1) == (100, 2, 0)
 
 
 class TestPeriodProfile:
