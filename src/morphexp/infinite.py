@@ -378,6 +378,8 @@ def cassaigne_morphism(weights: Sequence[int], m: int) -> Morphism:
         raise WordError("weights must be >= 0")
     if m < max(weights) + 1:
         raise WordError(f"m too small: need m >= max(f)+1 = {max(weights) + 1}")
+    if d * m > MAX_BUILD_LETTERS:
+        raise WordError(f"the images would have {d * m} letters, more than the limit of {MAX_BUILD_LETTERS}")
     letters = fresh_letters(d, avoid="ab")
     images = {letters[i]: "a" * (m - weights[i]) + "b" * weights[i] for i in range(d)}
     return Morphism(images, domain=Alphabet(letters), codomain=Alphabet("ab"))

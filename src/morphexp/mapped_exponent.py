@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from string import digits
 
-from .morphisms import Morphism, _search_spaces, compose, sardinas_patterson, spreading_morphism
+from .morphisms import Morphism, _canonical_images, compose, sardinas_patterson, spreading_morphism
 from .words import (
     MAX_BUILD_LETTERS,
     Alphabet,
@@ -108,10 +109,6 @@ def gap_factorization(w: str, letter: str) -> GapFactorization | None:
     )
 
 
-def _ceil(value: Fraction) -> int:
-    return -(-value.numerator // value.denominator)
-
-
 def pump_witness(
     w: str,
     fact: GapFactorization,
@@ -162,7 +159,7 @@ def pump_witness(
 
     # One period of step(w) is U c V; pump c so each period repeats.
     ahead, behind = head + s, t
-    pump = max(1, _ceil(target))
+    pump = max(1, ceil(target))
     # Each of the gap_count + 1 letters c of step(w) grows by the pumped part.
     step_len = sum(len(step_images[ch]) for ch in w)
     growth = (len(behind) + len(ahead) + 1) * (pump - 1)
@@ -212,7 +209,7 @@ def classify_general(
     search_codomain = _search_codomain(codomain_size)
     for letter, fact in facts:
         rest = Alphabet([ch for ch in letters if ch != letter])
-        for images in _search_spaces.canonical(len(rest), search_codomain, max_image_len):
+        for images in _canonical_images(len(rest), search_codomain, max_image_len):
             # head, gap and tail hold only letters of rest, so translating
             # them applies the morphism with these images.
             mapping = dict(zip(rest.letters, images))
@@ -242,7 +239,7 @@ def mapped_exponent_lower_bound(
     best_len, best_period = 0, 1
     best_images: tuple[str, ...] | None = None
     ords = [ord(ch) for ch in domain.letters]
-    for images in _search_spaces.canonical(len(domain), codomain, max_image_len):
+    for images in _canonical_images(len(domain), codomain, max_image_len):
         image = w.translate(dict(zip(ords, images)))
         n = len(image)
         if best_len:

@@ -9,7 +9,6 @@ distinct words with equal images is produced.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 from .words import Alphabet, ParseError, WordError
@@ -112,9 +111,6 @@ class Morphism:
     def identity(cls, alphabet: Alphabet) -> "Morphism":
         return cls({ch: ch for ch in alphabet}, domain=alphabet, codomain=alphabet)
 
-    def image(self, letter: str) -> str:
-        return self.images[letter]
-
     def apply(self, w: str) -> str:
         images = self.images
         try:
@@ -200,7 +196,7 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
     for ch in inner.codomain:
         if ch not in outer.domain and any(ch in img for img in inner.images.values()):
             raise WordError(f"alphabet mismatch: letter {ch!r} not in outer domain")
-    images = {letter: outer.apply(inner.image(letter)) for letter in inner.domain.letters}
+    images = {letter: outer.apply(inner.images[letter]) for letter in inner.domain.letters}
     return Morphism(images, domain=inner.domain, codomain=outer.codomain)
 
 
@@ -248,6 +244,12 @@ def enumerate_injective(
     yield from _injective_images(len(domain), codomain, max_image_len)
 
 
+# The most candidate images, over all lengths, that a search builds.
+MAX_SEARCH_CANDIDATES = 65_536
+# The most image tuples the search memo holds, over all its spaces.
+MAX_CACHED_TUPLES = 100_000
+
+
 def _injective_images(
     size: int, codomain: Alphabet, max_image_len: int, canonical: bool = False
 ) -> Iterator[tuple[str, ...]]:
@@ -258,7 +260,8 @@ def _injective_images(
     as soon as its partial tuple repeats an image or is not a code: every
     subset of a code is a code.  Sardinas-Patterson runs only once a partial
     tuple is neither prefix-free nor suffix-free, since a set that is either
-    is a code.
+    is a code.  A search over more than MAX_SEARCH_CANDIDATES candidate
+    images raises WordError before it builds any.
 
     canonical=True keeps one tuple per renaming of the codomain letters: the
     one whose images, read in order, introduce new letters in codomain order.
@@ -270,6 +273,13 @@ def _injective_images(
     if size == 0:
         yield ()
         return
+    # The candidate masks take O(N^2) bits for N candidates: count them first.
+    count, layer = 0, 1
+    for _ in range(max_image_len):
+        layer *= len(codomain)
+        count += layer
+        if count > MAX_SEARCH_CANDIDATES:
+            raise WordError(f"the search would build more than the limit of {MAX_SEARCH_CANDIDATES} candidate images")
     candidates = words_up_to(codomain, max_image_len)
     # Candidate i is the bit 1 << i; prefixed[i] holds i and every candidate
     # that is a prefix of it or has it as a prefix, suffixed[i] the same for
@@ -330,71 +340,29 @@ def _injective_images(
                 images.pop()
 
 
-# The most image tuples the search memo holds, over all its spaces.
-MAX_CACHED_TUPLES = 100_000
+# The canonical search spaces read to the end in this process, keyed by
+# (domain size, codomain letters, max image length).
+_spaces: dict[tuple[int, tuple[str, ...], int], list[tuple[str, ...]]] = {}
 
 
-class _SearchSpaces:
-    """The canonical search spaces met so far in this process, keyed by
-    (domain size, codomain letters, max image length).
+def _canonical_images(size: int, codomain: Alphabet, max_image_len: int) -> Iterator[tuple[str, ...]]:
+    """The tuples of _injective_images(size, codomain, max_image_len,
+    canonical=True), in the same order, replayed from the memo when a search
+    has read the whole space before.
 
-    A space is the list of its tuples found so far, in the order of
-    `_injective_images`, and a one-item list holding the search that yields
-    the rest (None once the space is complete).  Searches replay the found
-    tuples and extend the space only as far as they read, so a search that
-    stops at its first hit enumerates no further than its own depth-first
-    search would.  Once the memo holds MAX_CACHED_TUPLES tuples, a search
-    that reads past the end of its space goes on uncached.
+    A space is stored once a search reaches its end, and only if it fits
+    beside the spaces already held within MAX_CACHED_TUPLES tuples.  A search
+    that stops early, at a first hit or by an exception, stores nothing.
     """
-
-    def __init__(self) -> None:
-        self.spaces: dict[tuple[int, tuple[str, ...], int], tuple[list[tuple[str, ...]], list]] = {}
-        self.tuples = 0
-
-    def clear(self) -> None:
-        self.spaces.clear()
-        self.tuples = 0
-
-    def canonical(self, size: int, codomain: Alphabet, max_image_len: int) -> Iterator[tuple[str, ...]]:
-        """The tuples of _injective_images(size, codomain, max_image_len,
-        canonical=True), in the same order."""
-        def search(skip: int) -> Iterator[tuple[str, ...]]:
-            return islice(_injective_images(size, codomain, max_image_len, canonical=True), skip, None)
-
-        key = (size, codomain.letters, max_image_len)
-        space = self.spaces.get(key)
-        if space is None:
-            if self.tuples >= MAX_CACHED_TUPLES:
-                yield from search(0)
-                return
-            space = self.spaces[key] = ([], [search(0)])
-        found, rest = space
-        i = 0
-        while True:
-            # Another search may extend the space while this one is paused.
-            while i < len(found):
-                yield found[i]
-                i += 1
-            more = rest[0]
-            if more is None:
-                return
-            if self.tuples >= MAX_CACHED_TUPLES:
-                # This search takes the open one over and leaves the space a
-                # fresh one that skips the tuples it holds.
-                rest[0] = search(i)
-                yield from more
-                return
-            try:
-                images = next(more, None)
-            except BaseException:
-                # A generator that raised is finished: restart past `found`.
-                rest[0] = search(i)
-                raise
-            if images is None:
-                rest[0] = None
-                return
+    key = (size, codomain.letters, max_image_len)
+    if key in _spaces:
+        yield from _spaces[key]
+        return
+    found = []
+    for images in _injective_images(size, codomain, max_image_len, canonical=True):
+        # One tuple past the cap is enough to rule the space out.
+        if len(found) <= MAX_CACHED_TUPLES:
             found.append(images)
-            self.tuples += 1
-
-
-_search_spaces = _SearchSpaces()
+        yield images
+    if len(found) + sum(map(len, _spaces.values())) <= MAX_CACHED_TUPLES:
+        _spaces[key] = found

@@ -7,4 +7,4 @@ from morphexp import morphisms
 def empty_search_memo():
     """Start every test with no cached search space, so that tests counting
     search work do not depend on the order the tests run in."""
-    morphisms._search_spaces.clear()
+    morphisms._spaces.clear()

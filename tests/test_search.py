@@ -17,7 +17,7 @@ from morphexp.mapped_exponent import (
     gap_factorization,
     mapped_exponent_lower_bound,
 )
-from morphexp.morphisms import _injective_images, _search_spaces, enumerate_injective
+from morphexp.morphisms import _canonical_images, _injective_images, _spaces, enumerate_injective
 from morphexp.words import Alphabet, WordError, fractional_exponent, prefix_comparable, suffix_comparable
 from search_oracles import (
     canonical_product,
@@ -51,7 +51,15 @@ def oracle_space(size, max_image_len, codomain_size):
 
 
 def memo_space(size, max_image_len, codomain_size):
-    return _search_spaces.canonical(size, Alphabet(digits[:codomain_size]), max_image_len)
+    return _canonical_images(size, Alphabet(digits[:codomain_size]), max_image_len)
+
+
+def memo_key(size, max_image_len, codomain_size):
+    return size, tuple(digits[:codomain_size]), max_image_len
+
+
+def held():
+    return sum(map(len, _spaces.values()))
 
 
 def random_alphabets(rng, size, codomain_size):
@@ -76,6 +84,34 @@ def searching_word(rng, letters):
         w = head + letters[-1] + gap + letters[-1] + tail
         if set(w) == set(letters) and reaches_search(w):
             return w
+
+
+def oracle_hits(w, space):
+    """Per gap factorization of w, in the order classify_general tries them,
+    the index of the first tuple of space that certifies it, or None."""
+    hits = []
+    for ch in sorted(set(w)):
+        fact = gap_factorization(w, ch)
+        if fact is None:
+            continue
+        rest = [x for x in sorted(set(w)) if x != ch]
+        hit = None
+        for i, images in enumerate(space):
+            table = str.maketrans(dict(zip(rest, images)))
+            head, gap, tail = (part.translate(table) for part in (fact.head, fact.gap, fact.tail))
+            if suffix_comparable(head, gap) and prefix_comparable(gap, tail):
+                hit = i
+                break
+        hits.append(hit)
+    return hits
+
+
+def tried(hits):
+    """The factorizations a first-hit search reads: up to the first hit."""
+    for k, hit in enumerate(hits):
+        if hit is not None:
+            return hits[:k + 1]
+    return hits
 
 
 def reaches_search(w):
@@ -194,10 +230,10 @@ class TestSearchMemo:
                     runs.remove(run_)
                 else:
                     got.append(images)
-                held = sum(len(found) for found, _ in _search_spaces.spaces.values())
-                assert held == _search_spaces.tuples
+                for (size, letters, max_image_len), space in _spaces.items():
+                    assert space == oracle_space(size, max_image_len, len(letters))
                 if cap is not None:
-                    assert held <= cap
+                    assert held() <= cap
 
     def test_repeated_shapes_replay_the_space(self):
         rng = random.Random(6101)
@@ -205,7 +241,7 @@ class TestSearchMemo:
         rng.shuffle(order)
         for shape in order:
             assert list(memo_space(*shape)) == oracle_space(*shape), shape
-        assert _search_spaces.tuples == sum(len(oracle_space(*shape)) for shape in shapes())
+        assert held() == sum(len(oracle_space(*shape)) for shape in shapes())
 
     def test_interleaved_iterators_match_the_oracle(self):
         self.interleave(random.Random(6102), rounds=40)
@@ -214,6 +250,22 @@ class TestSearchMemo:
     def test_a_full_memo_holds_no_more_than_the_cap(self, monkeypatch, cap):
         monkeypatch.setattr(morphisms_module, "MAX_CACHED_TUPLES", cap)
         self.interleave(random.Random(f"6103:{cap}"), rounds=25, cap=cap)
+
+    def test_two_open_searches_cannot_push_the_memo_past_the_cap(self, monkeypatch):
+        first, second = (2, 2, 2), (3, 2, 2)
+        sizes = len(oracle_space(*first)), len(oracle_space(*second))
+        cap = max(sizes)
+        assert 0 < min(sizes) and sum(sizes) > cap
+        monkeypatch.setattr(morphisms_module, "MAX_CACHED_TUPLES", cap)
+        opened = [memo_space(*first), memo_space(*second)]
+        # Both searches start while the memo is empty; the room left is
+        # checked again when each reaches its end.
+        for it in opened:
+            next(it)
+        for it, shape in zip(opened, (first, second)):
+            assert [oracle_space(*shape)[0], *it] == oracle_space(*shape)
+        assert list(_spaces) == [memo_key(*first)]
+        assert held() <= cap
 
     def test_a_search_that_raises_leaves_the_space_whole(self, monkeypatch):
         real = morphisms_module.sardinas_patterson
@@ -228,22 +280,28 @@ class TestSearchMemo:
         monkeypatch.setattr(morphisms_module, "sardinas_patterson", failing)
         with pytest.raises(RuntimeError, match="interrupted"):
             list(memo_space(3, 3, 2))
+        assert not _spaces
         assert list(memo_space(3, 3, 2)) == oracle_space(3, 3, 2)
+        assert _spaces[memo_key(3, 3, 2)] == oracle_space(3, 3, 2)
 
     def test_first_hit_then_full_search_on_one_space(self):
         rng = random.Random(6104)
-        partial = 0
-        for size, max_image_len, codomain_size in shapes():
+        stopped = 0
+        for shape in shapes():
+            size, max_image_len, codomain_size = shape
             if size == 1:
                 continue  # over two letters the identity step decides
             for _ in range(2):
-                _search_spaces.clear()
+                _spaces.clear()
                 w = searching_word(rng, "abcde"[:size + 1])
                 target = rng.randint(1, 6)
                 expected = classify_oracle(w, max_image_len, codomain_size, target).to_record()
                 assert classify_general(w, max_image_len, codomain_size, target).to_record() == expected, w
-                found, _ = _search_spaces.spaces[(size, tuple(digits[:codomain_size]), max_image_len)]
-                partial += len(found) < len(oracle_space(size, max_image_len, codomain_size))
+                if None in tried(oracle_hits(w, oracle_space(*shape))):
+                    assert _spaces[memo_key(*shape)] == oracle_space(*shape), w
+                else:
+                    assert memo_key(*shape) not in _spaces, w
+                    stopped += 1
 
             v = random_word(rng, "abcd"[:size], rng.randint(size, 6))
             expected_bound = lower_bound_oracle(v, max_image_len, codomain_size)
@@ -253,8 +311,9 @@ class TestSearchMemo:
             else:
                 best, argmax = mapped_exponent_lower_bound(v, max_image_len, codomain_size)
                 assert (best, argmax.to_text()) == (expected_bound[0], expected_bound[1].to_text()), v
+            assert _spaces[memo_key(*shape)] == oracle_space(*shape)
             assert classify_general(w, max_image_len, codomain_size, target).to_record() == expected, w
-        assert partial >= 5
+        assert stopped >= 5
 
     def count_visits(self, monkeypatch):
         visits = []
@@ -277,29 +336,16 @@ class TestSearchMemo:
                 continue
             w = searching_word(rng, "abcde"[:size + 1])
             # One enumeration per factorization, up to the first witness.
-            own = 0
-            for ch in sorted(set(w)):
-                fact = gap_factorization(w, ch)
-                if fact is None:
-                    continue
-                rest = [x for x in sorted(set(w)) if x != ch]
-                for images in oracle_space(size, max_image_len, codomain_size):
-                    own += 1
-                    table = str.maketrans(dict(zip(rest, images)))
-                    head, gap, tail = (part.translate(table) for part in (fact.head, fact.gap, fact.tail))
-                    if suffix_comparable(head, gap) and prefix_comparable(gap, tail):
-                        break
-                else:
-                    continue
-                break
-            _search_spaces.clear()
+            space = oracle_space(size, max_image_len, codomain_size)
+            own = sum(len(space) if hit is None else hit + 1 for hit in tried(oracle_hits(w, space)))
+            _spaces.clear()
             visits.clear()
             classify_general(w, max_image_len, codomain_size)
             assert len(visits) <= own, (w, max_image_len, codomain_size)
             fewer += len(visits) < own
 
             v = random_word(rng, "abcd"[:size], size + 2)
-            _search_spaces.clear()
+            _spaces.clear()
             visits.clear()
             try:
                 mapped_exponent_lower_bound(v, max_image_len, codomain_size)
