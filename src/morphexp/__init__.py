@@ -2,7 +2,6 @@
 repetition analysis of infinite-word constructions."""
 
 from .words import (
-    Alphabet,
     FractionalPower,
     ParseError,
     WordError,
@@ -14,6 +13,7 @@ from .words import (
     integer_exponent,
     is_conjugate,
     is_primitive,
+    letter_set,
     max_exponent_factor,
     minimal_period_profile,
     parse_rational,

@@ -20,11 +20,11 @@ from typing import Iterable, Iterator, Sequence
 from .morphisms import Morphism, parse_morphism, spreading_morphism
 from .words import (
     MAX_BUILD_LETTERS,
-    Alphabet,
     ParseError,
     WordError,
     _max_exponent,
     fresh_letters,
+    letter_set,
     minimal_period_profile,
 )
 
@@ -34,7 +34,7 @@ MAX_PROFILE_LETTERS = 100_000
 class WordGenerator:
     """Base for on-demand prefix producers of an infinite word."""
 
-    def __init__(self, alphabet: Alphabet):
+    def __init__(self, alphabet: str):
         self.alphabet = alphabet
         self._buf = ""
 
@@ -65,8 +65,8 @@ class StreamGenerator(WordGenerator):
     """Wraps any iterator of blocks (letters are one-letter blocks); single
     consumer."""
 
-    def __init__(self, blocks: Iterable[str], alphabet: Alphabet):
-        super().__init__(alphabet)
+    def __init__(self, blocks: Iterable[str], alphabet: Iterable[str]):
+        super().__init__(letter_set(alphabet))
         self._blocks: Iterator[str] = iter(blocks)
 
     def _grow(self, n: int) -> None:
@@ -88,7 +88,7 @@ class PeriodicGenerator(WordGenerator):
     def __init__(self, period_word: str):
         if not period_word:
             raise WordError("empty period word")
-        super().__init__(Alphabet(sorted(set(period_word))))
+        super().__init__("".join(sorted(set(period_word))))
         self.period_word = period_word
 
     def _grow(self, n: int) -> None:
@@ -222,10 +222,10 @@ class InterleavedCopiesGenerator(WordGenerator):
         if len(base.alphabet) != 2:
             raise WordError("base generator must be over a binary alphabet")
         pool = fresh_letters(2 * copies, avoid="abc")
-        super().__init__(Alphabet(pool))
+        super().__init__(pool)
         self.copies = copies
         self.base = base
-        lo, hi = base.alphabet.letters
+        lo, hi = base.alphabet
         self._renamings = [str.maketrans(lo + hi, a + b) for a, b in zip(pool[0::2], pool[1::2])]
         self._rounds_done = 0
 
@@ -245,7 +245,7 @@ class InterleavedCopiesGenerator(WordGenerator):
     def embedding_morphism(self) -> Morphism:
         """Spreads copy i over position i of a c-block: the copy's letters
         map to c^(i-1) a c^(n-i) and c^(i-1) b c^(n-i)."""
-        return spreading_morphism(self.alphabet.letters)
+        return spreading_morphism(self.alphabet)
 
     def _grow(self, n: int) -> None:
         # The chunks of consecutive rounds are consecutive in the base, so
@@ -281,11 +281,11 @@ def _chunk(source: WordGenerator, k: int, i: int, which: int, letters: str) -> s
     of source with those lengths, renamed onto `letters`."""
     start = sum(_chunk_lengths(k, j)[which] for j in range(1, i))
     end = start + _chunk_lengths(k, i)[which]
-    lo, hi = source.alphabet.letters
+    lo, hi = source.alphabet
     return source._slice(start, end).translate(str.maketrans(lo + hi, letters))
 
 
-def _intermediate_pieces(source: WordGenerator, n: int, k: int, letters: Sequence[str]) -> Iterator[str]:
+def _intermediate_pieces(source: WordGenerator, n: int, k: int, letters: str) -> Iterator[str]:
     """The intermediate word of OptimalBinaryGenerator as pieces: per block i,
     u_i SEP v_i SEP, n times, then u_i SEP END.  Each chunk is read from the
     source only when the stream reaches it.  A module function, so that the
@@ -328,13 +328,12 @@ class OptimalBinaryGenerator(ImageGenerator):
         if len(source.alphabet) != 2:
             raise WordError("base generator must be over a binary alphabet")
         h = cassaigne_morphism((m - 1, m - 2, 2, 1, 3, 4), m)
-        letters = h.domain.letters
-        super().__init__(h, StreamGenerator(_intermediate_pieces(source, n, k, letters), h.domain))
+        letters = h.domain
+        super().__init__(h, StreamGenerator(_intermediate_pieces(source, n, k, letters), letters))
         self.n, self.k, self.m = n, k, m
         self.source = source
-        self._u_letters, self._v_letters = letters[0] + letters[1], letters[2] + letters[3]
+        self._u_letters, self._v_letters = letters[0:2], letters[2:4]
         self.separator, self.terminator = letters[4:]
-        self.intermediate_alphabet = h.domain
 
     @property
     def implied_delta(self) -> Fraction | None:
@@ -361,10 +360,6 @@ class OptimalBinaryGenerator(ImageGenerator):
         sep = self.separator
         return (u + sep + self._v_chunk(i) + sep) * self.n + u + sep
 
-    def image_morphism(self) -> Morphism:
-        """Fixed-length binary encoding of the six intermediate letters."""
-        return self.morphism
-
 
 def cassaigne_morphism(weights: Sequence[int], m: int) -> Morphism:
     """Fixed-length binary images a^(m-f(i)) b^(f(i)) for an injective weight
@@ -382,7 +377,7 @@ def cassaigne_morphism(weights: Sequence[int], m: int) -> Morphism:
         raise WordError(f"the images would have {d * m} letters, more than the limit of {MAX_BUILD_LETTERS}")
     letters = fresh_letters(d, avoid="ab")
     images = {letters[i]: "a" * (m - weights[i]) + "b" * weights[i] for i in range(d)}
-    return Morphism(images, domain=Alphabet(letters), codomain=Alphabet("ab"))
+    return Morphism(images, domain=letters, codomain="ab")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from string import digits
 from .morphisms import Morphism, _canonical_images, compose, sardinas_patterson, spreading_morphism
 from .words import (
     MAX_BUILD_LETTERS,
-    Alphabet,
     WordError,
     fractional_exponent,
     fresh_letters,
@@ -78,10 +77,12 @@ class MappedExponentVerdict:
         }
 
 
-def _search_codomain(codomain_size: int) -> Alphabet:
+def _search_codomain(codomain_size: int) -> str:
+    if codomain_size < 1:
+        raise WordError("codomain size must be >= 1")
     if codomain_size > len(digits):
         raise WordError(f"codomain size must be <= {len(digits)}")
-    return Alphabet(digits[:codomain_size])
+    return digits[:codomain_size]
 
 
 def _check_build_size(what: str, letters: int) -> None:
@@ -131,7 +132,7 @@ def pump_witness(
     if fact.rebuild() != w:
         raise WordError("factorization does not rebuild the input word")
     pumped = fact.letter
-    letters = sorted(set(w))
+    letters = "".join(sorted(set(w)))
     others = [ch for ch in letters if ch != pumped]
     missing = [ch for ch in others if ch not in base.images]
     if missing:
@@ -151,11 +152,11 @@ def pump_witness(
         p, t = head[:len(head) - len(gap)], ""
     s = "" if gap.startswith(tail) else tail[len(gap):]
 
-    c = fresh_letters(1, avoid=base.codomain.letters)[0]
-    step_codomain = Alphabet(base.codomain.letters + (c,))
+    c = fresh_letters(1, avoid=base.codomain)
+    step_codomain = base.codomain + c
     step_images = {ch: base.images[ch] for ch in others}
     step_images[pumped] = s + c + p
-    step = Morphism(step_images, domain=Alphabet(letters), codomain=step_codomain)
+    step = Morphism(step_images, domain=letters, codomain=step_codomain)
 
     # One period of step(w) is U c V; pump c so each period repeats.
     ahead, behind = head + s, t
@@ -195,7 +196,7 @@ def classify_general(
         raise WordError("empty input")
     if max_image_len < 1:
         raise WordError("max_image_len must be >= 1")
-    letters = sorted(set(w))
+    letters = "".join(sorted(set(w)))
     facts = [(ch, fact) for ch in letters if (fact := gap_factorization(w, ch)) is not None]
     if not facts:
         return MappedExponentVerdict(FINITE)
@@ -203,16 +204,16 @@ def classify_general(
 
     for letter, fact in facts:
         if suffix_comparable(fact.head, fact.gap) and prefix_comparable(fact.gap, fact.tail):
-            identity = Morphism.identity(Alphabet([ch for ch in letters if ch != letter]))
+            identity = Morphism.identity(letters.replace(letter, ""))
             return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, identity, goal))
 
     search_codomain = _search_codomain(codomain_size)
     for letter, fact in facts:
-        rest = Alphabet([ch for ch in letters if ch != letter])
+        rest = letters.replace(letter, "")
         for images in _canonical_images(len(rest), search_codomain, max_image_len):
             # head, gap and tail hold only letters of rest, so translating
             # them applies the morphism with these images.
-            mapping = dict(zip(rest.letters, images))
+            mapping = dict(zip(rest, images))
             table = str.maketrans(mapping)
             head, gap, tail = fact.head.translate(table), fact.gap.translate(table), fact.tail.translate(table)
             if suffix_comparable(head, gap) and prefix_comparable(gap, tail):
@@ -233,12 +234,12 @@ def mapped_exponent_lower_bound(
         raise WordError("empty input")
     if max_image_len < 1 or codomain_size < 1:
         raise WordError("bounds must be >= 1")
-    domain = Alphabet(sorted(set(w)))
+    domain = "".join(sorted(set(w)))
     codomain = _search_codomain(codomain_size)
     # E(h(w)) = |h(w)| / smallest period, compared as integer pairs.
     best_len, best_period = 0, 1
     best_images: tuple[str, ...] | None = None
-    ords = [ord(ch) for ch in domain.letters]
+    ords = [ord(ch) for ch in domain]
     for images in _canonical_images(len(domain), codomain, max_image_len):
         image = w.translate(dict(zip(ords, images)))
         n = len(image)
@@ -254,7 +255,7 @@ def mapped_exponent_lower_bound(
     if best_images is None:
         raise WordError("no injective morphism exists within the given bounds")
     best = Fraction(best_len, best_period)
-    return best, Morphism(dict(zip(domain.letters, best_images)), domain=domain, codomain=codomain)
+    return best, Morphism(dict(zip(domain, best_images)), domain=domain, codomain=codomain)
 
 
 def lowpower_morphism(n: int, k: int) -> tuple[str, Morphism, Fraction]:
@@ -267,7 +268,7 @@ def lowpower_morphism(n: int, k: int) -> tuple[str, Morphism, Fraction]:
     # |h(a)| = 2k + 1 and |h(b)| = 2, with n + 1 copies of each letter.
     _check_build_size("the family image", (n + 1) * (2 * k + 3))
     word = "ab" * n + "ba"
-    h = Morphism({"a": "cd" * k + "c", "b": "dc"}, domain=Alphabet("ab"), codomain=Alphabet("cd"))
+    h = Morphism({"a": "cd" * k + "c", "b": "dc"}, domain="ab", codomain="cd")
     expected = 1 + Fraction(4 * k + 4, (2 * k + 3) * (n - 1) + 2)
     return word, h, expected
 

@@ -9,9 +9,9 @@ distinct words with equal images is produced.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .words import Alphabet, ParseError, WordError
+from .words import ParseError, WordError, letter_set
 
 
 def sardinas_patterson(images: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -84,32 +84,32 @@ class Morphism:
     def __init__(
         self,
         images: Mapping[str, str],
-        domain: Alphabet | None = None,
-        codomain: Alphabet | None = None,
+        domain: Iterable[str] | None = None,
+        codomain: Iterable[str] | None = None,
     ):
         for letter, img in images.items():
             if not isinstance(img, str):
                 raise WordError(f"image of {letter!r} must be a str, got {type(img).__name__}")
-        if domain is None:
-            domain = Alphabet(images.keys())
-        if set(images) != set(domain.letters):
+        domain = letter_set(images if domain is None else domain)
+        if set(images) != set(domain):
             raise WordError("images must cover exactly the domain alphabet")
         if codomain is None:
-            codomain = Alphabet(sorted(set("".join(images.values()))))
+            codomain = "".join(sorted(set("".join(images.values()))))
         else:
-            allowed = set(codomain.letters)
+            codomain = letter_set(codomain)
+            allowed = set(codomain)
             for letter, img in images.items():
                 if not allowed.issuperset(img):
                     ch = next(ch for ch in img if ch not in allowed)
                     raise WordError(f"image of {letter!r} uses letter {ch!r} outside codomain")
         self.domain = domain
         self.codomain = codomain
-        self.images = {letter: images[letter] for letter in domain.letters}
+        self.images = {letter: images[letter] for letter in domain}
         self._verdict: tuple[bool, tuple[str, str] | None] | None = None
 
     @classmethod
-    def identity(cls, alphabet: Alphabet) -> "Morphism":
-        return cls({ch: ch for ch in alphabet}, domain=alphabet, codomain=alphabet)
+    def identity(cls, letters: str) -> "Morphism":
+        return cls({ch: ch for ch in letters}, domain=letters, codomain=letters)
 
     def apply(self, w: str) -> str:
         images = self.images
@@ -120,7 +120,7 @@ class Morphism:
 
     def _decide_injectivity(self) -> tuple[bool, tuple[str, str] | None]:
         if self._verdict is None:
-            letters = self.domain.letters
+            letters = self.domain
             witness = sardinas_patterson([self.images[ch] for ch in letters])
             if witness is None:
                 self._verdict = (True, None)
@@ -158,7 +158,7 @@ class Morphism:
         return "".join(reversed(out))
 
     def to_text(self) -> str:
-        return ",".join(f"{letter}={self.images[letter]}" for letter in self.domain.letters)
+        return ",".join(f"{letter}={self.images[letter]}" for letter in self.domain)
 
     def __repr__(self) -> str:
         return f"Morphism({self.to_text()!r})"
@@ -196,44 +196,42 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
     for ch in inner.codomain:
         if ch not in outer.domain and any(ch in img for img in inner.images.values()):
             raise WordError(f"alphabet mismatch: letter {ch!r} not in outer domain")
-    images = {letter: outer.apply(inner.images[letter]) for letter in inner.domain.letters}
+    images = {letter: outer.apply(inner.images[letter]) for letter in inner.domain}
     return Morphism(images, domain=inner.domain, codomain=outer.codomain)
 
 
-def binary_embedding(source: Alphabet) -> Morphism:
+def binary_embedding(source: Iterable[str]) -> Morphism:
     """The injective embedding of an n-letter alphabet into {0,1}: the i-th
     letter maps to 0^(n+1-i) 1^i.  Applying it never decreases exponents."""
+    source = letter_set(source)
     n = len(source)
     if n < 1:
         raise WordError("source alphabet must be nonempty")
-    codomain = Alphabet("01")
-    images = {
-        letter: "0" * (n + 1 - i) + "1" * i
-        for i, letter in enumerate(source.letters, start=1)
-    }
-    return Morphism(images, domain=source, codomain=codomain)
+    images = {letter: "0" * (n + 1 - i) + "1" * i for i, letter in enumerate(source, start=1)}
+    return Morphism(images, domain=source, codomain="01")
 
 
-def spreading_morphism(letters: Sequence[str]) -> Morphism:
+def spreading_morphism(letters: str) -> Morphism:
     """The letter-spreading morphism over n letter pairs: the i-th pair,
     letters[2i] and letters[2i+1], maps to c^i a c^(n-1-i) and c^i b c^(n-1-i)."""
     n = len(letters) // 2
     images = {ch: "c" * (j // 2) + "ab"[j % 2] + "c" * (n - 1 - j // 2) for j, ch in enumerate(letters)}
-    return Morphism(images, domain=Alphabet(letters), codomain=Alphabet("abc"))
+    return Morphism(images, domain=letters, codomain="abc")
 
 
-def words_up_to(alphabet: Alphabet, max_len: int) -> list[str]:
+def words_up_to(alphabet: Iterable[str], max_len: int) -> list[str]:
     """All nonempty words of length <= max_len in shortlex order."""
+    alphabet = letter_set(alphabet)
     out: list[str] = []
     layer = [""]
-    for _ in range(max_len):
-        layer = [w + ch for w in layer for ch in alphabet.letters]
+    for _ in range(max_len if alphabet else 0):
+        layer = [w + ch for w in layer for ch in alphabet]
         out.extend(layer)
     return out
 
 
 def enumerate_injective(
-    domain: Alphabet, codomain: Alphabet, max_image_len: int
+    domain: Iterable[str], codomain: Iterable[str], max_image_len: int
 ) -> Iterator[tuple[str, ...]]:
     """The image tuples, in domain-letter order, of every injective morphism
     with image lengths in 1..max_image_len, each exactly once, ordered
@@ -241,17 +239,17 @@ def enumerate_injective(
     a morphism with Morphism(dict(zip(domain, images)), domain, codomain)."""
     if max_image_len < 1:
         raise WordError("max_image_len must be >= 1")
-    yield from _injective_images(len(domain), codomain, max_image_len)
+    yield from _injective_images(len(letter_set(domain)), letter_set(codomain), max_image_len)
 
 
 # The most candidate images, over all lengths, that a search builds.
-MAX_SEARCH_CANDIDATES = 65_536
+MAX_SEARCH_CANDIDATES = 32_768
 # The most image tuples the search memo holds, over all its spaces.
 MAX_CACHED_TUPLES = 100_000
 
 
 def _injective_images(
-    size: int, codomain: Alphabet, max_image_len: int, canonical: bool = False
+    size: int, codomain: str, max_image_len: int, canonical: bool = False
 ) -> Iterator[tuple[str, ...]]:
     """The injective image tuples of length `size` over codomain, in the
     order of `enumerate_injective`, found depth first.
@@ -261,7 +259,8 @@ def _injective_images(
     subset of a code is a code.  Sardinas-Patterson runs only once a partial
     tuple is neither prefix-free nor suffix-free, since a set that is either
     is a code.  A search over more than MAX_SEARCH_CANDIDATES candidate
-    images raises WordError before it builds any.
+    images raises WordError before it builds any; an empty codomain gives no
+    tuple for a nonempty domain.
 
     canonical=True keeps one tuple per renaming of the codomain letters: the
     one whose images, read in order, introduce new letters in codomain order.
@@ -272,6 +271,8 @@ def _injective_images(
     """
     if size == 0:
         yield ()
+        return
+    if not codomain:
         return
     # The candidate masks take O(N^2) bits for N candidates: count them first.
     count, layer = 0, 1
@@ -292,31 +293,30 @@ def _injective_images(
             for related, j in ((prefixed, index[x[:k]]), (suffixed, index[x[k:]])):
                 related[i] |= 1 << j
                 related[j] |= 1 << i
-    if canonical:
-        # choices[m]: the images open to a tuple whose images so far use the
-        # first m codomain letters, each with the letter count after it.
-        rank = {ch: i for i, ch in enumerate(codomain.letters)}
-        choices = []
-        for m in range(len(codomain) + 1):
-            row = []
-            for i, x in enumerate(candidates):
-                used = m
-                for ch in x:
-                    if rank[ch] == used:
-                        used += 1
-                    elif rank[ch] > used:
-                        break
-                else:
-                    row.append((x, 1 << i, prefixed[i], suffixed[i], used))
-            choices.append(row)
-    else:
-        choices = [[(x, 1 << i, prefixed[i], suffixed[i], 0) for i, x in enumerate(candidates)]]
+    # choices[m]: the images open to a tuple whose images so far use the
+    # first m codomain letters, each with the letter count after it.  The
+    # last row holds every candidate and stays there, so the full
+    # enumeration walks it and the canonical one starts at row 0.
+    rank = {ch: i for i, ch in enumerate(codomain)}
+    choices = []
+    for m in range(len(codomain) + 1):
+        row = []
+        for i, x in enumerate(candidates):
+            used = m
+            for ch in x:
+                if rank[ch] == used:
+                    used += 1
+                elif rank[ch] > used:
+                    break
+            else:
+                row.append((x, 1 << i, prefixed[i], suffixed[i], used))
+        choices.append(row)
     last = size - 1
     images: list[str] = []
     # Per depth: the bits of the images so far, the unions of their prefixed
     # and suffixed masks, and whether they are prefix-free and suffix-free.
     states = [(0, 0, 0, True, True)]
-    stack = [iter(choices[0])]
+    stack = [iter(choices[0 if canonical else len(codomain)])]
     while stack:
         chosen, near_prefix, near_suffix, prefix_free, suffix_free = states[-1]
         for x, bit, pre, suf, used in stack[-1]:
@@ -342,10 +342,10 @@ def _injective_images(
 
 # The canonical search spaces read to the end in this process, keyed by
 # (domain size, codomain letters, max image length).
-_spaces: dict[tuple[int, tuple[str, ...], int], list[tuple[str, ...]]] = {}
+_spaces: dict[tuple[int, str, int], list[tuple[str, ...]]] = {}
 
 
-def _canonical_images(size: int, codomain: Alphabet, max_image_len: int) -> Iterator[tuple[str, ...]]:
+def _canonical_images(size: int, codomain: str, max_image_len: int) -> Iterator[tuple[str, ...]]:
     """The tuples of _injective_images(size, codomain, max_image_len,
     canonical=True), in the same order, replayed from the memo when a search
     has read the whole space before.
@@ -354,7 +354,7 @@ def _canonical_images(size: int, codomain: Alphabet, max_image_len: int) -> Iter
     beside the spaces already held within MAX_CACHED_TUPLES tuples.  A search
     that stops early, at a first hit or by an exception, stores nothing.
     """
-    key = (size, codomain.letters, max_image_len)
+    key = (size, codomain, max_image_len)
     if key in _spaces:
         yield from _spaces[key]
         return

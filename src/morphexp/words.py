@@ -1,6 +1,7 @@
 """Exact primitives on finite words: periods, exponents, primitivity, conjugacy.
 
-Words are plain ``str`` values, one character per letter.  Exponents are
+Words are plain ``str`` values, one character per letter, and so are
+alphabets: a str of distinct letters, in order.  Exponents are
 exact rationals (``fractions.Fraction``); nothing in this module goes through
 floating point, so identities like E(w) = 15/7 can be checked with ``==``.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from string import ascii_lowercase, ascii_uppercase, digits
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 # Pool used when synthetic alphabets are needed (fresh letters, generated
 # families).  Uppercase first so generated domain letters do not collide with
@@ -35,45 +36,23 @@ class ParseError(WordError):
         self.position = position
 
 
-class Alphabet:
-    """An ordered set of single-character letters."""
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: Iterable[str]):
-        letters = tuple(letters)
-        seen = set()
-        for ch in letters:
-            if not isinstance(ch, str) or len(ch) != 1:
-                raise WordError(f"alphabet letters must be single characters, got {ch!r}")
-            if ch in seen:
-                raise WordError(f"duplicate letter {ch!r} in alphabet")
-            seen.add(ch)
-        self.letters = letters
-
-    def __contains__(self, letter: object) -> bool:
-        return letter in self.letters
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Alphabet) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
-
-    def __repr__(self) -> str:
-        return f"Alphabet({''.join(self.letters)!r})"
+def letter_set(letters: Iterable[str]) -> str:
+    """An alphabet: the letters joined into one str, in order.  Raises
+    WordError for a letter that is not a single character or that repeats."""
+    seen: dict[str, None] = {}
+    for ch in letters:
+        if not isinstance(ch, str) or len(ch) != 1:
+            raise WordError(f"alphabet letters must be single characters, got {ch!r}")
+        if ch in seen:
+            raise WordError(f"duplicate letter {ch!r} in alphabet")
+        seen[ch] = None
+    return "".join(seen)
 
 
-def fresh_letters(count: int, avoid: Iterable[str] = (), pool: str = LETTER_POOL) -> list[str]:
+def fresh_letters(count: int, avoid: Iterable[str] = (), pool: str = LETTER_POOL) -> str:
     """First `count` pool characters not in `avoid`."""
     taken = set(avoid)
-    out = [ch for ch in pool if ch not in taken]
+    out = "".join(ch for ch in pool if ch not in taken)
     if len(out) < count:
         raise WordError(f"letter pool exhausted: needed {count} fresh letters")
     return out[:count]

@@ -23,7 +23,7 @@ from morphexp.mapped_exponent import (
     pump_witness,
 )
 from morphexp.morphisms import Morphism, sardinas_patterson, words_up_to
-from morphexp.words import Alphabet, fractional_exponent, prefix_comparable, suffix_comparable
+from morphexp.words import fractional_exponent, prefix_comparable, suffix_comparable
 
 
 def injective_product(domain, codomain, max_image_len):
@@ -38,7 +38,7 @@ def is_canonical(images, codomain):
     for ch in "".join(images):
         if ch not in order:
             order.append(ch)
-    return order == list(codomain.letters[:len(order)])
+    return order == list(codomain[:len(order)])
 
 
 def canonical_product(domain, codomain, max_image_len):
@@ -48,16 +48,16 @@ def canonical_product(domain, codomain, max_image_len):
 
 
 def lower_bound_oracle(w, max_image_len, codomain_size=2):
-    domain = Alphabet(sorted(set(w)))
-    codomain = Alphabet(digits[:codomain_size])
+    domain = "".join(sorted(set(w)))
+    codomain = digits[:codomain_size]
     best, best_images = None, None
     for images in injective_product(domain, codomain, max_image_len):
-        e = fractional_exponent(w.translate(str.maketrans(dict(zip(domain.letters, images))))).exponent
+        e = fractional_exponent(w.translate(str.maketrans(dict(zip(domain, images))))).exponent
         if best is None or e > best:
             best, best_images = e, images
     if best is None:
         return None
-    return best, Morphism(dict(zip(domain.letters, best_images)), domain=domain, codomain=codomain)
+    return best, Morphism(dict(zip(domain, best_images)), domain=domain, codomain=codomain)
 
 
 def classify_oracle(w, max_image_len=3, codomain_size=2, target=None):
@@ -68,13 +68,13 @@ def classify_oracle(w, max_image_len=3, codomain_size=2, target=None):
     goal = Fraction(2 * len(w) if target is None else target)
     for letter, fact in facts:
         if suffix_comparable(fact.head, fact.gap) and prefix_comparable(fact.gap, fact.tail):
-            identity = Morphism.identity(Alphabet([ch for ch in letters if ch != letter]))
+            identity = Morphism.identity("".join(ch for ch in letters if ch != letter))
             return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, identity, goal))
-    codomain = Alphabet(digits[:codomain_size])
+    codomain = digits[:codomain_size]
     for letter, fact in facts:
-        rest = Alphabet([ch for ch in letters if ch != letter])
+        rest = "".join(ch for ch in letters if ch != letter)
         for images in injective_product(rest, codomain, max_image_len):
-            h = Morphism(dict(zip(rest.letters, images)), domain=rest, codomain=codomain)
+            h = Morphism(dict(zip(rest, images)), domain=rest, codomain=codomain)
             head, gap, tail = h.apply(fact.head), h.apply(fact.gap), h.apply(fact.tail)
             if suffix_comparable(head, gap) and prefix_comparable(gap, tail):
                 return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, h, goal))

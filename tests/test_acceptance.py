@@ -29,7 +29,6 @@ from morphexp.mapped_exponent import (
 )
 from morphexp.morphisms import Morphism, enumerate_injective
 from morphexp.words import (
-    Alphabet,
     fractional_exponent,
     fractional_power,
     prefix_comparable,
@@ -66,7 +65,7 @@ def test_criterion_1_lowpower_identity():
 
 def test_criterion_2_lowpower_upper_bound():
     with criterion(2, "lowpower strict upper bound over bounded morphisms"):
-        domain, codomain = Alphabet("ab"), Alphabet("01")
+        domain, codomain = "ab", "01"
         morphisms = [
             Morphism(dict(zip(domain, images)), domain=domain, codomain=codomain)
             for images in enumerate_injective(domain, codomain, 4)

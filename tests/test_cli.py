@@ -181,6 +181,7 @@ class TestExitCodes:
             ("witness", "ab", "--target", "100000000000"),
             ("family", "lowpower", "--n", "100000000", "--k", "3"),
             ("lower-bound", "ab", "--max-image-len", "6", "--codomain", "10"),
+            ("lower-bound", "aaaa", "--max-image-len", "15"),
             ("classify", "bcacabb", "--max-image-len", "40"),
             ("lower-bound", "ab", "--codomain", "1", "--max-image-len", "1000000000000000000"),
             ("generate", "--gen", "optimal-binary", "--params", "n=1;k=2;m=10000000000", "--prefix", "10"),

@@ -21,7 +21,7 @@ from morphexp.infinite import (
     thue_morse,
 )
 from morphexp.morphisms import Morphism, parse_morphism
-from morphexp.words import Alphabet, WordError, fractional_exponent, fractional_power
+from morphexp.words import WordError, fractional_exponent, fractional_power
 from ace_oracles import ace_oracle, report_of
 from profile_oracles import profile_border, profile_sweep
 
@@ -46,7 +46,7 @@ class TestBasicGenerators:
             MorphicGenerator(Morphism({"0": "0", "1": "1"}), "0")
 
     def test_stream_generator(self):
-        gen = StreamGenerator(iter("abcabc"), Alphabet("abc"))
+        gen = StreamGenerator(iter("abcabc"), "abc")
         assert gen.prefix(4) == "abca"
         with pytest.raises(WordError, match="exhausted"):
             gen.prefix(10)
@@ -259,7 +259,7 @@ class TestImageGenerator:
         )
         for trial in range(120):
             make_base = bases[trial % len(bases)]
-            letters = make_base().alphabet.letters
+            letters = make_base().alphabet
             uniform = trial % 2 == 0
             size = rng.randint(1, 4)
             h = Morphism({
@@ -282,7 +282,7 @@ class TestImageGenerator:
 
     def test_reads_only_the_base_letters_it_needs(self):
         # A stream of one-letter blocks grows exactly as far as it is read.
-        base = StreamGenerator(itertools.cycle("ab"), Alphabet("ab"))
+        base = StreamGenerator(itertools.cycle("ab"), "ab")
         gen = ImageGenerator(Morphism({"a": "xyz", "b": "zzy"}), base)
         assert gen.prefix(7) == "xyzzzyx"
         assert len(base._buf) == 3
@@ -300,7 +300,7 @@ class TestImageGenerator:
             ImageGenerator(parse_morphism("a=x,b="), PeriodicGenerator("ab"))
 
     def test_base_letter_outside_domain_raises_only_when_reached(self):
-        gen = ImageGenerator(parse_morphism("a=xy"), StreamGenerator("aaab", Alphabet("ab")))
+        gen = ImageGenerator(parse_morphism("a=xy"), StreamGenerator("aaab", "ab"))
         assert gen.prefix(6) == "xyxyxy"
         with pytest.raises(WordError, match="letter 'b' outside morphism domain"):
             gen.prefix(7)
@@ -379,7 +379,7 @@ class TestInterleavedCopies:
 class TestOptimalBinary:
     def test_image_lengths_all_m(self):
         gen = OptimalBinaryGenerator(2, 2, 9)
-        h = gen.image_morphism()
+        h = gen.morphism
         assert {len(img) for img in h.images.values()} == {9}
         assert h.is_injective()
 
@@ -423,7 +423,7 @@ class TestOptimalBinary:
         # n + (m-2)/(m+2k).
         n, k, m = 1, 2, 11
         gen = OptimalBinaryGenerator(n, k, m)
-        h = gen.image_morphism()
+        h = gen.morphism
         stretch = Morphism({"a": "a", "b": "b" * 64})
         block = gen.intermediate_block(3)
         e = fractional_exponent(stretch.apply(h.apply(block))).exponent
@@ -436,7 +436,7 @@ class TestOptimalBinary:
         for n, k, m in ((1, 2, 7), (2, 2, 8), (1, 3, 11)):
             ref = OptimalBinaryGenerator(n, k, m)
             blocks = [str(ref.intermediate_block(i)) + ref.terminator for i in (1, 2, 3)]
-            text = str(ref.image_morphism().apply("".join(blocks)))
+            text = str(ref.morphism.apply("".join(blocks)))
             ends, total = [], 0
             for block in blocks:
                 total += m * len(block)
@@ -452,13 +452,13 @@ class TestOptimalBinary:
 
     def test_image_morphism_images(self):
         for m in (7, 8, 11, 30):
-            h = OptimalBinaryGenerator(1, 2, m).image_morphism()
+            h = OptimalBinaryGenerator(1, 2, m).morphism
             assert list(h.images.values()) == [
                 "a" + "b" * (m - 1), "aa" + "b" * (m - 2), "a" * (m - 2) + "bb",
                 "a" * (m - 1) + "b", "a" * (m - 3) + "bbb", "a" * (m - 4) + "bbbb",
             ]
             assert h == cassaigne_morphism((m - 1, m - 2, 2, 1, 3, 4), m)
-            assert h.codomain == Alphabet("ab")
+            assert h.codomain == "ab"
 
     def test_long_prefix_builds_few_intermediate_letters(self):
         # 400,000 letters need 50,000 intermediate letters; building whole

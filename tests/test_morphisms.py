@@ -13,7 +13,7 @@ from morphexp.morphisms import (
     sardinas_patterson,
     words_up_to,
 )
-from morphexp.words import Alphabet, WordError, fractional_exponent
+from morphexp.words import WordError, fractional_exponent
 
 
 def morphisms(domain, codomain, max_image_len):
@@ -27,7 +27,7 @@ class TestApply:
         assert h.apply("ab") == "cdcdc"
 
     def test_identity(self):
-        ident = Morphism.identity(Alphabet("abc"))
+        ident = Morphism.identity("abc")
         assert ident.apply("bacca") == "bacca"
 
     def test_empty_word(self):
@@ -100,7 +100,7 @@ class TestInjectivity:
         # <= 3.  Non-injective verdicts are checked against their own witness
         # (sound for any collision length); a brute collision search over all
         # word pairs of length <= 6 must never contradict either verdict.
-        images = words_up_to(Alphabet("01"), 3)
+        images = words_up_to("01", 3)
         for size in (1, 2, 3):
             letters = "abc"[:size]
             for imgs in product(images, repeat=size):
@@ -116,7 +116,7 @@ class TestInjectivity:
 class TestCompose:
     def test_identity_neutral(self):
         h = Morphism({"a": "cdc", "b": "dc"})
-        ident = Morphism.identity(Alphabet("cd"))
+        ident = Morphism.identity("cd")
         assert compose(ident, h).images == h.images
 
     def test_renaming(self):
@@ -126,7 +126,7 @@ class TestCompose:
 
     def test_composition_of_injectives_is_injective(self):
         rng = random.Random(22)
-        pool = list(morphisms(Alphabet("ab"), Alphabet("ab"), 2))
+        pool = list(morphisms("ab", "ab", 2))
         for _ in range(40):
             g = rng.choice(pool)
             h = rng.choice(pool)
@@ -141,50 +141,82 @@ class TestCompose:
 
 class TestBinaryEmbedding:
     def test_formula_instances(self):
-        assert binary_embedding(Alphabet("pq")).to_text() == "p=001,q=011"
-        assert binary_embedding(Alphabet("p")).to_text() == "p=01"
-        assert binary_embedding(Alphabet("pqr")).to_text() == "p=0001,q=0011,r=0111"
+        assert binary_embedding("pq").to_text() == "p=001,q=011"
+        assert binary_embedding("p").to_text() == "p=01"
+        assert binary_embedding("pqr").to_text() == "p=0001,q=0011,r=0111"
 
     def test_injective_prefix_code(self):
         for n in range(1, 7):
-            src = Alphabet("abcdefg"[:n])
+            src = "abcdefg"[:n]
             assert binary_embedding(src).is_injective()
 
     def test_exponent_never_decreases(self):
         rng = random.Random(23)
         for alpha_size in (2, 3, 4):
-            src = Alphabet("abcd"[:alpha_size])
-            inner_pool = list(morphisms(src, Alphabet("xy"), 2))
-            emb = binary_embedding(Alphabet("xy"))
+            src = "abcd"[:alpha_size]
+            inner_pool = list(morphisms(src, "xy", 2))
+            emb = binary_embedding("xy")
             for _ in range(25):
-                w = "".join(rng.choice(src.letters) for _ in range(rng.randint(1, 8)))
+                w = "".join(rng.choice(src) for _ in range(rng.randint(1, 8)))
                 inner = rng.choice(inner_pool)
                 before = fractional_exponent(inner.apply(w)).exponent
                 after = fractional_exponent(emb.apply(inner.apply(w))).exponent
                 assert after >= before
 
 
+class TestLetterSets:
+    def test_morphism_checks_its_letter_sets(self):
+        with pytest.raises(WordError, match="duplicate letter 'a'"):
+            Morphism({"a": "0", "b": "1"}, domain="aba")
+        with pytest.raises(WordError, match="duplicate letter '0'"):
+            Morphism({"a": "0"}, codomain="010")
+        with pytest.raises(WordError, match="single characters, got 'ab'"):
+            Morphism({"ab": "0"})
+        with pytest.raises(WordError, match="single characters, got 'ab'"):
+            Morphism({"a": "0"}, domain=["ab"])
+        with pytest.raises(WordError, match="letter '2' outside codomain"):
+            Morphism({"a": "0", "b": "2"}, codomain="01")
+        # Letter sets given as any iterable of letters are kept as str.
+        h = Morphism({"b": "1", "a": "0"}, domain=["a", "b"], codomain=iter("01"))
+        assert (h.domain, h.codomain, h.to_text()) == ("ab", "01", "a=0,b=1")
+
+    def test_binary_embedding_checks_its_source(self):
+        with pytest.raises(WordError, match="duplicate letter 'p'"):
+            binary_embedding("pqp")
+        with pytest.raises(WordError, match="single characters, got 'pq'"):
+            binary_embedding(["pq", "r"])
+        assert binary_embedding(iter("qp")).to_text() == "q=001,p=011"
+
+    def test_enumeration_checks_its_letter_sets(self):
+        with pytest.raises(WordError, match="duplicate letter 'a'"):
+            next(enumerate_injective("aa", "01", 2))
+        with pytest.raises(WordError, match="duplicate letter '1'"):
+            next(enumerate_injective("ab", "011", 2))
+        with pytest.raises(WordError, match="duplicate letter '0'"):
+            words_up_to("00", 2)
+
+
 class TestEnumeration:
     def test_unit_length_binary(self):
-        got = [m.to_text() for m in morphisms(Alphabet("ab"), Alphabet("01"), 1)]
+        got = [m.to_text() for m in morphisms("ab", "01", 1)]
         assert got == ["a=0,b=1", "a=1,b=0"]
 
     def test_count_matches_filtered_brute_force(self):
-        candidates = words_up_to(Alphabet("01"), 2)
+        candidates = words_up_to("01", 2)
         expected = 0
         for u, v in product(candidates, repeat=2):
             if u != v and sardinas_patterson([u, v]) is None:
                 expected += 1
-        got = sum(1 for _ in enumerate_injective(Alphabet("ab"), Alphabet("01"), 2))
+        got = sum(1 for _ in enumerate_injective("ab", "01", 2))
         assert got == expected
 
     def test_all_yielded_are_injective(self):
-        for m in morphisms(Alphabet("ab"), Alphabet("01"), 3):
+        for m in morphisms("ab", "01", 3):
             assert m.is_injective()
 
     def test_bad_bound(self):
         with pytest.raises(WordError):
-            list(enumerate_injective(Alphabet("ab"), Alphabet("01"), 0))
+            list(enumerate_injective("ab", "01", 0))
 
 
 class TestTextFormat:

@@ -1,7 +1,11 @@
 """The depth-first injective-morphism search against the product oracle."""
 
+import os
 import random
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 from string import digits
 
 import pytest
@@ -18,7 +22,7 @@ from morphexp.mapped_exponent import (
     mapped_exponent_lower_bound,
 )
 from morphexp.morphisms import _canonical_images, _injective_images, _spaces, enumerate_injective
-from morphexp.words import Alphabet, WordError, fractional_exponent, prefix_comparable, suffix_comparable
+from morphexp.words import WordError, fractional_exponent, prefix_comparable, suffix_comparable
 from search_oracles import (
     canonical_product,
     classify_oracle,
@@ -47,15 +51,15 @@ BENCH_SHAPES = ((2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 3), (3, 2, 2), (3, 2, 3)
 
 @cache
 def oracle_space(size, max_image_len, codomain_size):
-    return list(canonical_product(Alphabet("abcd"[:size]), Alphabet(digits[:codomain_size]), max_image_len))
+    return list(canonical_product("abcd"[:size], digits[:codomain_size], max_image_len))
 
 
 def memo_space(size, max_image_len, codomain_size):
-    return _canonical_images(size, Alphabet(digits[:codomain_size]), max_image_len)
+    return _canonical_images(size, digits[:codomain_size], max_image_len)
 
 
 def memo_key(size, max_image_len, codomain_size):
-    return size, tuple(digits[:codomain_size]), max_image_len
+    return size, digits[:codomain_size], max_image_len
 
 
 def held():
@@ -65,7 +69,7 @@ def held():
 def random_alphabets(rng, size, codomain_size):
     letters = rng.sample("abcdefgh", size)
     codomain = rng.sample("0123456789xyz", codomain_size)
-    return Alphabet(letters), Alphabet(codomain)
+    return "".join(letters), "".join(codomain)
 
 
 def random_word(rng, letters, length):
@@ -139,7 +143,7 @@ class TestEnumerationOracle:
             assert got == expected, (domain, codomain, max_image_len)
 
     def test_empty_domain_has_one_tuple(self):
-        assert list(enumerate_injective(Alphabet(""), Alphabet("01"), 2)) == [()]
+        assert list(enumerate_injective("", "01", 2)) == [()]
 
 
 class TestSearchesAgainstOracle:
@@ -191,7 +195,7 @@ class TestSearchWork:
     def test_prefix_free_or_suffix_free_tuples_never_reach_sardinas_patterson(self, monkeypatch):
         calls = self.count_calls(monkeypatch, morphisms_module)
         for canonical in (False, True):
-            for _ in _injective_images(3, Alphabet("012"), 3, canonical=canonical):
+            for _ in _injective_images(3, "012", 3, canonical=canonical):
                 pass
         assert calls
         for images in calls:
@@ -199,16 +203,56 @@ class TestSearchWork:
             assert any(x != y and x.endswith(y) for x in images for y in images), images
 
     def test_pruned_canonical_search_against_product(self, monkeypatch):
-        codomain = Alphabet(digits[:3])
+        codomain = digits[:3]
         calls = self.count_calls(monkeypatch, morphisms_module)
         searched = sum(1 for _ in _injective_images(3, codomain, 3, canonical=True))
         assert searched == 8_638
         assert len(calls) <= 2_000
 
         oracle_calls = self.count_calls(monkeypatch, search_oracles)
-        enumerated = sum(1 for _ in injective_product(Alphabet("abc"), codomain, 3))
+        enumerated = sum(1 for _ in injective_product("abc", codomain, 3))
         assert enumerated == 51_828
         assert len(oracle_calls) == 54_834
+
+
+def run_bounded(code):
+    """Run code in a fresh interpreter and return its stdout; a call that
+    hangs fails the test after 20 s instead of stalling the suite."""
+    src = str(Path(morphisms_module.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestSearchLimits:
+    def test_a_search_at_the_candidate_limit_runs_and_one_past_it_raises(self, monkeypatch):
+        # Two letters up to length 3 make 2 + 4 + 8 = 14 candidate images.
+        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_CANDIDATES", 14)
+        assert list(enumerate_injective("ab", "01", 3)) == list(injective_product("ab", "01", 3))
+        with pytest.raises(WordError, match="more than the limit of 14 candidate images"):
+            next(enumerate_injective("ab", "01", 4))
+        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_CANDIDATES", 13)
+        with pytest.raises(WordError, match="more than the limit of 13 candidate images"):
+            next(enumerate_injective("ab", "01", 3))
+
+    def test_an_empty_codomain_is_refused_at_once(self):
+        code = (
+            "from morphexp import WordError, classify_general\n"
+            "try:\n"
+            "    classify_general('bcacabb', 10**9, codomain_size=0)\n"
+            "except WordError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert run_bounded(code) == "codomain size must be >= 1\n"
+
+    def test_an_empty_codomain_has_no_injective_tuple(self):
+        code = (
+            "from morphexp import enumerate_injective, words_up_to\n"
+            "print(list(enumerate_injective('ab', '', 10**9)), words_up_to('', 10**9))\n"
+        )
+        assert run_bounded(code) == "[] []\n"
+        assert list(_injective_images(0, "", 10**9)) == [()]
 
 
 class TestSearchMemo:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from morphexp.words import (
-    Alphabet,
     WordError,
     _max_exponent,
     fine_wilf_root,
@@ -13,6 +12,7 @@ from morphexp.words import (
     integer_exponent,
     is_conjugate,
     is_primitive,
+    letter_set,
     max_exponent_factor,
     minimal_period_profile,
     parse_rational,
@@ -343,13 +343,18 @@ class TestPeriodProfile:
 
 class TestWordType:
     def test_alphabet_validation(self):
-        # Words are plain str; alphabets are checked where they carry
-        # meaning, such as a morphism's codomain.
+        # Words and alphabets are plain str; a letter set is checked where it
+        # enters the library, such as a morphism's codomain.
         with pytest.raises(WordError, match="outside codomain"):
-            Morphism({"a": "abc"}, codomain=Alphabet("ab"))
-        assert Morphism({"x": "cab"}).codomain == Alphabet("abc")
-        with pytest.raises(WordError, match="duplicate"):
-            Alphabet("aba")
+            Morphism({"a": "abc"}, codomain="ab")
+        assert Morphism({"x": "cab"}).codomain == "abc"
+        assert letter_set(iter("bca")) == "bca"
+        assert letter_set([]) == ""
+        with pytest.raises(WordError, match="duplicate letter 'a'"):
+            letter_set("aba")
+        for bad in ("bc", "", 7):
+            with pytest.raises(WordError, match="single characters"):
+                letter_set(["a", bad])
 
     def test_repeat_to_length(self):
         assert repeat_to_length("ab", 5) == "ababa"
