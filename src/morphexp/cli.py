@@ -1,5 +1,5 @@
 """Command-line front end; every subcommand is a thin adapter over the
-library with text/json/csv output."""
+library with text/json output, and `ace` also offers csv."""
 
 from __future__ import annotations
 
@@ -53,12 +53,11 @@ def _parse_params(literal: str | None) -> dict[str, str]:
 
 
 def _emit(record: dict, text: str, fmt: str, csv: Callable[[], str] | None = None) -> None:
-    # csv builds the table only when that format is asked for.
+    # csv builds the table only when that format is asked for; only the
+    # subcommands that pass it offer the format.
     if fmt == "json":
         print(json.dumps(record, sort_keys=True))
     elif fmt == "csv":
-        if csv is None:
-            raise ParseError("csv output is not available for this subcommand")
         print(csv())
     else:
         print(text)
@@ -202,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def add_format(p: argparse.ArgumentParser, *extra: str) -> None:
+        p.add_argument("--format", choices=("text", "json", *extra), default="text")
 
     p = sub.add_parser("exp", help="fractional and integer exponent of a word")
     p.add_argument("word")
@@ -248,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None)
     p.add_argument("--prefix", type=int, required=True)
     p.add_argument("--tail", type=int, required=True)
-    add_format(p)
+    add_format(p, "csv")
     p.set_defaults(handler=_cmd_ace)
 
     p = sub.add_parser("generate", help="emit a prefix of an infinite-word construction")

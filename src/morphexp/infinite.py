@@ -12,16 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import count
 from math import factorial, gcd
 from typing import Iterable, Iterator, Sequence
 
-from .morphisms import Morphism, parse_morphism, spreading_morphism
+from .morphisms import Morphism, parse_morphism
 from .words import (
     MAX_BUILD_LETTERS,
     ParseError,
     WordError,
+    _check_build_size,
     _max_exponent,
     fresh_letters,
     letter_set,
@@ -41,8 +41,7 @@ class WordGenerator:
     def prefix(self, n: int) -> str:
         if n < 0:
             raise WordError("prefix length must be >= 0")
-        if n > MAX_BUILD_LETTERS:
-            raise WordError(f"the prefix would have {n} letters, more than the limit of {MAX_BUILD_LETTERS}")
+        _check_build_size("the prefix", n, MAX_BUILD_LETTERS)
         return self._slice(0, n)
 
     def _slice(self, lo: int, hi: int) -> str:
@@ -211,9 +210,10 @@ class InterleavedCopiesGenerator(WordGenerator):
     growing chunks: round j contributes the j-th length-j chunk of every
     copy, in copy order.
 
-    Under the letter-spreading morphism from `embedding_morphism`, the image
-    of round j is an exact fractional power of (image of the first copy's
-    chunk) + 'c' with exponent jn^2/(jn+1) = n - n/(jn+1).
+    Under `spreading_morphism(self.alphabet)`, which spreads copy i over
+    position i of a c-block, the image of round j is an exact fractional
+    power of (image of the first copy's chunk) + 'c' with exponent
+    jn^2/(jn+1) = n - n/(jn+1).
     """
 
     def __init__(self, copies: int, base: WordGenerator):
@@ -228,24 +228,6 @@ class InterleavedCopiesGenerator(WordGenerator):
         lo, hi = base.alphabet
         self._renamings = [str.maketrans(lo + hi, a + b) for a, b in zip(pool[0::2], pool[1::2])]
         self._rounds_done = 0
-
-    def copy_chunk(self, i: int, j: int) -> str:
-        """The j-th chunk (length j) of the i-th copy; i, j are 1-based."""
-        if not 1 <= i <= self.copies:
-            raise WordError(f"copy index {i} out of range 1..{self.copies}")
-        if j < 1:
-            raise WordError("round index must be >= 1")
-        hi = j * (j + 1) // 2
-        return self.base._slice(hi - j, hi).translate(self._renamings[i - 1])
-
-    def round_block(self, j: int) -> str:
-        """Round j of the interleaving: chunks of every copy, concatenated."""
-        return "".join(self.copy_chunk(i, j) for i in range(1, self.copies + 1))
-
-    def embedding_morphism(self) -> Morphism:
-        """Spreads copy i over position i of a c-block: the copy's letters
-        map to c^(i-1) a c^(n-i) and c^(i-1) b c^(n-i)."""
-        return spreading_morphism(self.alphabet)
 
     def _grow(self, n: int) -> None:
         # The chunks of consecutive rounds are consecutive in the base, so
@@ -267,11 +249,9 @@ class InterleavedCopiesGenerator(WordGenerator):
         self._rounds_done = last
 
 
-def _chunk_lengths(k: int, i: int) -> tuple[int, int]:
+def _chunk_sizes(k: int, i: int) -> tuple[int, int]:
     """(|u_i|, |v_i|): |u_i| = (k+1)^i ((i-1)!)^2 solves |u_1| = k+1 and
     |u_(i+1)| = i^2 (k+1) |u_i|, and |v_i| + 1 = k (|u_i| + 1)."""
-    if i < 1:
-        raise WordError("chunk index must be >= 1")
     u = (k + 1) ** i * factorial(i - 1) ** 2
     return u, k * (u + 1) - 1
 
@@ -279,8 +259,8 @@ def _chunk_lengths(k: int, i: int) -> tuple[int, int]:
 def _chunk(source: WordGenerator, k: int, i: int, which: int, letters: str) -> str:
     """u_i (which = 0) or v_i (which = 1): the i-th of the consecutive chunks
     of source with those lengths, renamed onto `letters`."""
-    start = sum(_chunk_lengths(k, j)[which] for j in range(1, i))
-    end = start + _chunk_lengths(k, i)[which]
+    start = sum(_chunk_sizes(k, j)[which] for j in range(1, i))
+    end = start + _chunk_sizes(k, i)[which]
     lo, hi = source.alphabet
     return source._slice(start, end).translate(str.maketrans(lo + hi, letters))
 
@@ -331,9 +311,6 @@ class OptimalBinaryGenerator(ImageGenerator):
         letters = h.domain
         super().__init__(h, StreamGenerator(_intermediate_pieces(source, n, k, letters), letters))
         self.n, self.k, self.m = n, k, m
-        self.source = source
-        self._u_letters, self._v_letters = letters[0:2], letters[2:4]
-        self.separator, self.terminator = letters[4:]
 
     @property
     def implied_delta(self) -> Fraction | None:
@@ -343,22 +320,6 @@ class OptimalBinaryGenerator(ImageGenerator):
         if slack <= 0:
             return None
         return Fraction(2 + 2 * self.k, slack)
-
-    def chunk_length(self, i: int) -> int:
-        return _chunk_lengths(self.k, i)[0]
-
-    def chunk(self, i: int) -> str:
-        """u_i over the intermediate alphabet; 1-based."""
-        return _chunk(self.source, self.k, i, 0, self._u_letters)
-
-    def _v_chunk(self, i: int) -> str:
-        return _chunk(self.source, self.k, i, 1, self._v_letters)
-
-    def intermediate_block(self, i: int) -> str:
-        """(u_i SEP v_i SEP)^n u_i SEP, the repeated core of block i."""
-        u = self.chunk(i)
-        sep = self.separator
-        return (u + sep + self._v_chunk(i) + sep) * self.n + u + sep
 
 
 def cassaigne_morphism(weights: Sequence[int], m: int) -> Morphism:
@@ -373,8 +334,7 @@ def cassaigne_morphism(weights: Sequence[int], m: int) -> Morphism:
         raise WordError("weights must be >= 0")
     if m < max(weights) + 1:
         raise WordError(f"m too small: need m >= max(f)+1 = {max(weights) + 1}")
-    if d * m > MAX_BUILD_LETTERS:
-        raise WordError(f"the images would have {d * m} letters, more than the limit of {MAX_BUILD_LETTERS}")
+    _check_build_size("the images", d * m, MAX_BUILD_LETTERS)
     letters = fresh_letters(d, avoid="ab")
     images = {letters[i]: "a" * (m - weights[i]) + "b" * weights[i] for i in range(d)}
     return Morphism(images, domain=letters, codomain="ab")
@@ -387,10 +347,8 @@ class AceEstimate:
     `estimate` is max over factor lengths >= tail of the exact maximal
     exponent at that length: a lower bound for the infinite word's asymptotic
     critical exponent, monotone in prefix_length and non-increasing in tail.
-    It and its witness come from a direct search; `minper` and `start`, the
-    prefix's period profile indexed by factor length, are built from `word`
-    only when first read, and the per-length exponents and offsets are
-    derived from them.
+    It and its witness come from a direct search; only `rows()` builds the
+    prefix's period profile, from `word`, on each call.
     """
 
     prefix_length: int
@@ -400,38 +358,17 @@ class AceEstimate:
     witness_offset: int
     witness_length: int
 
-    @cached_property
-    def _profile(self) -> tuple[list[int], list[int]]:
-        return minimal_period_profile(self.word)
-
-    @property
-    def minper(self) -> list[int]:
-        """Minimum smallest period over the factors of each length."""
-        return self._profile[0]
-
-    @property
-    def start(self) -> list[int]:
-        """Leftmost start of a factor of each length with that period."""
-        return self._profile[1]
-
-    @property
-    def per_length(self) -> dict[int, Fraction]:
-        """Maximal exponent per factor length in tail..prefix_length."""
-        return {n: Fraction(n, self.minper[n]) for n in range(self.tail, self.prefix_length + 1)}
-
-    @property
-    def offsets(self) -> dict[int, int]:
-        """Leftmost start of a maximal-exponent factor per length."""
-        return {n: self.start[n] for n in range(self.tail, self.prefix_length + 1)}
-
     def rows(self) -> list[tuple[int, int, int, int]]:
         """(length, exponent numerator, exponent denominator, offset) per
-        factor length in tail..prefix_length, the exponent in lowest terms."""
+        factor length in tail..prefix_length: the maximal exponent among
+        factors of that length, in lowest terms, and the leftmost start of
+        a factor reaching it."""
+        minper, start = minimal_period_profile(self.word)
         rows = []
         for length in range(self.tail, self.prefix_length + 1):
-            period = self.minper[length]
+            period = minper[length]
             g = gcd(length, period)
-            rows.append((length, length // g, period // g, self.start[length]))
+            rows.append((length, length // g, period // g, start[length]))
         return rows
 
     def to_csv(self) -> str:
@@ -447,8 +384,7 @@ def ace_estimate(gen: WordGenerator, prefix_len: int, tail: int) -> AceEstimate:
     the prefix may have at most MAX_PROFILE_LETTERS letters."""
     if not 1 <= tail <= prefix_len:
         raise WordError(f"tail {tail} out of range 1..{prefix_len}")
-    if prefix_len > MAX_PROFILE_LETTERS:
-        raise WordError(f"the prefix would have {prefix_len} letters, more than the limit of {MAX_PROFILE_LETTERS}")
+    _check_build_size("the prefix", prefix_len, MAX_PROFILE_LETTERS)
     word = gen.prefix(prefix_len)
     best_len, best_per, best_start = _max_exponent(word, tail)
     return AceEstimate(

@@ -24,6 +24,7 @@ from .morphisms import Morphism, _canonical_images, compose, sardinas_patterson,
 from .words import (
     MAX_BUILD_LETTERS,
     WordError,
+    _check_build_size,
     fractional_exponent,
     fresh_letters,
     prefix_comparable,
@@ -83,11 +84,6 @@ def _search_codomain(codomain_size: int) -> str:
     if codomain_size > len(digits):
         raise WordError(f"codomain size must be <= {len(digits)}")
     return digits[:codomain_size]
-
-
-def _check_build_size(what: str, letters: int) -> None:
-    if letters > MAX_BUILD_LETTERS:
-        raise WordError(f"{what} would have {letters} letters, more than the limit of {MAX_BUILD_LETTERS}")
 
 
 def gap_factorization(w: str, letter: str) -> GapFactorization | None:
@@ -164,7 +160,7 @@ def pump_witness(
     # Each of the gap_count + 1 letters c of step(w) grows by the pumped part.
     step_len = sum(len(step_images[ch]) for ch in w)
     growth = (len(behind) + len(ahead) + 1) * (pump - 1)
-    _check_build_size("the witness image", step_len + (fact.gap_count + 1) * growth)
+    _check_build_size("the witness image", step_len + (fact.gap_count + 1) * growth, MAX_BUILD_LETTERS)
     pump_images = {ch: ch for ch in step_codomain if ch != c}
     pump_images[c] = c + (behind + ahead + c) * (pump - 1)
     pumper = Morphism(pump_images, domain=step_codomain, codomain=step_codomain)
@@ -266,7 +262,7 @@ def lowpower_morphism(n: int, k: int) -> tuple[str, Morphism, Fraction]:
     if k < 0:
         raise WordError("k must be >= 0")
     # |h(a)| = 2k + 1 and |h(b)| = 2, with n + 1 copies of each letter.
-    _check_build_size("the family image", (n + 1) * (2 * k + 3))
+    _check_build_size("the family image", (n + 1) * (2 * k + 3), MAX_BUILD_LETTERS)
     word = "ab" * n + "ba"
     h = Morphism({"a": "cd" * k + "c", "b": "dc"}, domain="ab", codomain="cd")
     expected = 1 + Fraction(4 * k + 4, (2 * k + 3) * (n - 1) + 2)

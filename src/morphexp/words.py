@@ -49,6 +49,11 @@ def letter_set(letters: Iterable[str]) -> str:
     return "".join(seen)
 
 
+def _check_build_size(what: str, letters: int, limit: int) -> None:
+    if letters > limit:
+        raise WordError(f"{what} would have {letters} letters, more than the limit of {limit}")
+
+
 def fresh_letters(count: int, avoid: Iterable[str] = (), pool: str = LETTER_POOL) -> str:
     """First `count` pool characters not in `avoid`."""
     taken = set(avoid)

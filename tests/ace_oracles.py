@@ -3,8 +3,8 @@
 `ace_oracle` builds the per-length report of `morphexp.infinite.ace_estimate`
 the direct way: one `Fraction` per factor length and a dict of offsets, with
 the rows and CSV read off them, over a period profile from `profile_sweep`.
-The library keeps only the profile and derives the same values from it, so
-the two can be compared field by field.
+The library computes only the rows; `report_of` reads the exponents and
+offsets off those, so the two can be compared field by field.
 """
 
 from fractions import Fraction
@@ -41,7 +41,10 @@ def ace_oracle(text, tail):
 
 def report_of(est):
     """The same fields read from an `AceEstimate`."""
+    rows = est.rows()
+    per_length = {length: Fraction(num, den) for length, num, den, _ in rows}
+    offsets = {length: offset for length, _, _, offset in rows}
     return AceReport(
-        est.per_length, est.offsets, est.rows(), est.to_csv(),
+        per_length, offsets, rows, est.to_csv(),
         est.estimate, est.witness_offset, est.witness_length,
     )

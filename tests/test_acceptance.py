@@ -27,12 +27,19 @@ from morphexp.mapped_exponent import (
     highpower_word,
     lowpower_morphism,
 )
-from morphexp.morphisms import Morphism, enumerate_injective
+from morphexp.morphisms import Morphism, enumerate_injective, spreading_morphism
 from morphexp.words import (
     fractional_exponent,
     fractional_power,
     prefix_comparable,
     suffix_comparable,
+)
+from construction_oracles import (
+    chunk_schedule,
+    intermediate_block,
+    intermediate_word,
+    interleaved_chunks,
+    thue_morse_word,
 )
 
 
@@ -159,12 +166,17 @@ def test_criterion_6_x_degree_bound():
 
 def test_criterion_7_interleaved_image_identity():
     with criterion(7, "interleaved-copy image is an exact fractional power"):
+        base = thue_morse_word(200 * 201 // 2)
         for n in range(1, 6):
             gen = InterleavedCopiesGenerator(n, thue_morse())
-            h = gen.embedding_morphism()
+            h = spreading_morphism(gen.alphabet)
+            text = gen.prefix(n * 200 * 201 // 2)
             for j in range(1, 201):
-                image = h.apply(gen.round_block(j))
-                period_word = h.apply(gen.copy_chunk(1, j)) + "c"
+                chunks = interleaved_chunks(base, gen.alphabet, j)
+                block = "".join(chunks)
+                assert text[n * j * (j - 1) // 2:n * j * (j + 1) // 2] == block, (n, j)
+                image = h.apply(block)
+                period_word = h.apply(chunks[0]) + "c"
                 exponent = Fraction(j * n * n, j * n + 1)
                 assert exponent == n - Fraction(n, j * n + 1)
                 assert image == fractional_power(period_word, exponent), (n, j)
@@ -179,11 +191,16 @@ def test_criterion_7_interleaved_image_identity():
 def test_criterion_8_optimal_binary_block_exponent():
     with criterion(8, "pre-image block exponent is n + 1/(k+1)"):
         for k in (2, 3):
+            schedule = chunk_schedule(k, 4)
+            source = thue_morse_word(sum(v_len for _, v_len in schedule))
             for n in (1, 2, 3):
                 gen = OptimalBinaryGenerator(n, k, 2 * k + 7)
+                letters = gen.morphism.domain
+                word = gen.morphism.apply(intermediate_word(source, n, k, 4, letters))
+                assert gen.prefix(len(word)) == word, (n, k)
                 for i in (1, 2, 3, 4):
-                    block = gen.intermediate_block(i)
-                    u_len = gen.chunk_length(i)
+                    block = intermediate_block(source, n, k, i, letters)
+                    u_len = schedule[i - 1][0]
                     expected = n + Fraction(u_len + 1, (k + 1) * (u_len + 1))
                     assert expected == n + Fraction(1, k + 1)
                     assert fractional_exponent(block).exponent == expected, (n, k, i)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import morphexp
-from morphexp import infinite, words
+from morphexp import cli, infinite, words
 from morphexp.cli import run
 from morphexp.codes import CodeSet, is_synchronizing, x_degree
 from morphexp.infinite import ace_estimate, thue_morse
@@ -107,6 +107,21 @@ class TestCsvOutput:
         code, _, err = invoke(capsys, "exp", "abab", "--format", "csv")
         assert code == 2
         assert "csv" in err
+
+    def test_csv_refused_before_the_search_runs(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "classify_general", refuse)
+        monkeypatch.setattr(cli, "mapped_exponent_lower_bound", refuse)
+        for argv in (
+            ("lower-bound", "abcab", "--max-image-len", "5"),
+            ("classify", "abcab"),
+            ("witness", "abcab", "--target", "3"),
+        ):
+            code, out, err = invoke(capsys, *argv, "--format", "csv")
+            assert (code, out) == (2, ""), argv
+            assert "csv" in err
 
 
 class TestExitCodes:

@@ -20,9 +20,17 @@ from morphexp.infinite import (
     generator_from_spec,
     thue_morse,
 )
-from morphexp.morphisms import Morphism, parse_morphism
+from morphexp.morphisms import Morphism, parse_morphism, spreading_morphism
 from morphexp.words import WordError, fractional_exponent, fractional_power
 from ace_oracles import ace_oracle, report_of
+from construction_oracles import (
+    chunk_schedule,
+    intermediate_block,
+    interleaved_chunks,
+    interleaved_round,
+    intermediate_word,
+    thue_morse_word,
+)
 from profile_oracles import profile_border, profile_sweep
 
 
@@ -312,56 +320,73 @@ class TestImageGenerator:
         for n, letters in ((3, 1000), (3, 2000), (3, 4000), (4, 1000)):
             x = InterleavedCopiesGenerator(n, thue_morse())
             assert ace_estimate(x, letters, 8).estimate == 2
-            image = ImageGenerator(x.embedding_morphism(), InterleavedCopiesGenerator(n, thue_morse()))
+            image = ImageGenerator(spreading_morphism(x.alphabet), InterleavedCopiesGenerator(n, thue_morse()))
             e = ace_estimate(image, n * letters, 8 * n).estimate
             j = e / (n * (n - e))
             assert j.denominator == 1 and j >= 20, (n, letters, e)
             assert e == Fraction(j * n * n, j * n + 1)
 
 
+# The binary bases of the tests, as generators and as words.
+BASES = ((thue_morse, thue_morse_word), (lambda: PeriodicGenerator("01"), lambda n: ("01" * n)[:n]))
+
+
 class TestInterleavedCopies:
     def test_chunk_lengths(self):
+        # Round j holds one length-j chunk per copy, each over its copy's
+        # own letter pair.
         gen = InterleavedCopiesGenerator(2, thue_morse())
-        for j in (1, 2, 3, 7):
-            for i in (1, 2):
-                assert len(gen.copy_chunk(i, j)) == j
+        text = gen.prefix(2 * 28)
+        at = 0
+        for j in range(1, 8):
+            for i in (0, 1):
+                assert set(text[at:at + j]) <= set(gen.alphabet[2 * i:2 * i + 2]), (i, j)
+                at += j
 
     def test_first_two_rounds_length(self):
         gen = InterleavedCopiesGenerator(2, thue_morse())
+        base = thue_morse_word(3)
         assert len(gen.prefix(6)) == 6
-        assert str(gen.prefix(6)) == str(gen.round_block(1)) + str(gen.round_block(2))
+        assert gen.prefix(6) == interleaved_round(base, gen.alphabet, 1) + interleaved_round(base, gen.alphabet, 2)
 
     def test_prefixes_match_round_blocks(self):
         rng = random.Random(11)
         for copies in (1, 2, 3):
-            for base in (thue_morse, lambda: PeriodicGenerator("01")):
-                ref = InterleavedCopiesGenerator(copies, base())
-                text = "".join(str(ref.round_block(j)) for j in range(1, 40))
+            for base, base_word in BASES:
                 gen = InterleavedCopiesGenerator(copies, base())
+                word = base_word(39 * 40 // 2)
+                text = "".join(interleaved_round(word, gen.alphabet, j) for j in range(1, 40))
                 for n in (rng.randrange(100, 400), rng.randrange(0, 100), len(text), rng.randrange(0, len(text))):
                     assert gen.prefix(n) == text[:n]
 
     def test_copies_are_renamings_of_the_same_chunk(self):
         gen = InterleavedCopiesGenerator(3, thue_morse())
+        text = gen.prefix(3 * 45)
         for j in (1, 4, 9):
-            lengths = {len(gen.copy_chunk(i, j)) for i in (1, 2, 3)}
-            assert lengths == {j}
+            at = 3 * j * (j - 1) // 2
+            chunks = [text[at + i * j:at + (i + 1) * j] for i in range(3)]
+            assert {len(chunk) for chunk in chunks} == {j}
             patterns = set()
-            for i in (1, 2, 3):
-                text = str(gen.copy_chunk(i, j))
-                first = text[0]
-                patterns.add("".join("x" if ch == first else "y" for ch in text))
+            for i, chunk in enumerate(chunks):
+                assert set(chunk) <= set(gen.alphabet[2 * i:2 * i + 2])
+                first = chunk[0]
+                patterns.add("".join("x" if ch == first else "y" for ch in chunk))
             assert len(patterns) == 1
 
     def test_image_identity_small(self):
         # Image of round j is an exact power of (image of first chunk) + c
         # with exponent jn^2/(jn+1), for any binary base.
-        for base in (thue_morse(), PeriodicGenerator("01")):
-            gen = InterleavedCopiesGenerator(3, base)
-            h = gen.embedding_morphism()
+        for base, base_word in BASES:
+            gen = InterleavedCopiesGenerator(3, base())
+            h = spreading_morphism(gen.alphabet)
+            word = base_word(24 * 25 // 2)
+            text = gen.prefix(3 * 24 * 25 // 2)
             for j in range(1, 25):
-                block_image = h.apply(gen.round_block(j))
-                period_word = h.apply(gen.copy_chunk(1, j)) + "c"
+                chunks = interleaved_chunks(word, gen.alphabet, j)
+                block = "".join(chunks)
+                assert text[3 * j * (j - 1) // 2:3 * j * (j + 1) // 2] == block
+                block_image = h.apply(block)
+                period_word = h.apply(chunks[0]) + "c"
                 expected = Fraction(j * 9, j * 3 + 1)
                 assert block_image == fractional_power(period_word, expected)
                 if expected >= 1:
@@ -384,23 +409,22 @@ class TestOptimalBinary:
         assert h.is_injective()
 
     def test_block_arithmetic(self):
-        gen = OptimalBinaryGenerator(2, 3, 11)
-        for i in (1, 2, 3):
-            u_len = gen.chunk_length(i)
-            assert len(gen._v_chunk(i)) == 3 * (u_len + 1) - 1
-        assert gen.chunk_length(1) == 4
-        assert gen.chunk_length(2) == 1 * 1 * 4 * 4
-        assert gen.chunk_length(3) == 2 * 2 * 4 * 16
+        # k = 3: the recurrence, its first values, and the library's closed
+        # form (k+1)^i ((i-1)!)^2.
+        schedule = chunk_schedule(3, 9)
+        for u_len, v_len in schedule:
+            assert v_len == 3 * (u_len + 1) - 1
+        assert [u_len for u_len, _ in schedule[:3]] == [4, 1 * 1 * 4 * 4, 2 * 2 * 4 * 16]
         for i in range(3, 9):
-            assert gen.chunk_length(i + 1) == i * i * 4 * gen.chunk_length(i)
-        with pytest.raises(WordError, match="chunk index must be >= 1"):
-            gen.chunk(0)
+            assert schedule[i][0] == i * i * 4 * schedule[i - 1][0]
+        assert [infinite._chunk_sizes(3, i) for i in range(1, 10)] == schedule
 
     def test_block_exponent(self):
+        source = thue_morse_word(1000)
         for n, k in ((1, 2), (2, 2), (2, 3)):
-            gen = OptimalBinaryGenerator(n, k, 2 * k + 7)
+            letters = OptimalBinaryGenerator(n, k, 2 * k + 7).morphism.domain
             for i in (1, 2, 3):
-                got = fractional_exponent(gen.intermediate_block(i)).exponent
+                got = fractional_exponent(intermediate_block(source, n, k, i, letters)).exponent
                 assert got == n + Fraction(1, k + 1)
 
     def test_constraint_errors_name_the_constraint(self):
@@ -425,7 +449,7 @@ class TestOptimalBinary:
         gen = OptimalBinaryGenerator(n, k, m)
         h = gen.morphism
         stretch = Morphism({"a": "a", "b": "b" * 64})
-        block = gen.intermediate_block(3)
+        block = intermediate_block(thue_morse_word(1000), n, k, 3, h.domain)
         e = fractional_exponent(stretch.apply(h.apply(block))).exponent
         bound = n + Fraction(m - 2, m + 2 * k)
         assert e >= bound - Fraction(1, 10)
@@ -434,18 +458,18 @@ class TestOptimalBinary:
     def test_prefixes_match_encoded_blocks(self):
         rng = random.Random(7)
         for n, k, m in ((1, 2, 7), (2, 2, 8), (1, 3, 11)):
-            ref = OptimalBinaryGenerator(n, k, m)
-            blocks = [str(ref.intermediate_block(i)) + ref.terminator for i in (1, 2, 3)]
-            text = str(ref.morphism.apply("".join(blocks)))
+            gen = OptimalBinaryGenerator(n, k, m)
+            letters = gen.morphism.domain
+            source = thue_morse_word(1000)
+            text = gen.morphism.apply(intermediate_word(source, n, k, 3, letters))
             ends, total = [], 0
-            for block in blocks:
-                total += m * len(block)
+            for i in (1, 2, 3):
+                total += m * (len(intermediate_block(source, n, k, i, letters)) + 1)
                 ends.append(total)
             lengths = {q * m + d for q in range(1, 6) for d in (-1, 0, 1)}
             lengths |= {end + d for end in ends for d in (-1, 0, 1) if end + d <= len(text)}
             lengths = sorted(lengths)
             rng.shuffle(lengths)
-            gen = OptimalBinaryGenerator(n, k, m)
             for size in lengths:
                 assert gen.prefix(size) == text[:size]
 
@@ -508,20 +532,26 @@ class TestAceEstimate:
         rng = random.Random(50)
         word = "".join(rng.choice("ab") for _ in range(60))
         est = ace_estimate(PeriodicGenerator(word), 60, 5)
+        rows = {length: (num, den, offset) for length, num, den, offset in est.rows()}
+        assert sorted(rows) == list(range(5, 61))
         for length in (5, 17, 33, 60):
             best = max(
                 fractional_exponent(word[i:i + length]).exponent
                 for i in range(60 - length + 1)
             )
-            assert est.per_length[length] == best
+            assert rows[length][:2] == (best.numerator, best.denominator)
+            offset = rows[length][2]
+            assert fractional_exponent(word[offset:offset + length]).exponent == best
 
     def test_engines_agree(self):
         est = ace_estimate(thue_morse(), 400, 6)
         text = str(thue_morse().prefix(400))
         for oracle in (profile_border, profile_sweep):
             minper, start = oracle(text)
-            assert est.per_length == {n: Fraction(n, minper[n]) for n in range(6, 401)}
-            assert est.offsets == {n: start[n] for n in range(6, 401)}
+            exponents = [Fraction(n, minper[n]) for n in range(6, 401)]
+            assert est.rows() == [
+                (n, e.numerator, e.denominator, start[n]) for n, e in zip(range(6, 401), exponents)
+            ]
 
     def test_csv_shape(self):
         est = ace_estimate(PeriodicGenerator("ab"), 10, 8)
@@ -538,8 +568,8 @@ class TestAceEstimate:
 
 
 class TestAceRows:
-    # The report derived from the stored profile, field by field, against
-    # the per-length Fractions and offsets dict built directly.
+    # The report read off rows(), field by field, against the per-length
+    # Fractions and offsets dict built directly.
     def check(self, gen, text, tail):
         assert report_of(ace_estimate(gen, len(text), tail)) == ace_oracle(text, tail), (text, tail)
 
@@ -584,12 +614,26 @@ class TestReferenceCycles:
         for name, params in self.SPECS:
             gen = generator_from_spec(name, params)
             gen.prefix(1000)
-            parts = [gen] + [part for part in (getattr(gen, "base", None), getattr(gen, "source", None)) if part]
+            parts = [gen] + [part for part in (getattr(gen, "base", None),) if part]
             refs = [weakref.ref(part) for part in parts]
             gc.disable()
             try:
                 del gen, parts
                 assert [ref() for ref in refs] == [None] * len(refs), name
+            finally:
+                gc.enable()
+
+    def test_optimal_binary_source_is_freed_by_refcounting(self):
+        # The binary source is held only by the stream of intermediate pieces.
+        for make in (thue_morse, lambda: PeriodicGenerator("01")):
+            source = make()
+            gen = OptimalBinaryGenerator(2, 2, 8, source)
+            gen.prefix(1000)
+            refs = [weakref.ref(gen), weakref.ref(source)]
+            gc.disable()
+            try:
+                del gen, source
+                assert [ref() for ref in refs] == [None, None]
             finally:
                 gc.enable()
 
