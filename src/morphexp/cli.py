@@ -52,6 +52,11 @@ def _parse_params(literal: str | None) -> dict[str, str]:
     return params
 
 
+# The bytes json writes as themselves: printable ASCII but the quote and the
+# backslash (0x7f is escaped too).
+_JSON_PLAIN = bytes(range(0x20, 0x7F)).translate(None, b'"\\')
+
+
 def _emit(record: dict, text: str, fmt: str, csv: Callable[[], str] | None = None) -> None:
     # csv builds the table only when that format is asked for; only the
     # subcommands that pass it offer the format.
@@ -162,6 +167,12 @@ def _cmd_ace(args: argparse.Namespace) -> None:
 def _cmd_generate(args: argparse.Namespace) -> None:
     gen = generator_from_spec(args.gen, _parse_params(args.params))
     word = gen.prefix(args.prefix)
+    if args.format == "json" and word.isascii() and not word.encode().translate(None, _JSON_PLAIN):
+        # The word needs no escaping, so it is written as it is, after the
+        # head json writes for the other (sorted, hence earlier) keys.
+        head = json.dumps({"generator": args.gen, "prefix": args.prefix}, sort_keys=True)
+        print(head[:-1], ', "word": "', word, '"}', sep="")
+        return
     record = {"generator": args.gen, "prefix": args.prefix, "word": word}
     _emit(record, word, args.format)
 

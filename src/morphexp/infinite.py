@@ -30,6 +30,15 @@ from .words import (
 
 MAX_PROFILE_LETTERS = 100_000
 
+# The image length `_long_power` grows a morphic fixed point's images to.
+# Translate costs about the same per input letter whatever the image length,
+# so up to here a uniform morphism expands faster by columns.
+LONG_IMAGE = 64
+
+# The most letters of a chunk u_i or v_i the optimal-binary stream reads and
+# renames at once.
+CHUNK_SLICE = 1 << 14
+
 
 class WordGenerator:
     """Base for on-demand prefix producers of an infinite word."""
@@ -106,6 +115,11 @@ class ImageGenerator(WordGenerator):
     than one image of g past the requested length.  A letter outside the
     domain raises only once the cursor reaches it while the requested prefix
     is still longer than the buffer.
+
+    When every image of g has the same length m < LONG_IMAGE and every
+    letter is ASCII, a block is expanded by columns: letter j of each image
+    is one bytes translate of the block, written to every m-th byte from j.
+    Any other g expands by str.translate.
     """
 
     def __init__(self, h: Morphism, base: WordGenerator | None):
@@ -118,9 +132,28 @@ class ImageGenerator(WordGenerator):
         self._expand_with(h.images)
 
     def _expand_with(self, images: dict[str, str]) -> None:
-        self._longest = max(max(map(len, images.values()), default=0), 1)
+        sizes = set(map(len, images.values()))
+        self._longest = max(max(sizes, default=0), 1)
         self._domain = "".join(images)
         self._table = str.maketrans(images)
+        self._columns = None
+        letters = "".join([self._domain, *images.values()])
+        if len(sizes) == 1 and 0 < self._longest < LONG_IMAGE and letters.isascii():
+            domain = self._domain.encode()
+            self._columns = [
+                bytes.maketrans(domain, "".join([image[j] for image in images.values()]).encode())
+                for j in range(self._longest)
+            ]
+
+    def _image(self, block: str) -> str:
+        if self._columns is None:
+            return block.translate(self._table)
+        letters = block.encode()
+        m = len(self._columns)
+        out = bytearray(m * len(letters))
+        for j, column in enumerate(self._columns):
+            out[j::m] = letters.translate(column)
+        return out.decode()
 
     def _grow(self, n: int) -> None:
         # Without a base, the letters to expand are todo[at:] followed by the
@@ -142,7 +175,7 @@ class ImageGenerator(WordGenerator):
             if not block:
                 break
             known = len(block) - len(block.lstrip(self._domain))
-            image = block[:known].translate(self._table)
+            image = self._image(block[:known])
             parts.append(image)
             size += len(image)
             cursor += known
@@ -157,9 +190,9 @@ class ImageGenerator(WordGenerator):
 def _long_power(images: dict[str, str], seed: str) -> dict[str, str]:
     """The images of h^j on the letters of the fixed point grown from seed
     (those reachable from it under h), for the least j whose longest image
-    among them has at least 64 letters, stopping once none of their image
-    lengths changes and at j = 64.  A fixed point of h is one of h^j, and
-    translate costs about the same per input letter whatever the image
+    among them has at least LONG_IMAGE letters, stopping once none of their
+    image lengths changes and at j = 64.  A fixed point of h is one of h^j,
+    and translate costs about the same per input letter whatever the image
     length, so long images make growth cheap.  j = 1, with every image of h,
     when some reachable letter has no image (h^2 undefined on the word)."""
     reachable, todo = set(seed), list(seed)
@@ -174,7 +207,7 @@ def _long_power(images: dict[str, str], seed: str) -> dict[str, str]:
     power = images
     sizes = list(map(len, power.values()))
     for _ in range(63):
-        if max(sizes, default=0) >= 64:
+        if max(sizes, default=0) >= LONG_IMAGE:
             break
         # h^(j+1)(a) = h^j(h(a)), joined from the images of h^j.
         longer = {letter: "".join([power[ch] for ch in image]) for letter, image in images.items()}
@@ -239,11 +272,11 @@ class InterleavedCopiesGenerator(WordGenerator):
             last += 1
             size += self.copies * last
         text = self.base._slice(done * (done + 1) // 2, last * (last + 1) // 2)
+        copies = [text.translate(table) for table in self._renamings]
         parts = [self._buf]
         start = 0
         for j in range(done + 1, last + 1):
-            chunk = text[start:start + j]
-            parts.extend([chunk.translate(table) for table in self._renamings])
+            parts.extend([copy[start:start + j] for copy in copies])
             start += j
         self._buf = "".join(parts)
         self._rounds_done = last
@@ -256,30 +289,45 @@ def _chunk_sizes(k: int, i: int) -> tuple[int, int]:
     return u, k * (u + 1) - 1
 
 
-def _chunk(source: WordGenerator, k: int, i: int, which: int, letters: str) -> str:
-    """u_i (which = 0) or v_i (which = 1): the i-th of the consecutive chunks
-    of source with those lengths, renamed onto `letters`."""
-    start = sum(_chunk_sizes(k, j)[which] for j in range(1, i))
-    end = start + _chunk_sizes(k, i)[which]
-    lo, hi = source.alphabet
-    return source._slice(start, end).translate(str.maketrans(lo + hi, letters))
+def _renamed_slices(source: WordGenerator, start: int, size: int, table: dict[int, int], built: list[str]) -> Iterator[str]:
+    """source[start:start + size] renamed by table, in slices of at most
+    CHUNK_SLICE letters, each read only when the stream reaches it and
+    appended to built, so that repeats of the chunk reuse it."""
+    for lo in range(start, start + size, CHUNK_SLICE):
+        piece = source._slice(lo, min(lo + CHUNK_SLICE, start + size)).translate(table)
+        built.append(piece)
+        yield piece
 
 
 def _intermediate_pieces(source: WordGenerator, n: int, k: int, letters: str) -> Iterator[str]:
     """The intermediate word of OptimalBinaryGenerator as pieces: per block i,
-    u_i SEP v_i SEP, n times, then u_i SEP END.  Each chunk is read from the
-    source only when the stream reaches it.  A module function, so that the
+    u_i SEP v_i SEP, n times, then u_i SEP END, where u_i and v_i are the
+    i-th of the consecutive chunks of source with their lengths (see
+    `_chunk_sizes`), renamed.  A chunk is read from the source a slice at a
+    time, only when the stream reaches it.  A module function, so that the
     stream holds no reference to its generator."""
     u1, u2, v1, v2, sep, end = letters
+    lo, hi = source.alphabet
+    u_table, v_table = str.maketrans(lo + hi, u1 + u2), str.maketrans(lo + hi, v1 + v2)
+    u_start = v_start = 0
     for i in count(1):
-        u = _chunk(source, k, i, 0, u1 + u2)
-        yield from (u, sep)
-        v = _chunk(source, k, i, 1, v1 + v2)
-        yield from (v, sep)
+        u_size, v_size = _chunk_sizes(k, i)
+        u: list[str] = []
+        v: list[str] = []
+        yield from _renamed_slices(source, u_start, u_size, u_table, u)
+        yield sep
+        yield from _renamed_slices(source, v_start, v_size, v_table, v)
+        yield sep
         # One repeat at a time: n may be far larger than the prefix needs.
         for _ in range(n - 1):
-            yield from (u, sep, v, sep)
-        yield from (u, sep, end)
+            yield from u
+            yield sep
+            yield from v
+            yield sep
+        yield from u
+        yield from (sep, end)
+        u_start += u_size
+        v_start += v_size
 
 
 class OptimalBinaryGenerator(ImageGenerator):

@@ -400,6 +400,14 @@ GENERATE_DIGESTS = {
     ("interleaved", "n=3", 100000): "63bb9b19f9d21c7ee868b90576a520a0cb047ba268f1366e2d72b00a680b9727",
     ("optimal-binary", "n=2;k=2;m=8", 1000): "a866f5c5158644843da62b8422a4a5615dff4c31e2159d727a4a566771099fe9",
     ("optimal-binary", "n=2;k=2;m=8", 100000): "636db2565c5ca4529710108323a7196083b6d7b45a74b73f01f6cd369c17e0ac",
+    # Recorded before the word was written unescaped, uniform images were
+    # expanded by columns and interleaved copies were renamed once each.
+    ("thue-morse", None, 400000): "d33e037d5828295ce7290be93577376000d973a5403b92c440f26c02436fb1c8",
+    ("morphic", "rules=a=ab,b=cb,c=ac;seed=a", 400000): "daa188d8a7be6fc76f28f746d0d3f68d35d04af02e8164587e6f4da28a6e2283",
+    ("interleaved", "n=3", 400000): "539314643694edfaa8f8c2d2e21b8ab76c17e7d733981e916aea1f0504d045d1",
+    ("optimal-binary", "n=2;k=2;m=8", 400000): "7e2fb598d10ad1d6ca4045c9ac49e80404b2e02ee2057ba6a1c902016df8727e",
+    ("periodic", 'v=a"b\\c', 1000): "90348e6cb0da9aefa215cc88f251691e6f96a042f9d4e0f96bf4b50003fb5fe1",
+    ("periodic", "v=\x01x\x7f\xe9", 1000): "e2944ae6a8099f26e9912ab8addbfc1dcdd0e4e4cc98f66334878065719b2f22",
 }
 
 
@@ -410,6 +418,58 @@ class TestGenerateByteStable:
             code, out, _ = invoke(capsys, "generate", "--gen", gen, *extra, "--prefix", str(prefix), "--format", "json")
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (gen, params, prefix)
+
+
+class TestGenerateJson:
+    """`generate --format json` against json.dumps of the same record."""
+
+    SPECS = (
+        ("periodic", "v=abcabb"),
+        ("thue-morse", None),
+        ("morphic", "rules=a=ab,b=cb,c=ac;seed=a"),
+        ("morphic", "rules=a=abbc,b=,c=cc;seed=a"),
+        ("interleaved", "n=3"),
+        ("interleaved", "n=2;base=morphic:0=001,1=10:0"),
+        ("optimal-binary", "n=2;k=2;m=8"),
+        ("optimal-binary", "n=1;k=2;m=7;base=periodic:01"),
+    )
+    # Periodic words with letters json escapes; a prefix with one of those
+    # letters is written by json, not as it is.
+    ESCAPED = ('a"b', "a\\b", "ab\x01", "\x7fab", "\xe9ab", ' ~"\\\x7f')
+    ESCAPED_LETTERS = '"\\\x01\x7f\xe9'
+
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        """The records written through `cli._emit`, the json module's path."""
+        records = []
+        emit = cli._emit
+
+        def spy(record, *args, **kwargs):
+            records.append(record)
+            emit(record, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        return records
+
+    def check(self, capsys, emitted, gen, params, prefix, plain):
+        emitted.clear()
+        extra = ("--params", params) if params else ()
+        code, out, _ = invoke(capsys, "generate", "--gen", gen, *extra, "--prefix", str(prefix), "--format", "json")
+        word = infinite.generator_from_spec(gen, cli._parse_params(params)).prefix(prefix)
+        record = {"generator": gen, "prefix": prefix, "word": word}
+        assert (code, out) == (0, json.dumps(record, sort_keys=True) + "\n"), (gen, params, prefix)
+        assert (not emitted) == plain, (gen, params, prefix)
+
+    def test_every_generator(self, capsys, emitted):
+        for gen, params in self.SPECS:
+            for prefix in (0, 1, 999, 400_000):
+                self.check(capsys, emitted, gen, params, prefix, plain=True)
+
+    def test_words_that_need_escaping_go_through_json(self, capsys, emitted):
+        for v in self.ESCAPED:
+            for prefix in (1, 2, 3, 5000):
+                plain = set(v[:prefix]).isdisjoint(self.ESCAPED_LETTERS)
+                self.check(capsys, emitted, "periodic", f"v={v}", prefix, plain)
 
 
 # sha256 of `family highpower --n N` stdout, recorded before the spreading

@@ -308,11 +308,43 @@ class TestImageGenerator:
             ImageGenerator(parse_morphism("a=x,b="), PeriodicGenerator("ab"))
 
     def test_base_letter_outside_domain_raises_only_when_reached(self):
-        gen = ImageGenerator(parse_morphism("a=xy"), StreamGenerator("aaab", "ab"))
-        assert gen.prefix(6) == "xyxyxy"
-        with pytest.raises(WordError, match="letter 'b' outside morphism domain"):
-            gen.prefix(7)
-        assert gen.prefix(5) == "xyxyx"
+        # Uniform images expand by columns, the others by str.translate.
+        cases = (({"a": "xy"}, True), ({"a": "xy", "c": "xyz"}, False), ({"a": "xy", "c": "\xe9y"}, False))
+        for images, columns in cases:
+            gen = ImageGenerator(Morphism(images), StreamGenerator("aaab", "ab"))
+            assert (gen._columns is not None) == columns
+            assert gen.prefix(6) == "xyxyxy"
+            with pytest.raises(WordError, match="letter 'b' outside morphism domain"):
+                gen.prefix(7)
+            assert gen.prefix(5) == "xyxyx"
+
+    def test_column_expansion_matches_str_translate(self):
+        # Uniform morphisms over ASCII letters with images shorter than
+        # LONG_IMAGE expand by columns, all others by str.translate, which
+        # is the oracle here.
+        rng = random.Random(15)
+        cases = [(m, True, True) for m in range(1, infinite.LONG_IMAGE + 1)]
+        cases += [(rng.randrange(1, 9), uniform, ascii_only) for uniform in (True, False)
+                  for ascii_only in (True, False) for _ in range(20)]
+        for m, uniform, ascii_only in cases:
+            domain = rng.choice(("a", "ab", "abc", "a0~Z"))
+            if not ascii_only and rng.random() < 0.5:
+                domain += "\xe9"
+            images = {
+                ch: "".join(rng.choice("xyz") for _ in range(m if uniform else rng.randint(1, m)))
+                for ch in domain
+            }
+            if not ascii_only and domain.isascii():
+                images[domain[0]] = "\u2603" + images[domain[0]][1:]
+            h = Morphism(images)
+            base_text = "".join(rng.choice(domain) for _ in range(rng.randrange(1, 300)))
+            text = base_text.translate(str.maketrans(images))
+            gen = ImageGenerator(h, StreamGenerator(base_text, domain))
+            one_size = len(set(map(len, images.values()))) == 1
+            assert (gen._columns is not None) == (one_size and m < infinite.LONG_IMAGE and ascii_only)
+            for n in [rng.randrange(0, len(text) + 1) for _ in range(5)] + [len(text)]:
+                assert gen.prefix(n) == text[:n], (images, n)
+                assert ImageGenerator(h, StreamGenerator(base_text, domain)).prefix(n) == text[:n], (images, n)
 
     def test_image_of_interleaved_copies_has_the_spread_exponent(self):
         # The paper's h(x): x has ACE 2, and h(x) under the letter-spreading
@@ -485,11 +517,23 @@ class TestOptimalBinary:
             assert h.codomain == "ab"
 
     def test_long_prefix_builds_few_intermediate_letters(self):
-        # 400,000 letters need 50,000 intermediate letters; building whole
-        # blocks with their u_5 and v_5 chunks took 1,001,068.
-        gen = OptimalBinaryGenerator(2, 2, 8)
-        gen.prefix(400_000)
-        assert len(gen.base._buf) <= 200_000
+        # 400,000 letters at m = 8 need 50,000 intermediate letters and
+        # 10,000,000 at m = 7 need 1,428,572; yielding the chunks whole
+        # built 161,252 and 11,069,641.
+        for n, k, m, size, needed in ((2, 2, 8, 400_000, 50_000), (1, 2, 7, 10_000_000, 1_428_572)):
+            gen = OptimalBinaryGenerator(n, k, m)
+            assert len(gen.prefix(size)) == size
+            assert needed <= len(gen.base._buf) <= needed + infinite.CHUNK_SLICE
+
+    def test_chunk_repeats_match_the_oracle_across_slices(self, monkeypatch):
+        # Chunks longer than a slice are read in several slices, and their
+        # n - 1 repeats reuse them.
+        monkeypatch.setattr(infinite, "CHUNK_SLICE", 5)
+        for n, k, m in ((3, 2, 7), (1, 3, 11)):
+            gen = OptimalBinaryGenerator(n, k, m)
+            letters = gen.morphism.domain
+            text = gen.morphism.apply(intermediate_word(thue_morse_word(2000), n, k, 3, letters))
+            assert gen.prefix(len(text)) == text
 
 
 
