@@ -10,7 +10,7 @@ import sys
 from string import digits
 from typing import Callable, Sequence
 
-from .codes import is_synchronizing, parse_code_set, x_degree
+from .codes import _default_probe, is_synchronizing, parse_code_set, x_degree
 from .infinite import ace_estimate, generator_from_spec
 from .mapped_exponent import (
     classify_general,
@@ -136,7 +136,7 @@ def _cmd_sync(args: argparse.Namespace) -> None:
     code = parse_code_set(args.code)
     if args.probe is not None and args.probe < 0:
         raise ParseError("--probe must be >= 0")
-    probe = args.probe if args.probe is not None else 4 * (len(w) + code.max_len)
+    probe = args.probe if args.probe is not None else _default_probe(w, code)
     split = is_synchronizing(w, code, probe_len=probe)
     record = {"word": w, "code": code.to_text(), "probe_len": probe, "split": split}
     if split is None:
@@ -178,13 +178,11 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 
 
 def _cmd_family(args: argparse.Namespace) -> None:
+    if args.n is None:
+        raise ParseError(f"family {args.which} needs --n")
     if args.which == "lowpower":
-        if args.n is None:
-            raise ParseError("family lowpower needs --n")
         word, h, expected = lowpower_morphism(args.n, args.k)
     else:
-        if args.n is None:
-            raise ParseError("family highpower needs --n")
         word, h, expected = highpower_word(args.n)
     computed = fractional_exponent(h.apply(word)).exponent
     record = {

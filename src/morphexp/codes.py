@@ -216,6 +216,11 @@ def x_factorization_count(w: str, code: CodeSet) -> int:
     return parse_counts(w, code.words)[len(w)]
 
 
+def _default_probe(w: str, code: CodeSet) -> int:
+    """The probe length is_synchronizing uses when none is given."""
+    return 4 * (len(w) + code.max_len)
+
+
 def is_synchronizing(w: str, code: CodeSet, probe_len: int | None = None) -> int | None:
     """Smallest split t such that, in every probed context, each occurrence
     of w inside a concatenation of code words has a parse boundary exactly t
@@ -232,6 +237,11 @@ def is_synchronizing(w: str, code: CodeSet, probe_len: int | None = None) -> int
     exit cut e (|w|, or w[e:] a proper prefix of one); its length is |w|
     plus the letters of its flanking words outside w.  Split t survives when
     every cover avoiding t is longer than probe_len.
+
+    No cover is longer than the saturation length |w| + 2 * max - 2: a
+    flanking word adds at most max - 1 letters on each side, and a code word
+    holding w has at most max.  The default probe is at least that, so the
+    default answer is exact over all of X*.
     """
     if not w:
         raise WordError("empty input")
@@ -239,7 +249,7 @@ def is_synchronizing(w: str, code: CodeSet, probe_len: int | None = None) -> int
         raise WordError("the word set is not a code")
     n = len(w)
     if probe_len is None:
-        probe_len = 4 * (n + code.max_len)
+        probe_len = _default_probe(w, code)
     budget = probe_len - n  # letters the flanking words may add outside w
     if any(len(x) <= probe_len and w in x[1:-1] for x in code.words):
         return None

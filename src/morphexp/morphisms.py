@@ -242,7 +242,8 @@ def enumerate_injective(
     yield from _injective_images(len(letter_set(domain)), letter_set(codomain), max_image_len)
 
 
-# The most candidate images, over all lengths, that a search builds.
+# The most candidate images, over all lengths, that a search builds.  Every
+# branch of the search tries each of them, so the limit bounds its work.
 MAX_SEARCH_CANDIDATES = 32_768
 # The most image tuples the search memo holds, over all its spaces.
 MAX_CACHED_TUPLES = 100_000
@@ -274,7 +275,7 @@ def _injective_images(
         return
     if not codomain:
         return
-    # The candidate masks take O(N^2) bits for N candidates: count them first.
+    # Count the candidates before building them.
     count, layer = 0, 1
     for _ in range(max_image_len):
         layer *= len(codomain)
@@ -282,17 +283,6 @@ def _injective_images(
         if count > MAX_SEARCH_CANDIDATES:
             raise WordError(f"the search would build more than the limit of {MAX_SEARCH_CANDIDATES} candidate images")
     candidates = words_up_to(codomain, max_image_len)
-    # Candidate i is the bit 1 << i; prefixed[i] holds i and every candidate
-    # that is a prefix of it or has it as a prefix, suffixed[i] the same for
-    # suffixes.
-    index = {x: i for i, x in enumerate(candidates)}
-    prefixed = [1 << i for i in range(len(candidates))]
-    suffixed = prefixed[:]
-    for i, x in enumerate(candidates):
-        for k in range(1, len(x)):
-            for related, j in ((prefixed, index[x[:k]]), (suffixed, index[x[k:]])):
-                related[i] |= 1 << j
-                related[j] |= 1 << i
     # choices[m]: the images open to a tuple whose images so far use the
     # first m codomain letters, each with the letter count after it.  The
     # last row holds every candidate and stays there, so the full
@@ -301,7 +291,7 @@ def _injective_images(
     choices = []
     for m in range(len(codomain) + 1):
         row = []
-        for i, x in enumerate(candidates):
+        for x in candidates:
             used = m
             for ch in x:
                 if rank[ch] == used:
@@ -309,35 +299,31 @@ def _injective_images(
                 elif rank[ch] > used:
                     break
             else:
-                row.append((x, 1 << i, prefixed[i], suffixed[i], used))
+                row.append((x, used))
         choices.append(row)
     last = size - 1
-    images: list[str] = []
-    # Per depth: the bits of the images so far, the unions of their prefixed
-    # and suffixed masks, and whether they are prefix-free and suffix-free.
-    states = [(0, 0, 0, True, True)]
-    stack = [iter(choices[0 if canonical else len(codomain)])]
+    # Per depth: the images so far, the sets of their nonempty prefixes and
+    # suffixes, whether they are prefix-free and suffix-free, and the
+    # candidates left for the next image.  A candidate is prefix-comparable
+    # with an image iff it is one of these prefixes or starts with the image;
+    # a repeated image is comparable both ways.
+    stack = [((), frozenset(), frozenset(), True, True, iter(choices[0 if canonical else len(codomain)]))]
     while stack:
-        chosen, near_prefix, near_suffix, prefix_free, suffix_free = states[-1]
-        for x, bit, pre, suf, used in stack[-1]:
-            if chosen & bit:
-                continue
-            pfree = prefix_free and not near_prefix & bit
-            sfree = suffix_free and not near_suffix & bit
-            if not (pfree or sfree) and sardinas_patterson(images + [x]) is not None:
+        images, heads, tails, prefix_free, suffix_free, rest = stack[-1]
+        for x, used in rest:
+            pfree = prefix_free and not (x in heads or x.startswith(images))
+            sfree = suffix_free and not (x in tails or x.endswith(images))
+            if not (pfree or sfree) and (x in images or sardinas_patterson(images + (x,)) is not None):
                 continue
             if len(images) == last:
                 yield (*images, x)
                 continue
-            images.append(x)
-            states.append((chosen | bit, near_prefix | pre, near_suffix | suf, pfree, sfree))
-            stack.append(iter(choices[used]))
+            cuts = range(1, len(x) + 1)
+            stack.append((images + (x,), heads.union([x[:k] for k in cuts]),
+                          tails.union([x[-k:] for k in cuts]), pfree, sfree, iter(choices[used])))
             break
         else:
             stack.pop()
-            states.pop()
-            if images:
-                images.pop()
 
 
 # The canonical search spaces read to the end in this process, keyed by

@@ -260,6 +260,28 @@ class TestSynchronizing:
                     text, code, probe
                 ), (text, code.words, probe)
 
+    def test_default_probe_is_exact(self):
+        # No cover is longer than |w| + 2 * max - 2, so the default probe,
+        # that saturation length and a probe past any cover agree.
+        rng = random.Random(101)
+        cases = splits = 0
+        while cases < 3_000:
+            words = {
+                "".join(rng.choice("ab") for _ in range(rng.randint(1, 5)))
+                for _ in range(rng.randint(1, 4))
+            }
+            code = CodeSet(sorted(words))
+            if not code.is_code():
+                continue
+            text = "".join(rng.choice("ab") for _ in range(rng.randint(1, 10)))
+            split = is_synchronizing(text, code)
+            saturation = len(text) + 2 * code.max_len - 2
+            assert is_synchronizing(text, code, probe_len=saturation) == split, (text, code.words)
+            assert is_synchronizing(text, code, probe_len=10**12) == split, (text, code.words)
+            cases += 1
+            splits += split is not None
+        assert 0 < splits < cases
+
     def test_long_probe_does_not_enumerate_products(self):
         # The literal probe enumerates every product up to the probe length;
         # here that is exponential in the length of the c-word.

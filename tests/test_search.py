@@ -44,6 +44,10 @@ def shapes():
                     yield size, max_image_len, codomain_size
 
 
+# Shapes with images longer than three letters, for the enumeration tests.
+WIDE_SHAPES = (*((1, max_image_len, 2) for max_image_len in range(4, 11)), (2, 4, 2), (2, 5, 2), (2, 4, 3))
+
+
 # The (domain size, max image length, codomain size) of the benchmark's
 # lower-bound queries, which use words of six letters.
 BENCH_SHAPES = ((2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2))
@@ -128,7 +132,7 @@ def reaches_search(w):
 class TestEnumerationOracle:
     def test_matches_product_in_order(self):
         rng = random.Random(6001)
-        for size, max_image_len, codomain_size in shapes():
+        for size, max_image_len, codomain_size in (*shapes(), *WIDE_SHAPES):
             domain, codomain = random_alphabets(rng, size, codomain_size)
             expected = list(injective_product(domain, codomain, max_image_len))
             got = list(enumerate_injective(domain, codomain, max_image_len))
@@ -136,7 +140,7 @@ class TestEnumerationOracle:
 
     def test_canonical_is_the_oracle_subsequence(self):
         rng = random.Random(6002)
-        for size, max_image_len, codomain_size in shapes():
+        for size, max_image_len, codomain_size in (*shapes(), *WIDE_SHAPES):
             domain, codomain = random_alphabets(rng, size, codomain_size)
             expected = list(canonical_product(domain, codomain, max_image_len))
             got = list(_injective_images(size, codomain, max_image_len, canonical=True))
@@ -253,6 +257,19 @@ class TestSearchLimits:
         )
         assert run_bounded(code) == "[] []\n"
         assert list(_injective_images(0, "", 10**9)) == [()]
+
+    def test_a_search_at_the_candidate_limit_runs_in_little_memory(self):
+        # 32,766 candidate images, and the only tuple is one image; the
+        # peak RSS is in kilobytes, as Linux reports it.
+        code = (
+            "import resource\n"
+            "from morphexp.cli import run\n"
+            "run(['lower-bound', 'aaaa', '--max-image-len', '14'])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        line, peak_kb = run_bounded(code).splitlines()
+        assert line == "best E = 56 via a=00000000000000"
+        assert int(peak_kb) < 100 * 1024
 
 
 class TestSearchMemo:
