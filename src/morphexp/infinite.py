@@ -10,6 +10,7 @@ never a claimed limit.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -36,16 +37,19 @@ MAX_PROFILE_LETTERS = 100_000
 LONG_IMAGE = 64
 
 # The most letters of a chunk u_i or v_i the optimal-binary stream reads and
-# renames at once.
+# renames at once, so the stream ends at most this far past what a prefix needs.
 CHUNK_SLICE = 1 << 14
 
 
 class WordGenerator:
-    """Base for on-demand prefix producers of an infinite word."""
+    """Base for on-demand prefix producers of an infinite word: its `size`
+    letters, append-only parts with end offsets, added by `_add`, read by `_slice`."""
 
     def __init__(self, alphabet: str):
         self.alphabet = alphabet
-        self._buf = ""
+        self.size = 0
+        self._parts: list[str] = []
+        self._ends: list[int] = []
 
     def prefix(self, n: int) -> str:
         if n < 0:
@@ -53,19 +57,37 @@ class WordGenerator:
         _check_build_size("the prefix", n, MAX_BUILD_LETTERS)
         return self._slice(0, n)
 
+    def _add(self, text: str) -> None:
+        self.size += len(text)
+        self._parts.append(text)
+        self._ends.append(self.size)
+
     def _slice(self, lo: int, hi: int) -> str:
-        """Letters lo..hi-1, grown into the buffer if needed; copies only
-        hi - lo letters, so derived generators read their base through it."""
-        while len(self._buf) < hi:
-            before = len(self._buf)
+        """Letters lo..hi-1, grown if needed; derived generators read their
+        base, and a fixed point itself, through it.  A read from a part's
+        start replaces the parts it spans with their join, so a prefix is
+        joined once; a read from inside a part copies only its own letters."""
+        while self.size < hi:
+            before = self.size
             self._grow(hi)
-            if len(self._buf) <= before:
+            if self.size <= before:
                 raise WordError("generator failed to produce more letters")
-        return self._buf[lo:hi]
+        if hi <= lo:
+            return ""
+        first, last = bisect_right(self._ends, lo), bisect_left(self._ends, hi)
+        start = self._ends[first - 1] if first else 0
+        if first < last:
+            parts = self._parts[first:last + 1]
+            if lo > start:
+                parts[0], parts[-1] = parts[0][lo - start:], parts[-1][:hi - self._ends[last - 1]]
+                return "".join(parts)
+            self._parts[first:last + 1] = ["".join(parts)]
+            del self._ends[first:last]
+        return self._parts[first][lo - start:hi - start]
 
     def _grow(self, n: int) -> None:
-        """Extend the buffer towards n letters, possibly past n; a call that
-        adds no letter ends growth with a WordError."""
+        """Add letters towards n, possibly past n; a call that adds no
+        letter ends growth with a WordError."""
         raise NotImplementedError
 
 
@@ -78,16 +100,16 @@ class StreamGenerator(WordGenerator):
         self._blocks: Iterator[str] = iter(blocks)
 
     def _grow(self, n: int) -> None:
-        parts = [self._buf]
-        size = len(self._buf)
+        # One part per growth, as a part per one-letter block costs ~60 bytes.
+        blocks, size = [], self.size
         for block in self._blocks:
-            parts.append(block)
+            blocks.append(block)
             size += len(block)
             if size >= n:
                 break
-        if size == len(self._buf):
+        if size == self.size:
             raise WordError("letter stream exhausted")
-        self._buf = "".join(parts)
+        self._add("".join(blocks))
 
 
 class PeriodicGenerator(WordGenerator):
@@ -100,21 +122,22 @@ class PeriodicGenerator(WordGenerator):
         self.period_word = period_word
 
     def _grow(self, n: int) -> None:
-        reps = -(-(n - len(self._buf)) // len(self.period_word)) + 1
-        self._buf += self.period_word * reps
+        reps = -(-(n - self.size) // len(self.period_word)) + 1
+        self._add(self.period_word * reps)
 
 
 class ImageGenerator(WordGenerator):
     """The image h(x) of a base word x under a morphism h; with no base, x is
     the generator's own word (see MorphicGenerator).
 
-    The buffer always equals g(x[:cursor]), where g is h over a base and the
+    Its letters always equal g(x[:cursor]), where g is h over a base and the
     long-image power of h (see `_long_power`) without one.  A missing stretch
     of the prefix is filled by expanding the next ceil(missing / longest
-    image of g) letters of x, so a prefix costs O(n) and the buffer ends less
-    than one image of g past the requested length.  A letter outside the
-    domain raises only once the cursor reaches it while the requested prefix
-    is still longer than the buffer.
+    image of g) letters of x, read through `_slice` (without a base, only as
+    far as the generator holds them), so a prefix costs O(n) and the letters
+    end less than one image of g past the requested length.  A letter outside
+    the domain raises only once the cursor reaches it while the requested
+    prefix is still longer than the letters held.
 
     When every image of g has the same length m < LONG_IMAGE and every
     letter is ASCII, a block is expanded by columns: letter j of each image
@@ -156,35 +179,17 @@ class ImageGenerator(WordGenerator):
         return out.decode()
 
     def _grow(self, n: int) -> None:
-        # Without a base, the letters to expand are todo[at:] followed by the
-        # images in `fresh`; those join todo only when a block reaches them,
-        # and a lone image once todo is used up joins without a copy.
-        parts = [self._buf]
-        size = len(self._buf)
-        cursor = self._cursor
-        todo, at, fresh = self._buf, cursor, []
-        while size < n:
-            want = -(-(n - size) // self._longest)
-            if self.base is not None:
-                block = self.base._slice(cursor, cursor + want)
-            else:
-                if at + want > len(todo) and fresh:
-                    rest = [todo[at:]] if at < len(todo) else []
-                    todo, at, fresh = "".join(rest + fresh), 0, []
-                block = todo[at:at + want]
+        source = self if self.base is None else self.base
+        while self.size < n:
+            hi = self._cursor - (-(n - self.size) // self._longest)
+            block = source._slice(self._cursor, hi if source is not self else min(hi, self.size))
             if not block:
                 break
             known = len(block) - len(block.lstrip(self._domain))
-            image = self._image(block[:known])
-            parts.append(image)
-            size += len(image)
-            cursor += known
-            if known < len(block) and size < n:
+            self._add(self._image(block[:known]))
+            self._cursor += known
+            if known < len(block) and self.size < n:
                 raise WordError(f"letter {block[known]!r} outside morphism domain")
-            at += known
-            fresh.append(image)
-        self._buf = "".join(parts)
-        self._cursor = cursor
 
 
 def _long_power(images: dict[str, str], seed: str) -> dict[str, str]:
@@ -230,7 +235,7 @@ class MorphicGenerator(ImageGenerator):
         super().__init__(rules, None)
         self._expand_with(_long_power(rules.images, seed))
         self.seed = seed
-        self._buf = seed.translate(self._table)
+        self._add(seed.translate(self._table))
         self._cursor = len(seed)
 
 
@@ -263,22 +268,22 @@ class InterleavedCopiesGenerator(WordGenerator):
         self._rounds_done = 0
 
     def _grow(self, n: int) -> None:
-        # The chunks of consecutive rounds are consecutive in the base, so
-        # every round this call needs comes from one read of the base.
+        # Consecutive rounds' chunks are consecutive in the base: one read,
+        # renamed once per copy, serves them all, as calls per round cost more.
         done = self._rounds_done
         last = done
-        size = len(self._buf)
+        size = self.size
         while size < n:
             last += 1
             size += self.copies * last
         text = self.base._slice(done * (done + 1) // 2, last * (last + 1) // 2)
         copies = [text.translate(table) for table in self._renamings]
-        parts = [self._buf]
+        pieces = []
         start = 0
         for j in range(done + 1, last + 1):
-            parts.extend([copy[start:start + j] for copy in copies])
+            pieces.extend([copy[start:start + j] for copy in copies])
             start += j
-        self._buf = "".join(parts)
+        self._add("".join(pieces))
         self._rounds_done = last
 
 

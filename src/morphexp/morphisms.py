@@ -259,9 +259,12 @@ def _injective_images(
     as soon as its partial tuple repeats an image or is not a code: every
     subset of a code is a code.  Sardinas-Patterson runs only once a partial
     tuple is neither prefix-free nor suffix-free, since a set that is either
-    is a code.  A search over more than MAX_SEARCH_CANDIDATES candidate
-    images raises WordError before it builds any; an empty codomain gives no
-    tuple for a nonempty domain.
+    is a code.  By McMillan's inequality the images x of a code over k
+    letters have weights k^(L - |x|), each at least 1, summing to at most
+    k^L, so a candidate is skipped when the weight it leaves is less than the
+    number of letters still to assign.  A search over more than
+    MAX_SEARCH_CANDIDATES candidate images raises WordError before it builds
+    any; an empty codomain gives no tuple for a nonempty domain.
 
     canonical=True keeps one tuple per renaming of the codomain letters: the
     one whose images, read in order, introduce new letters in codomain order.
@@ -284,9 +287,9 @@ def _injective_images(
             raise WordError(f"the search would build more than the limit of {MAX_SEARCH_CANDIDATES} candidate images")
     candidates = words_up_to(codomain, max_image_len)
     # choices[m]: the images open to a tuple whose images so far use the
-    # first m codomain letters, each with the letter count after it.  The
-    # last row holds every candidate and stays there, so the full
-    # enumeration walks it and the canonical one starts at row 0.
+    # first m codomain letters, each with the letter count after it and its
+    # weight.  The last row holds every candidate and stays there, so the
+    # full enumeration walks it and the canonical one starts at row 0.
     rank = {ch: i for i, ch in enumerate(codomain)}
     choices = []
     for m in range(len(codomain) + 1):
@@ -299,18 +302,22 @@ def _injective_images(
                 elif rank[ch] > used:
                     break
             else:
-                row.append((x, used))
+                row.append((x, used, len(codomain) ** (max_image_len - len(x))))
         choices.append(row)
     last = size - 1
     # Per depth: the images so far, the sets of their nonempty prefixes and
-    # suffixes, whether they are prefix-free and suffix-free, and the
-    # candidates left for the next image.  A candidate is prefix-comparable
-    # with an image iff it is one of these prefixes or starts with the image;
-    # a repeated image is comparable both ways.
-    stack = [((), frozenset(), frozenset(), True, True, iter(choices[0 if canonical else len(codomain)]))]
+    # suffixes, whether they are prefix-free and suffix-free, the weight left
+    # unused and the candidates left for the next image.  A candidate is
+    # prefix-comparable with an image iff it is one of these prefixes or
+    # starts with the image; a repeated image is comparable both ways.
+    stack = [((), frozenset(), frozenset(), True, True, len(codomain) ** max_image_len,
+              iter(choices[0 if canonical else len(codomain)]))]
     while stack:
-        images, heads, tails, prefix_free, suffix_free, rest = stack[-1]
-        for x, used in rest:
+        images, heads, tails, prefix_free, suffix_free, room, rest = stack[-1]
+        spare = room - (last - len(images))
+        for x, used, weight in rest:
+            if weight > spare:
+                continue
             pfree = prefix_free and not (x in heads or x.startswith(images))
             sfree = suffix_free and not (x in tails or x.endswith(images))
             if not (pfree or sfree) and (x in images or sardinas_patterson(images + (x,)) is not None):
@@ -320,7 +327,7 @@ def _injective_images(
                 continue
             cuts = range(1, len(x) + 1)
             stack.append((images + (x,), heads.union([x[:k] for k in cuts]),
-                          tails.union([x[-k:] for k in cuts]), pfree, sfree, iter(choices[used])))
+                          tails.union([x[-k:] for k in cuts]), pfree, sfree, room - weight, iter(choices[used])))
             break
         else:
             stack.pop()

@@ -116,10 +116,10 @@ class TestMorphicGrowth:
         # the first rules and 262,143 for the second.
         gen = MorphicGenerator(parse_morphism("a=ab,b=" + "b" * 1000 + ",c=c"), "a")
         assert gen.prefix(20_000) == "a" + "b" * 19_999
-        assert len(gen._buf) < 20_000 + 1000
+        assert gen.size < 20_000 + 1000
         gen = MorphicGenerator(parse_morphism("a=aab,b=b"), "a")
         gen.prefix(200_000)
-        assert len(gen._buf) < 200_000 + 127  # |h^6(a)| = 127
+        assert gen.size < 200_000 + 127  # |h^6(a)| = 127
 
     def test_multi_letter_seed_grows_its_own_fixed_point(self):
         h = parse_morphism("a=ab,b=ba")
@@ -204,7 +204,7 @@ class TestLongImagePower:
             asked = max(asked, n)
             for g, built in ((gen, asked), (MorphicGenerator(h, seed), n)):
                 assert g.prefix(n) == naive[:n], (h, seed, n)
-                assert len(g._buf) < max(built + longest, start + 1), (h, seed, n)
+                assert g.size < max(built + longest, start + 1), (h, seed, n)
 
     def test_random_rules_and_seeds_match_naive_iteration(self):
         rng = random.Random(9)
@@ -293,15 +293,15 @@ class TestImageGenerator:
         base = StreamGenerator(itertools.cycle("ab"), "ab")
         gen = ImageGenerator(Morphism({"a": "xyz", "b": "zzy"}), base)
         assert gen.prefix(7) == "xyzzzyx"
-        assert len(base._buf) == 3
+        assert base.size == 3
         gen.prefix(300)
-        assert len(base._buf) == 100
+        assert base.size == 100
 
     def test_skewed_images_build_less_than_one_image_past_the_prefix(self):
         # Blocks sized by the shortest image built 5,005,000 letters here.
         gen = ImageGenerator(parse_morphism("a=x,b=" + "y" * 1000), PeriodicGenerator("ab"))
         assert gen.prefix(10_000) == ("x" + "y" * 1000) * 9 + "x" + "y" * 990
-        assert len(gen._buf) < 10_000 + 1000
+        assert gen.size < 10_000 + 1000
 
     def test_erasing_morphism_over_a_base_is_refused(self):
         with pytest.raises(WordError, match="erasing morphism"):
@@ -523,7 +523,7 @@ class TestOptimalBinary:
         for n, k, m, size, needed in ((2, 2, 8, 400_000, 50_000), (1, 2, 7, 10_000_000, 1_428_572)):
             gen = OptimalBinaryGenerator(n, k, m)
             assert len(gen.prefix(size)) == size
-            assert needed <= len(gen.base._buf) <= needed + infinite.CHUNK_SLICE
+            assert needed <= gen.base.size <= needed + infinite.CHUNK_SLICE
 
     def test_chunk_repeats_match_the_oracle_across_slices(self, monkeypatch):
         # Chunks longer than a slice are read in several slices, and their
@@ -680,6 +680,69 @@ class TestReferenceCycles:
                 assert [ref() for ref in refs] == [None, None]
             finally:
                 gc.enable()
+
+
+def part_makers():
+    """Fresh generators of every kind: the reference specs and a stream of
+    one-letter blocks."""
+    makers = [lambda spec=spec: generator_from_spec(*spec) for spec in TestReferenceCycles.SPECS]
+    return makers + [lambda: StreamGenerator(itertools.cycle("abc"), "abc")]
+
+
+def check_parts(gen):
+    # Every letter is held once, and the offsets end each part.
+    assert sum(map(len, gen._parts)) == gen.size
+    assert gen._ends == list(itertools.accumulate(map(len, gen._parts)))
+
+
+class TestLetterParts:
+    def test_random_reads_across_parts_match_one_prefix(self):
+        rng = random.Random(17)
+        for make in part_makers():
+            text = make().prefix(3000)
+            gen = make()
+            # Grow in random small steps: an empty read at n grows to n.
+            n = 0
+            while n < 2000:
+                n += rng.randint(1, 40)
+                assert gen._slice(n, n) == ""
+                check_parts(gen)
+            for _ in range(300):
+                lo = rng.randrange(0, 3000)
+                hi = min(3000, lo + rng.choice((0, 1, 5, 60, 700)))
+                assert gen._slice(lo, hi) == text[lo:hi], (make(), lo, hi)
+                for part in (gen, getattr(gen, "base", None)):
+                    if part is not None:
+                        check_parts(part)
+
+    def test_only_a_read_from_a_part_start_joins_the_parts_it_spans(self):
+        gen = StreamGenerator(itertools.cycle("abc"), "abc")
+        for n in range(11):
+            assert gen._slice(n, n) == ""
+        assert gen._parts == list("abcabcabca")
+        assert gen._slice(3, 7) == "abca"
+        assert gen._parts == ["a", "b", "c", "abca", "b", "c", "a"]
+        assert gen._slice(5, 9) == "cabc"
+        assert gen._parts == ["a", "b", "c", "abca", "b", "c", "a"]
+        assert gen.prefix(10) == "abcabcabca"
+        assert gen._parts == ["abcabcabca"] and gen._ends == [10]
+        # A stream adds one part per growth, not one per block.
+        assert gen._slice(20, 20) == "" and gen._parts == ["abcabcabca", "bcabcabcab"]
+
+    def test_small_step_reads_leave_earlier_parts_alone(self):
+        # Each growth re-joined every letter held, so reading thue_morse()
+        # to 1,500,000 letters in 1,024-letter slices cost about 20 one-shot
+        # reads.  Reads from inside a part must not join it either, or
+        # reads across part ends re-join an ever longer part.
+        for make in part_makers():
+            for offset in (0, 50):
+                gen = make()
+                gen.prefix(1000)
+                first, start = gen._parts[0], gen.size
+                for lo in range(start + offset, start + 20_000, 100):
+                    gen._slice(lo, lo + 100)
+                    assert gen._parts[0] is first, make()
+                assert max(map(len, gen._parts[1:])) < 1000, make()
 
 
 class TestPrefixLimit:

@@ -218,6 +218,18 @@ class TestSearchWork:
         assert enumerated == 51_828
         assert len(oracle_calls) == 54_834
 
+    def test_searches_past_the_mcmillan_weight_end_at_once(self, monkeypatch):
+        # Nine images of at most 3 letters over 2 weigh at least 9 > 2^3 in
+        # McMillan's sum, and two images over 1 letter at least 2 > 1^5, so
+        # no code exists and no branch is tried.
+        def failing(images):
+            raise AssertionError(f"sardinas_patterson{images}")
+
+        monkeypatch.setattr(morphisms_module, "sardinas_patterson", failing)
+        for canonical in (False, True):
+            assert list(_injective_images(9, "01", 3, canonical=canonical)) == []
+            assert list(_injective_images(2, "0", 5, canonical=canonical)) == []
+
 
 def run_bounded(code):
     """Run code in a fresh interpreter and return its stdout; a call that
