@@ -8,7 +8,7 @@ import functools
 import json
 import sys
 from string import digits
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .codes import _default_probe, is_synchronizing, parse_code_set, x_degree
 from .infinite import ace_estimate, generator_from_spec
@@ -57,13 +57,9 @@ def _parse_params(literal: str | None) -> dict[str, str]:
 _JSON_PLAIN = bytes(range(0x20, 0x7F)).translate(None, b'"\\')
 
 
-def _emit(record: dict, text: str, fmt: str, csv: Callable[[], str] | None = None) -> None:
-    # csv builds the table only when that format is asked for; only the
-    # subcommands that pass it offer the format.
+def _emit(record: dict, text: str, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(record, sort_keys=True))
-    elif fmt == "csv":
-        print(csv())
     else:
         print(text)
 
@@ -149,6 +145,10 @@ def _cmd_sync(args: argparse.Namespace) -> None:
 def _cmd_ace(args: argparse.Namespace) -> None:
     gen = generator_from_spec(args.gen, _parse_params(args.params))
     estimate = ace_estimate(gen, args.prefix, args.tail)
+    if args.format == "csv":
+        # Only csv builds the per-length table.
+        print(estimate.to_csv())
+        return
     record = {
         "generator": args.gen,
         "prefix": args.prefix,
@@ -161,7 +161,7 @@ def _cmd_ace(args: argparse.Namespace) -> None:
         f"estimate = {estimate.estimate} "
         f"(factor length {estimate.witness_length} at offset {estimate.witness_offset})"
     )
-    _emit(record, text, args.format, csv=estimate.to_csv)
+    _emit(record, text, args.format)
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import ceil
 from string import digits
 
-from .morphisms import Morphism, _canonical_images, compose, sardinas_patterson, spreading_morphism
+from .morphisms import Morphism, _canonical_images, sardinas_patterson, spreading_morphism
 from .words import (
     MAX_BUILD_LETTERS,
     WordError,
@@ -148,24 +148,16 @@ def pump_witness(
         p, t = head[:len(head) - len(gap)], ""
     s = "" if gap.startswith(tail) else tail[len(gap):]
 
-    c = fresh_letters(1, avoid=base.codomain)
-    step_codomain = base.codomain + c
-    step_images = {ch: base.images[ch] for ch in others}
-    step_images[pumped] = s + c + p
-    step = Morphism(step_images, domain=letters, codomain=step_codomain)
-
-    # One period of step(w) is U c V; pump c so each period repeats.
     ahead, behind = head + s, t
     pump = max(1, ceil(target))
-    # Each of the gap_count + 1 letters c of step(w) grows by the pumped part.
-    step_len = sum(len(step_images[ch]) for ch in w)
-    growth = (len(behind) + len(ahead) + 1) * (pump - 1)
-    _check_build_size("the witness image", step_len + (fact.gap_count + 1) * growth, MAX_BUILD_LETTERS)
-    pump_images = {ch: ch for ch in step_codomain if ch != c}
-    pump_images[c] = c + (behind + ahead + c) * (pump - 1)
-    pumper = Morphism(pump_images, domain=step_codomain, codomain=step_codomain)
-
-    witness = compose(pumper, step)
+    # The pumped letter occurs gap_count + 1 times in w.
+    pumped_len = len(s) + 1 + (len(behind) + len(ahead) + 1) * (pump - 1) + len(p)
+    size = len(head) + fact.gap_count * len(gap) + len(tail) + (fact.gap_count + 1) * pumped_len
+    _check_build_size("the witness image", size, MAX_BUILD_LETTERS)
+    c = fresh_letters(1, avoid=base.codomain)
+    images = {ch: base.images[ch] for ch in others}
+    images[pumped] = s + c + (behind + ahead + c) * (pump - 1) + p
+    witness = Morphism(images, domain=letters, codomain=base.codomain + c)
     achieved = fractional_exponent(witness.apply(w)).exponent
     if achieved < target:
         raise WordError(f"pump fell short: reached {achieved}, wanted {target}")

@@ -54,10 +54,10 @@ def _check_build_size(what: str, letters: int, limit: int) -> None:
         raise WordError(f"{what} would have {letters} letters, more than the limit of {limit}")
 
 
-def fresh_letters(count: int, avoid: Iterable[str] = (), pool: str = LETTER_POOL) -> str:
-    """First `count` pool characters not in `avoid`."""
+def fresh_letters(count: int, avoid: Iterable[str] = ()) -> str:
+    """First `count` characters of LETTER_POOL not in `avoid`."""
     taken = set(avoid)
-    out = "".join(ch for ch in pool if ch not in taken)
+    out = "".join(ch for ch in LETTER_POOL if ch not in taken)
     if len(out) < count:
         raise WordError(f"letter pool exhausted: needed {count} fresh letters")
     return out[:count]
@@ -201,24 +201,16 @@ def _agreements(planes: list[int], p: int) -> int:
     return agree
 
 
-def _run_powers(agree: int) -> list[int]:
-    """powers[j]: starts of runs of at least 2**j agreements, for j up to
-    the first power that is 0, which ends the list."""
-    powers = [agree]
-    while powers[-1]:
-        powers.append(powers[-1] & (powers[-1] >> (1 << (len(powers) - 1))))
-    return powers
-
-
-def _longest_run(powers: list[int]) -> tuple[int, int]:
-    """The longest run of agreements and the starts of runs that long, by
-    descending through the powers of a nonzero mask."""
-    longest, runs = 1 << (len(powers) - 2), powers[-2]
-    for j in range(len(powers) - 3, -1, -1):
-        longer = runs & (powers[j] >> longest)
-        if longer:
-            longest, runs = longest + (1 << j), longer
-    return longest, runs
+def _runs_of(agree: int, k: int) -> int:
+    """Starts of runs of at least k >= 1 agreements, by doubling: runs of h
+    agreements at i and at i + step, step <= h, make a run of h + step."""
+    runs, have = agree, 1
+    while runs and 2 * have <= k:
+        runs &= runs >> have
+        have *= 2
+    if have < k:
+        runs &= runs >> (k - have)
+    return runs
 
 
 def minimal_period_profile(w: str) -> tuple[list[int], list[int]]:
@@ -230,11 +222,13 @@ def minimal_period_profile(w: str) -> tuple[list[int], list[int]]:
     Bit-parallel (shift-and): bit i of the agreement mask at shift p is set
     iff w[i] == w[i + p], and a run of L - p agreements from bit i is a
     length-L factor at i with period p.  Shifts are visited in ascending
-    order, so a length is settled at the first shift whose longest run is
-    long enough, at the lowest start of such a run.  Lengths no shift
+    order, so a length is settled at the first shift with a run long
+    enough, at the lowest start of such a run.  Each shift tests the first
+    unsettled length by the one run test, then settles the lengths after it
+    one agreement at a time until no run is long enough.  Lengths no shift
     settles keep minper[L] = L and start 0.  Each shift costs O(sigma +
-    log n) operations on n-bit ints, and the skip rule settles each length
-    once: O((sigma + log n) * n^2 / w) word operations in all.
+    log n) operations on n-bit ints, and each length is settled once:
+    O((sigma + log n) * n^2 / w) word operations in all.
     """
     if not w:
         raise WordError("empty input")
@@ -251,29 +245,12 @@ def minimal_period_profile(w: str) -> tuple[list[int], list[int]]:
         if unsettled > n:
             break
         agree = _agreements(planes, p)
-        if not agree:
-            continue
-        powers = _run_powers(agree)
-        # powers[-1] == 0: no run reaches 2**(len(powers) - 1) agreements,
-        # so a shift that needs that many settles nothing.
-        if (unsettled - p) >> (len(powers) - 1):
-            continue
-        longest, _ = _longest_run(powers)
-        if p + longest < unsettled:
-            continue
-        # Runs of the first unsettled length's k = L - p agreements, composed
-        # from the powers; each next length needs one more agreement.
-        k = unsettled - p
-        runs, have = -1, 0
-        for j in range(k.bit_length()):
-            if k >> j & 1:
-                runs &= powers[j] >> have
-                have += 1 << j
-        for length in range(unsettled, p + longest + 1):
-            minper[length] = p
-            start[length] = (runs & -runs).bit_length() - 1
-            runs &= agree >> (length - p)
-        unsettled = p + longest + 1
+        runs = _runs_of(agree, unsettled - p)
+        while runs:
+            minper[unsettled] = p
+            start[unsettled] = (runs & -runs).bit_length() - 1
+            runs &= agree >> (unsettled - p)
+            unsettled += 1
     return minper, start
 
 
@@ -287,12 +264,14 @@ def _max_exponent(w: str, min_len: int) -> tuple[int, int, int]:
     longest(p), the longest run of agreements at shift p, so p can win only
     with a run of at least k agreements, k the least run that reaches
     length min_len and beats the best exponent so far strictly (ties keep
-    the smaller p, that is the shorter factor).  Runs of k are tested by
-    doubling, which rejects most shifts after a few operations; only the
-    shifts that pass pay for longest(p) and its leftmost start.  A run has
-    at most n - p agreements, so once k exceeds that, no later shift can win
-    either (the exponent at shift p is at most n/p) and the search stops.
-    Quadratic at worst, like the profile, but without its table.
+    the smaller p, that is the shorter factor).  The one run test rejects
+    most shifts after a few doubling steps.  A shift that passes finds its
+    longest run on the same mask: runs of k at i and at i + s, s <= k, make
+    a run of k + s at i, so k doubles while some run is twice as long, then
+    grows by halving steps.  A run has at most n - p agreements, so once k
+    exceeds that, no later shift can win either (the exponent at shift p is
+    at most n/p) and the search stops.  Quadratic at worst, like the
+    profile.
     """
     n = len(w)
     planes = _letter_planes(w)
@@ -301,16 +280,18 @@ def _max_exponent(w: str, min_len: int) -> tuple[int, int, int]:
         k = max((best_len - best_per) * p // best_per + 1, min_len - p, 1)
         if k > n - p:
             break
-        runs = agree = _agreements(planes, p)
-        have = 1
-        while runs and have < k:
-            step = min(have, k - have)
-            runs &= runs >> step
-            have += step
+        runs = _runs_of(_agreements(planes, p), k)
         if not runs:
             continue
-        longest, runs = _longest_run(_run_powers(agree))
-        best_len, best_per, best_start = p + longest, p, (runs & -runs).bit_length() - 1
+        while longer := runs & (runs >> k):
+            runs, k = longer, 2 * k
+        # Now k <= longest < 2k; steps below k add the rest, largest first.
+        step = 1 << k.bit_length()
+        while step > 1:
+            step >>= 1
+            if longer := runs & (runs >> step):
+                runs, k = longer, k + step
+        best_len, best_per, best_start = p + k, p, (runs & -runs).bit_length() - 1
     return best_len, best_per, best_start
 
 

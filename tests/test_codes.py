@@ -356,3 +356,17 @@ class TestCodeSetType:
     def test_round_trip(self):
         code = parse_code_set("ab,ba")
         assert code.to_text() == "ab,ba"
+
+    def test_container_methods(self):
+        code = CodeSet(["ab", "c", "ba"])
+        assert list(code) == ["ab", "c", "ba"]
+        assert len(code) == 3
+        assert "c" in code and "ba" in code
+        assert "a" not in code and "abc" not in code
+        # Equality and hashing ignore the order of the words.
+        same = CodeSet(["ba", "ab", "c"])
+        assert code == same and hash(code) == hash(same)
+        assert len({code, same}) == 1
+        assert code != CodeSet(["ab", "c"])
+        assert code != ("ab", "c", "ba")
+        assert repr(code) == "CodeSet('ab,c,ba')"

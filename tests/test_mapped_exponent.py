@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import ceil
 
 import pytest
 
@@ -17,8 +18,8 @@ from morphexp.mapped_exponent import (
     mapped_exponent_lower_bound,
     pump_witness,
 )
-from morphexp.morphisms import Morphism, enumerate_injective
-from morphexp.words import WordError, fractional_exponent
+from morphexp.morphisms import Morphism, compose, enumerate_injective
+from morphexp.words import WordError, fractional_exponent, fresh_letters
 
 
 def morphisms(domain, codomain, max_image_len):
@@ -131,7 +132,54 @@ class TestClassifyGeneral:
         assert record["witness_morphism"]
 
 
+def composed_pump_witness(w, fact, base, target):
+    """The pump witness as a composition: a step morphism maps the pumped
+    letter to s c p (c fresh), and a pumper maps c to c (V U c)^(pump-1)."""
+    head, gap, tail = (base.apply(part) for part in (fact.head, fact.gap, fact.tail))
+    if gap.endswith(head):
+        p, t = "", gap[:len(gap) - len(head)]
+    else:
+        p, t = head[:len(head) - len(gap)], ""
+    s = "" if gap.startswith(tail) else tail[len(gap):]
+    letters = "".join(sorted(set(w)))
+    c = fresh_letters(1, avoid=base.codomain)
+    codomain = base.codomain + c
+    step_images = {ch: base.images[ch] for ch in letters if ch != fact.letter}
+    step_images[fact.letter] = s + c + p
+    step = Morphism(step_images, domain=letters, codomain=codomain)
+    pump = max(1, ceil(target))
+    pump_images = {ch: ch for ch in codomain}
+    pump_images[c] = c + (t + head + s + c) * (pump - 1)
+    pumper = Morphism(pump_images, domain=codomain, codomain=codomain)
+    witness = compose(pumper, step)
+    return witness, fractional_exponent(witness.apply(w)).exponent
+
+
 class TestPumpWitness:
+    def test_matches_the_composed_construction(self):
+        rng = random.Random(41)
+        bases = [Morphism.identity("bc")] + list(morphisms("bc", "01", 2)) + list(morphisms("bc", "abc", 2))
+        built = 0
+        for _ in range(400):
+            parts = ["".join(rng.choice("bc") for _ in range(rng.randint(0, 3))) for _ in range(3)]
+            gap_count = rng.randint(0, 3)
+            if not gap_count:
+                parts[1] = ""
+            head, gap, tail = parts
+            w = head + ("a" + gap) * gap_count + "a" + tail
+            fact = gap_factorization(w, "a")
+            base = rng.choice(bases)
+            target = Fraction(rng.randint(4, 40), rng.randint(1, 4))
+            try:
+                h, achieved = pump_witness(w, fact, base, target)
+            except WordError as exc:
+                assert "comparable" in str(exc), (w, base.to_text())
+                continue
+            expected, exponent = composed_pump_witness(w, fact, base, target)
+            assert (h.images, h.codomain, achieved) == (expected.images, expected.codomain, exponent), w
+            built += 1
+        assert built > 150
+
     def test_targets_reached_and_witness_injective(self):
         w = "abab"
         fact = gap_factorization(w, "a")

@@ -302,6 +302,35 @@ class TestMaxExponentSearch:
         assert _max_exponent("ab" * 50 + "c", 1) == (100, 2, 0)
 
 
+class TestLongRuns:
+    @staticmethod
+    def broken_periodic_words():
+        # Odd periods over 100-400 letters, one letter changed late: runs of
+        # well over 64 agreements, ended at an odd place.
+        rng = random.Random(17)
+        for _ in range(24):
+            alphabet = "abc"[:rng.randint(2, 3)]
+            v = random_word(rng, alphabet, rng.choice((3, 5, 7, 9, 11, 13)))
+            n = rng.randint(100, 400)
+            w = list(repeat_to_length(v, n))
+            i = rng.randint(2 * n // 3, n - 1)
+            w[i] = rng.choice([ch for ch in alphabet if ch != w[i]])
+            yield v, "".join(w)
+
+    def test_max_exponent_against_the_report(self):
+        rng = random.Random(19)
+        for v, w in self.broken_periodic_words():
+            for min_len in sorted({1, len(v) + 1, len(w) // 2, len(w), *rng.sample(range(1, len(w) + 1), 3)}):
+                report = ace_oracle(w, min_len)
+                period = report.witness_length // report.estimate
+                expected = (report.witness_length, period, report.witness_offset)
+                assert _max_exponent(w, min_len) == expected, (w, min_len)
+
+    def test_profile_against_the_sweep(self):
+        for _, w in self.broken_periodic_words():
+            assert minimal_period_profile(w) == profile_sweep(w), w
+
+
 class TestPeriodProfile:
     def test_differential_fuzz_against_all_factors(self):
         rng = random.Random(12)
@@ -312,7 +341,7 @@ class TestPeriodProfile:
                 w = random_word(rng, alphabet, length)
             else:
                 # A periodic prefix with a few letters changed: long runs
-                # broken in places, where the skip rule jumps furthest.
+                # broken in places, where one shift settles the most lengths.
                 v = random_word(rng, alphabet, rng.randint(1, 6))
                 w = "".join(
                     rng.choice(alphabet) if rng.random() < 0.05 else ch
