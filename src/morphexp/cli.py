@@ -167,9 +167,11 @@ def _cmd_ace(args: argparse.Namespace) -> None:
 def _cmd_generate(args: argparse.Namespace) -> None:
     gen = generator_from_spec(args.gen, _parse_params(args.params))
     word = gen.prefix(args.prefix)
-    if args.format == "json" and word.isascii() and not word.encode().translate(None, _JSON_PLAIN):
-        # The word needs no escaping, so it is written as it is, after the
-        # head json writes for the other (sorted, hence earlier) keys.
+    alphabet = gen.alphabet
+    if args.format == "json" and alphabet.isascii() and not alphabet.encode().translate(None, _JSON_PLAIN):
+        # Every letter of the word lies in an alphabet that needs no escaping,
+        # so the word is written as it is, after the head json writes for the
+        # other (sorted, hence earlier) keys.
         head = json.dumps({"generator": args.gen, "prefix": args.prefix}, sort_keys=True)
         print(head[:-1], ', "word": "', word, '"}', sep="")
         return
@@ -203,7 +205,8 @@ def _cmd_family(args: argparse.Namespace) -> None:
     _emit(record, text, args.format)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="morphexp",
         description="Exact word exponents, injective morphisms, codes, and repetition analysis.",
@@ -273,19 +276,29 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(handler=_cmd_family)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; `run` also keeps its subcommand parsers."""
+    return _build_parsers()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Parsing reads the parser and never changes it, so one per process
-    # serves every call.
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # Parsing reads the parsers and never changes them, so one set per
+    # process serves every call.
+    return _build_parsers()
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    # A command line that names a subcommand goes straight to its parser;
+    # only one that names none needs the top-level parser.
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

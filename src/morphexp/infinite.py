@@ -43,7 +43,10 @@ CHUNK_SLICE = 1 << 14
 
 class WordGenerator:
     """Base for on-demand prefix producers of an infinite word: its `size`
-    letters, append-only parts with end offsets, added by `_add`, read by `_slice`."""
+    letters, append-only parts with end offsets, added by `_add`, read by `_slice`.
+
+    Every letter a generator produces lies in its `alphabet`, so a question
+    about the letters of any prefix is answered from the alphabet alone."""
 
     def __init__(self, alphabet: str):
         self.alphabet = alphabet
@@ -135,9 +138,11 @@ class ImageGenerator(WordGenerator):
     of the prefix is filled by expanding the next ceil(missing / longest
     image of g) letters of x, read through `_slice` (without a base, only as
     far as the generator holds them), so a prefix costs O(n) and the letters
-    end less than one image of g past the requested length.  A letter outside
-    the domain raises only once the cursor reaches it while the requested
-    prefix is still longer than the letters held.
+    end less than one image of g past the requested length.  Blocks are
+    scanned for letters outside the domain only when the alphabet of x (the
+    generator's own, without a base) does not lie inside it; such a letter
+    raises only once the cursor reaches it while the requested prefix is
+    still longer than the letters held.
 
     When every image of g has the same length m < LONG_IMAGE and every
     letter is ASCII, a block is expanded by columns: letter j of each image
@@ -158,6 +163,8 @@ class ImageGenerator(WordGenerator):
         sizes = set(map(len, images.values()))
         self._longest = max(max(sizes, default=0), 1)
         self._domain = "".join(images)
+        source = self if self.base is None else self.base
+        self._scan = not set(source.alphabet) <= images.keys()
         self._table = str.maketrans(images)
         self._columns = None
         letters = "".join([self._domain, *images.values()])
@@ -185,7 +192,9 @@ class ImageGenerator(WordGenerator):
             block = source._slice(self._cursor, hi if source is not self else min(hi, self.size))
             if not block:
                 break
-            known = len(block) - len(block.lstrip(self._domain))
+            known = len(block)
+            if self._scan:
+                known -= len(block.lstrip(self._domain))
             self._add(self._image(block[:known]))
             self._cursor += known
             if known < len(block) and self.size < n:

@@ -166,6 +166,30 @@ class TestExitCodes:
             assert (code, out) == (1, "")
             assert err.strip() == "error: max_image_len must be >= 1"
 
+    def test_subcommand_parser_reads_what_the_top_level_parser_reads(self, capsys):
+        # `run` sends a command line that names a subcommand straight to its
+        # parser; the top-level parser would set the same values.
+        parser, commands = cli._parsers()
+        lines = (
+            ("exp", "abab", "--format", "json"),
+            ("exp", "--", "-ab"),
+            ("classify", "--max-image-len", "2", "abcab"),
+            ("witness", "ab", "--target", "3/2"),
+            ("lower-bound", "aab", "--max-image-len", "2", "--codomain", "3"),
+            ("xdegree", "ab", "--code", "a,b"),
+            ("sync", "ab", "--code", "a,b", "--probe", "4"),
+            ("ace", "--gen", "thue-morse", "--prefix", "64", "--tail", "4", "--format", "csv"),
+            ("generate", "--gen", "periodic", "--params", "v=ab", "--prefix", "3"),
+            ("family", "lowpower", "--n", "3", "--k", "1"),
+        )
+        assert set(commands) == {line[0] for line in lines}
+        for line in lines:
+            top = vars(parser.parse_args(line))
+            assert top.pop("command") == line[0]
+            assert vars(commands[line[0]].parse_args(line[1:])) == top, line
+        code, out, _ = invoke(capsys, "exp", "--", "-ab")
+        assert (code, out.strip()) == (0, "E = 1 (base -ab); IE = 1 (root -ab)")
+
     def test_threads_option_is_gone(self, capsys):
         code, out, err = invoke(capsys, "lower-bound", "ab", "--max-image-len", "2", "--threads", "2")
         assert (code, out) == (2, "")
@@ -175,6 +199,8 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "exp", "abab", "--bogus")
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --bogus" in err
+        # The subcommand's parser reports it, under its own usage line.
+        assert err.startswith("usage: morphexp exp [-h]")
         code, out, err = invoke(capsys, "exp", "abab")
         assert (code, out.strip(), err) == (0, "E = 2 (base ab); IE = 2 (root ab)", "")
 
@@ -433,9 +459,10 @@ class TestGenerateJson:
         ("optimal-binary", "n=2;k=2;m=8"),
         ("optimal-binary", "n=1;k=2;m=7;base=periodic:01"),
     )
-    # Periodic words with letters json escapes; a prefix with one of those
-    # letters is written by json, not as it is.
-    ESCAPED = ('a"b', "a\\b", "ab\x01", "\x7fab", "\xe9ab", ' ~"\\\x7f')
+    # Periodic words with letters json escapes; the path follows the
+    # alphabet, so a prefix whose escaped letters all lie past its end is
+    # written by json too (`ab"` at prefix 2), with the same bytes.
+    ESCAPED = ('a"b', "a\\b", "ab\x01", "\x7fab", "\xe9ab", ' ~"\\\x7f', 'ab"')
     ESCAPED_LETTERS = '"\\\x01\x7f\xe9'
 
     @pytest.fixture
@@ -468,8 +495,25 @@ class TestGenerateJson:
     def test_words_that_need_escaping_go_through_json(self, capsys, emitted):
         for v in self.ESCAPED:
             for prefix in (1, 2, 3, 5000):
-                plain = set(v[:prefix]).isdisjoint(self.ESCAPED_LETTERS)
+                plain = set(v).isdisjoint(self.ESCAPED_LETTERS)
                 self.check(capsys, emitted, "periodic", f"v={v}", prefix, plain)
+
+    def test_every_letter_lies_in_the_alphabet(self):
+        # The contract the plain path (and ImageGenerator's skipped scan)
+        # rests on; optimal-binary's intermediate stream keeps it as well.
+        rng = random.Random(19)
+        specs = [*self.SPECS, ("morphic", "rules=a=ab,b=ba,c=cc;seed=a")]
+        specs += [("periodic", f"v={v}") for v in ('a"b', "a\\b", "\x7fab", "\xe9ab")]
+        specs += [("periodic", "v=" + "".join(rng.choice('ab"\\\x7f\xe9') for _ in range(rng.randint(1, 9))))
+                  for _ in range(10)]
+        for gen_name, params in specs:
+            sizes = [0, 1, 999, 50_000]
+            rng.shuffle(sizes)
+            gen = infinite.generator_from_spec(gen_name, cli._parse_params(params))
+            for n in sizes:
+                assert set(gen.prefix(n)) <= set(gen.alphabet), (gen_name, params, n)
+                if gen_name == "optimal-binary":
+                    assert set(gen.base.prefix(n)) <= set(gen.base.alphabet), (params, n)
 
 
 # sha256 of `family highpower --n N` stdout, recorded before the spreading

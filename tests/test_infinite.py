@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -317,6 +318,50 @@ class TestImageGenerator:
             with pytest.raises(WordError, match="letter 'b' outside morphism domain"):
                 gen.prefix(7)
             assert gen.prefix(5) == "xyxyx"
+
+    def test_prefixes_match_the_image_of_the_fewest_base_letters(self):
+        # Blocks are scanned only when the base alphabet leaves the domain;
+        # either way prefix(n) is h.apply(x[:k])[:n] for the fewest base
+        # letters k whose image reaches n, or the same WordError.
+        rng = random.Random(19)
+        text = "".join(rng.choice("ab") for _ in range(3000))
+        bases = (
+            (lambda: PeriodicGenerator("abcab"), "abc"),
+            (lambda: MorphicGenerator(parse_morphism("a=abc,b=ac,c=b"), "a"), "abc"),
+            (lambda: StreamGenerator(text, "ab"), "ab"),
+            # Alphabets wider than the letters produced: scanned, never raise.
+            (lambda: StreamGenerator(text, "abc"), "ab"),
+            (lambda: MorphicGenerator(parse_morphism("a=ab,b=ba,c=cc"), "a"), "ab"),
+            # A letter outside the domain, reached early or late.
+            (lambda: PeriodicGenerator("abcab"), "ab"),
+            (lambda: StreamGenerator(text[:700] + "c" + text[700:], "abc"), "ab"),
+        )
+        for trial in range(70):
+            make_base, domain = bases[trial % len(bases)]
+            base_text = make_base().prefix(2500)
+            uniform = trial % 2 == 0
+            size = rng.randint(1, 4)
+            h = Morphism({
+                ch: "".join(rng.choice("xyz") for _ in range(size if uniform else rng.randint(1, 4)))
+                for ch in domain
+            })
+            gen = ImageGenerator(h, make_base())
+            assert gen._scan == (not set(make_base().alphabet) <= set(domain)), (trial, h)
+            lengths = [rng.randrange(0, 2500) for _ in range(8)]
+            for n in lengths:
+                k = out = 0
+                while out < n:
+                    out += len(h.images.get(base_text[k], ""))
+                    k += 1
+                try:
+                    expected = h.apply(base_text[:k])[:n]
+                except WordError as exc:
+                    for image in (gen, ImageGenerator(h, make_base())):
+                        with pytest.raises(WordError, match=re.escape(str(exc))):
+                            image.prefix(n)
+                else:
+                    assert gen.prefix(n) == expected, (h, n)
+                    assert ImageGenerator(h, make_base()).prefix(n) == expected, (h, n)
 
     def test_column_expansion_matches_str_translate(self):
         # Uniform morphisms over ASCII letters with images shorter than
