@@ -166,8 +166,10 @@ def _cmd_ace(args: argparse.Namespace) -> None:
 
 def _cmd_generate(args: argparse.Namespace) -> None:
     gen = generator_from_spec(args.gen, _parse_params(args.params))
-    word = gen.prefix(args.prefix)
-    alphabet = gen.alphabet
+    word, alphabet = gen.prefix(args.prefix), gen.alphabet
+    # The generator's parts hold every letter of the word again: free them
+    # before writing the word, which the text stream encodes into a third copy.
+    del gen
     if args.format == "json" and alphabet.isascii() and not alphabet.encode().translate(None, _JSON_PLAIN):
         # Every letter of the word lies in an alphabet that needs no escaping,
         # so the word is written as it is, after the head json writes for the

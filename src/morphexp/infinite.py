@@ -67,9 +67,9 @@ class WordGenerator:
 
     def _slice(self, lo: int, hi: int) -> str:
         """Letters lo..hi-1, grown if needed; derived generators read their
-        base, and a fixed point itself, through it.  A read from a part's
-        start replaces the parts it spans with their join, so a prefix is
-        joined once; a read from inside a part copies only its own letters."""
+        base, and a fixed point itself, through it.  A read never rewrites
+        the parts: inside one part it is a slice of that part, across parts
+        the join of the slices it spans."""
         while self.size < hi:
             before = self.size
             self._grow(hi)
@@ -79,14 +79,11 @@ class WordGenerator:
             return ""
         first, last = bisect_right(self._ends, lo), bisect_left(self._ends, hi)
         start = self._ends[first - 1] if first else 0
-        if first < last:
-            parts = self._parts[first:last + 1]
-            if lo > start:
-                parts[0], parts[-1] = parts[0][lo - start:], parts[-1][:hi - self._ends[last - 1]]
-                return "".join(parts)
-            self._parts[first:last + 1] = ["".join(parts)]
-            del self._ends[first:last]
-        return self._parts[first][lo - start:hi - start]
+        if first == last:
+            return self._parts[first][lo - start:hi - start]
+        parts = self._parts[first:last + 1]
+        parts[0], parts[-1] = parts[0][lo - start:], parts[-1][:hi - self._ends[last - 1]]
+        return "".join(parts)
 
     def _grow(self, n: int) -> None:
         """Add letters towards n, possibly past n; a call that adds no

@@ -1,10 +1,12 @@
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -497,6 +499,29 @@ class TestGenerateJson:
             for prefix in (1, 2, 3, 5000):
                 plain = set(v).isdisjoint(self.ESCAPED_LETTERS)
                 self.check(capsys, emitted, "periodic", f"v={v}", prefix, plain)
+
+    def test_generator_is_freed_before_the_word_is_written(self, monkeypatch):
+        # Its parts hold the word's letters a second time, and writing the
+        # word encodes a third copy.
+        refs = []
+
+        def spec(name, params):
+            gen = infinite.generator_from_spec(name, params)
+            refs.append(weakref.ref(gen))
+            return gen
+
+        class Out(io.StringIO):
+            def write(self, text):
+                assert refs[-1]() is None
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "generator_from_spec", spec)
+        for gen, params in (*self.SPECS, ("periodic", 'v=a"b')):
+            extra = ("--params", params) if params else ()
+            for fmt in ("json", "text"):
+                monkeypatch.setattr(sys, "stdout", Out())
+                assert run(["generate", "--gen", gen, *extra, "--prefix", "999", "--format", fmt]) == 0
+                assert sys.stdout.getvalue(), (gen, params, fmt)
 
     def test_every_letter_lies_in_the_alphabet(self):
         # The contract the plain path (and ImageGenerator's skipped scan)

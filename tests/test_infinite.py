@@ -760,18 +760,34 @@ class TestLetterParts:
                     if part is not None:
                         check_parts(part)
 
-    def test_only_a_read_from_a_part_start_joins_the_parts_it_spans(self):
-        gen = StreamGenerator(itertools.cycle("abc"), "abc")
-        for n in range(11):
-            assert gen._slice(n, n) == ""
-        assert gen._parts == list("abcabcabca")
-        assert gen._slice(3, 7) == "abca"
-        assert gen._parts == ["a", "b", "c", "abca", "b", "c", "a"]
-        assert gen._slice(5, 9) == "cabc"
-        assert gen._parts == ["a", "b", "c", "abca", "b", "c", "a"]
-        assert gen.prefix(10) == "abcabcabca"
-        assert gen._parts == ["abcabcabca"] and gen._ends == [10]
+    def test_reads_that_need_no_growth_leave_the_parts_alone(self):
+        # Only `_add` writes the parts, so a reader, such as a fixed point
+        # reading itself while it grows, never reshapes them under another.
+        for make in part_makers():
+            gen = make()
+            for n in (10, 100, 1000, 3000):
+                gen.prefix(n)
+            assert len(gen._parts) > 1, make()
+            holders = [g for g in (gen, getattr(gen, "base", None)) if g is not None]
+            for reader in holders:
+                ends = list(reader._ends)
+                starts = [0, *ends[:-1]]
+                reads = [(0, 0), (reader.size, reader.size), (0, reader.size)]
+                for lo, hi in zip(starts, ends):
+                    reads += [(lo, lo), (lo, hi), (lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+                for lo, hi in zip(starts, ends[1:]):
+                    reads += [(lo, hi), (lo + 1, hi - 1)]
+                text = "".join(reader._parts)
+                for lo, hi in reads:
+                    held = [(g, list(g._parts), list(g._ends)) for g in holders]
+                    assert reader._slice(lo, hi) == text[lo:hi], (make(), lo, hi)
+                    for g, parts, offsets in held:
+                        assert g._ends == offsets, (make(), lo, hi)
+                        assert len(g._parts) == len(parts), (make(), lo, hi)
+                        assert all(a is b for a, b in zip(g._parts, parts)), (make(), lo, hi)
         # A stream adds one part per growth, not one per block.
+        gen = StreamGenerator(itertools.cycle("abc"), "abc")
+        assert gen._slice(10, 10) == "" and gen._parts == ["abcabcabca"]
         assert gen._slice(20, 20) == "" and gen._parts == ["abcabcabca", "bcabcabcab"]
 
     def test_small_step_reads_leave_earlier_parts_alone(self):
