@@ -6,27 +6,19 @@ from .words import (
     ParseError,
     WordError,
     border_array,
-    fine_wilf_root,
     fractional_exponent,
-    fractional_power,
     fresh_letters,
     integer_exponent,
-    is_conjugate,
-    is_primitive,
     letter_set,
     max_exponent_factor,
     minimal_period_profile,
     parse_rational,
     prefix_comparable,
-    primitive_root,
-    repeat_to_length,
     smallest_period,
     suffix_comparable,
 )
 from .morphisms import (
     Morphism,
-    binary_embedding,
-    compose,
     enumerate_injective,
     parse_morphism,
     sardinas_patterson,
@@ -48,12 +40,9 @@ from .mapped_exponent import (
 )
 from .codes import (
     CodeSet,
-    Interpretation,
     is_synchronizing,
     parse_code_set,
     x_degree,
-    x_factorization_count,
-    x_interpretations,
 )
 from .infinite import (
     AceEstimate,
@@ -66,11 +55,11 @@ from .infinite import (
     WordGenerator,
     ace_estimate,
     cassaigne_morphism,
-    factor_complexity,
     generator_from_spec,
     thue_morse,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; importing them also binds the submodules here.
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, type(words))]
 
 __version__ = "0.1.0"

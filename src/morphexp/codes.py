@@ -1,5 +1,4 @@
-"""Parsing finite words over a finite set of words: interpretations, degree,
-factorization counts, synchronization.
+"""Parsing finite words over a finite set of words: degree and synchronization.
 
 An interpretation of w over a set X is a factorization whose first piece is a
 suffix of an X-word, last piece is a prefix of an X-word, and interior pieces
@@ -11,11 +10,10 @@ cut sets do not meet.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import inf
 from typing import Iterable, Iterator
 
-from .morphisms import parse_counts, sardinas_patterson
+from .morphisms import sardinas_patterson
 from .words import ParseError, WordError
 
 
@@ -83,24 +81,6 @@ def parse_code_set(literal: str) -> CodeSet:
     return CodeSet(words)
 
 
-@dataclass(frozen=True)
-class Interpretation:
-    """Pieces of one parse, plus the cut offsets separating them (a cut at 0
-    or at |w| marks an empty flanking piece)."""
-
-    pieces: tuple[str, ...]
-    cuts: tuple[int, ...]
-
-    def to_text(self) -> str:
-        pieces = "|".join(p or "''" for p in self.pieces)
-        return f"{pieces} @ [{','.join(map(str, self.cuts))}]"
-
-
-def _pieces(text: str, cuts: tuple[int, ...]) -> tuple[str, ...]:
-    bounds = (0,) + cuts + (len(text),)
-    return tuple(text[a:b] for a, b in zip(bounds, bounds[1:]))
-
-
 def _flanks(w: str, code: CodeSet) -> tuple[list[int], set[int], bool]:
     """The cuts an interpretation may start at (w[:c] a suffix of a code
     word) and end at (w[c:] a prefix of one), and whether the cut-free
@@ -118,39 +98,6 @@ def _steps(w: str, code: CodeSet) -> list[list[int]]:
     order, the ends c + |x| of the code words x occurring at cut c."""
     by_len = sorted(code.words, key=len)
     return [[c + len(x) for x in by_len if w.startswith(x, c)] for c in range(len(w) + 1)]
-
-
-def x_interpretations(w: str, code: CodeSet) -> Iterator[Interpretation]:
-    """The interpretations of w over the code set, produced one at a time
-    and ordered by cut tuple (the cut-free interpretation first when it
-    exists).  An empty word is refused at the call."""
-    if not w:
-        raise WordError("empty input")
-    return _interpretations(w, code)
-
-
-def _interpretations(w: str, code: CodeSet) -> Iterator[Interpretation]:
-    starts, ends, whole = _flanks(w, code)
-    steps = _steps(w, code)
-    if whole:
-        yield Interpretation(_pieces(w, ()), ())
-    for first in starts:
-        # Depth-first over the parse graph with an explicit stack, children
-        # in ascending order, so cut tuples come out in lexicographic order.
-        path, stack = [first], [iter(steps[first])]
-        if first in ends:
-            yield Interpretation(_pieces(w, (first,)), (first,))
-        while stack:
-            cut = next(stack[-1], None)
-            if cut is None:
-                stack.pop()
-                path.pop()
-                continue
-            path.append(cut)
-            stack.append(iter(steps[cut]))
-            if cut in ends:
-                cuts = tuple(path)
-                yield Interpretation(_pieces(w, cuts), cuts)
 
 
 def _max_vertex_disjoint_paths(steps: list[list[int]], starts: Iterable[int], ends: Iterable[int]) -> int:
@@ -207,13 +154,6 @@ def x_degree(w: str, code: CodeSet) -> int:
         raise WordError("empty input")
     starts, ends, whole = _flanks(w, code)
     return whole + _max_vertex_disjoint_paths(_steps(w, code), starts, ends)
-
-
-def x_factorization_count(w: str, code: CodeSet) -> int:
-    """Number of ways to write w as a concatenation of code words."""
-    if not w:
-        raise WordError("empty input")
-    return parse_counts(w, code.words)[len(w)]
 
 
 def _default_probe(w: str, code: CodeSet) -> int:

@@ -371,16 +371,6 @@ class OptimalBinaryGenerator(ImageGenerator):
         super().__init__(h, StreamGenerator(_intermediate_pieces(source, n, k, letters), letters))
         self.n, self.k, self.m = n, k, m
 
-    @property
-    def implied_delta(self) -> Fraction | None:
-        """The margin the parameter m guarantees (smaller is stronger);
-        defined once m > 2k + 6."""
-        slack = self.m - 2 * self.k - 6
-        if slack <= 0:
-            return None
-        return Fraction(2 + 2 * self.k, slack)
-
-
 def cassaigne_morphism(weights: Sequence[int], m: int) -> Morphism:
     """Fixed-length binary images a^(m-f(i)) b^(f(i)) for an injective weight
     map f; preserves asymptotic repetition behaviour."""
@@ -454,15 +444,6 @@ def ace_estimate(gen: WordGenerator, prefix_len: int, tail: int) -> AceEstimate:
         witness_offset=best_start,
         witness_length=best_len,
     )
-
-
-def factor_complexity(gen: WordGenerator, prefix_len: int, n: int) -> int:
-    """Number of distinct length-n factors of the prefix (a lower bound for
-    the complexity of the infinite word)."""
-    if not 1 <= n <= prefix_len:
-        raise WordError(f"factor length {n} out of range 1..{prefix_len}")
-    text = gen.prefix(prefix_len)
-    return len({text[i:i + n] for i in range(prefix_len - n + 1)})
 
 
 def _base_generator(spec: str) -> WordGenerator:

@@ -57,21 +57,6 @@ def sardinas_patterson(images: Sequence[str]) -> tuple[tuple[int, ...], tuple[in
     return None
 
 
-def parse_counts(text: str, pieces: Sequence[str]) -> list[int]:
-    """ways[i]: the number of factorizations of text[:i] into pieces (each
-    usable any number of times)."""
-    n = len(text)
-    ways = [1] + [0] * n
-    for end in range(1, n + 1):
-        total = 0
-        for x in pieces:
-            start = end - len(x)
-            if start >= 0 and ways[start] and text.startswith(x, start):
-                total += ways[start]
-        ways[end] = total
-    return ways
-
-
 class Morphism:
     """A letter-to-word map extended to words by concatenation.
 
@@ -137,26 +122,6 @@ class Morphism:
         """A shortest pair of distinct words with equal images, or None."""
         return self._decide_injectivity()[1]
 
-    def decode(self, w: str) -> str | None:
-        """Preimage of w under an injective morphism, or None when w is not
-        in the image submonoid."""
-        if not self.is_injective():
-            raise WordError("decode requires an injective morphism")
-        ways = parse_counts(w, list(self.images.values()))
-        pos = len(w)
-        if not ways[pos]:
-            return None
-        # The parse is unique, so walking back from the end along parseable
-        # prefixes retraces it.
-        out = []
-        while pos:
-            for letter, img in self.images.items():
-                if w.endswith(img, 0, pos) and ways[pos - len(img)]:
-                    out.append(letter)
-                    pos -= len(img)
-                    break
-        return "".join(reversed(out))
-
     def to_text(self) -> str:
         return ",".join(f"{letter}={self.images[letter]}" for letter in self.domain)
 
@@ -189,26 +154,6 @@ def parse_morphism(literal: str) -> Morphism:
     if not images:
         raise ParseError("empty morphism literal", 0)
     return Morphism(images)
-
-
-def compose(outer: Morphism, inner: Morphism) -> Morphism:
-    """(outer o inner)(a) = outer(inner(a)); defined on inner's domain."""
-    for ch in inner.codomain:
-        if ch not in outer.domain and any(ch in img for img in inner.images.values()):
-            raise WordError(f"alphabet mismatch: letter {ch!r} not in outer domain")
-    images = {letter: outer.apply(inner.images[letter]) for letter in inner.domain}
-    return Morphism(images, domain=inner.domain, codomain=outer.codomain)
-
-
-def binary_embedding(source: Iterable[str]) -> Morphism:
-    """The injective embedding of an n-letter alphabet into {0,1}: the i-th
-    letter maps to 0^(n+1-i) 1^i.  Applying it never decreases exponents."""
-    source = letter_set(source)
-    n = len(source)
-    if n < 1:
-        raise WordError("source alphabet must be nonempty")
-    images = {letter: "0" * (n + 1 - i) + "1" * i for i, letter in enumerate(source, start=1)}
-    return Morphism(images, domain=source, codomain="01")
 
 
 def spreading_morphism(letters: str) -> Morphism:
@@ -245,8 +190,15 @@ def enumerate_injective(
 # The most candidate images, over all lengths, that a search builds.  Every
 # branch of the search tries each of them, so the limit bounds its work.
 MAX_SEARCH_CANDIDATES = 32_768
+# The most steps a search takes: one per candidate image that a branch tries,
+# plus the most steps each Sardinas-Patterson test it runs can take.
+MAX_SEARCH_STEPS = 18_000_000
 # The most image tuples the search memo holds, over all its spaces.
 MAX_CACHED_TUPLES = 100_000
+
+
+def _over_budget() -> WordError:
+    return WordError(f"the search took more than the limit of {MAX_SEARCH_STEPS} steps")
 
 
 def _injective_images(
@@ -264,7 +216,9 @@ def _injective_images(
     k^L, so a candidate is skipped when the weight it leaves is less than the
     number of letters still to assign.  A search over more than
     MAX_SEARCH_CANDIDATES candidate images raises WordError before it builds
-    any; an empty codomain gives no tuple for a nonempty domain.
+    any; an empty codomain gives no tuple for a nonempty domain.  A search
+    raises WordError once its steps pass MAX_SEARCH_STEPS, and returns the
+    steps it took when it reaches its end.
 
     canonical=True keeps one tuple per renaming of the codomain letters: the
     one whose images, read in order, introduce new letters in codomain order.
@@ -309,9 +263,14 @@ def _injective_images(
     # suffixes, whether they are prefix-free and suffix-free, the weight left
     # unused and the candidates left for the next image.  A candidate is
     # prefix-comparable with an image iff it is one of these prefixes or
-    # starts with the image; a repeated image is comparable both ways.
-    stack = [((), frozenset(), frozenset(), True, True, len(codomain) ** max_image_len,
-              iter(choices[0 if canonical else len(codomain)]))]
+    # starts with the image; a repeated image is comparable both ways.  A
+    # branch is charged its whole row of candidates when it opens: it tries
+    # each of them unless the reader stops first.
+    row = choices[0 if canonical else len(codomain)]
+    work = len(row)
+    if work > MAX_SEARCH_STEPS:
+        raise _over_budget()
+    stack = [((), frozenset(), frozenset(), True, True, len(codomain) ** max_image_len, iter(row))]
     while stack:
         images, heads, tails, prefix_free, suffix_free, room, rest = stack[-1]
         spare = room - (last - len(images))
@@ -320,22 +279,38 @@ def _injective_images(
                 continue
             pfree = prefix_free and not (x in heads or x.startswith(images))
             sfree = suffix_free and not (x in tails or x.endswith(images))
-            if not (pfree or sfree) and (x in images or sardinas_patterson(images + (x,)) is not None):
-                continue
+            if not (pfree or sfree):
+                if x in images:
+                    continue
+                # The most steps the test can take: |images| for each image
+                # and for each dangling suffix, which are fewer than the
+                # letters of the images.
+                tested = len(images) + 1
+                work += tested * (tested + len(x) + sum(map(len, images)))
+                if work > MAX_SEARCH_STEPS:
+                    raise _over_budget()
+                if sardinas_patterson(images + (x,)) is not None:
+                    continue
             if len(images) == last:
                 yield (*images, x)
                 continue
+            row = choices[used]
+            work += len(row)
+            if work > MAX_SEARCH_STEPS:
+                raise _over_budget()
             cuts = range(1, len(x) + 1)
             stack.append((images + (x,), heads.union([x[:k] for k in cuts]),
-                          tails.union([x[-k:] for k in cuts]), pfree, sfree, room - weight, iter(choices[used])))
+                          tails.union([x[-k:] for k in cuts]), pfree, sfree, room - weight, iter(row)))
             break
         else:
             stack.pop()
+    return work
 
 
 # The canonical search spaces read to the end in this process, keyed by
-# (domain size, codomain letters, max image length).
-_spaces: dict[tuple[int, str, int], list[tuple[str, ...]]] = {}
+# (domain size, codomain letters, max image length), each with the steps its
+# search took.
+_spaces: dict[tuple[int, str, int], tuple[int, list[tuple[str, ...]]]] = {}
 
 
 def _canonical_images(size: int, codomain: str, max_image_len: int) -> Iterator[tuple[str, ...]]:
@@ -345,17 +320,26 @@ def _canonical_images(size: int, codomain: str, max_image_len: int) -> Iterator[
 
     A space is stored once a search reaches its end, and only if it fits
     beside the spaces already held within MAX_CACHED_TUPLES tuples.  A search
-    that stops early, at a first hit or by an exception, stores nothing.
+    that stops early, at a first hit or by an exception, stores nothing.  A
+    space is replayed only if the steps its search took are within
+    MAX_SEARCH_STEPS, so a replay raises exactly where the search would.
     """
     key = (size, codomain, max_image_len)
-    if key in _spaces:
-        yield from _spaces[key]
+    steps, found = _spaces.get(key, (0, None))
+    if found is not None and steps <= MAX_SEARCH_STEPS:
+        yield from found
         return
     found = []
-    for images in _injective_images(size, codomain, max_image_len, canonical=True):
+    search = _injective_images(size, codomain, max_image_len, canonical=True)
+    while True:
+        try:
+            images = next(search)
+        except StopIteration as end:
+            steps = end.value
+            break
         # One tuple past the cap is enough to rule the space out.
         if len(found) <= MAX_CACHED_TUPLES:
             found.append(images)
         yield images
-    if len(found) + sum(map(len, _spaces.values())) <= MAX_CACHED_TUPLES:
-        _spaces[key] = found
+    if len(found) + sum(len(held) for _, held in _spaces.values()) <= MAX_CACHED_TUPLES:
+        _spaces[key] = steps, found

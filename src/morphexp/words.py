@@ -1,4 +1,4 @@
-"""Exact primitives on finite words: periods, exponents, primitivity, conjugacy.
+"""Exact primitives on finite words: periods, exponents, comparability.
 
 Words are plain ``str`` values, one character per letter, and so are
 alphabets: a str of distinct letters, in order.  Exponents are
@@ -9,7 +9,6 @@ floating point, so identities like E(w) = 15/7 can be checked with ``==``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from string import ascii_lowercase, ascii_uppercase, digits
 from typing import Iterable, NamedTuple
 
@@ -101,25 +100,6 @@ def smallest_period(w: str) -> int:
     return len(w) - border_array(w)[len(w)]
 
 
-def repeat_to_length(base: str, length: int) -> str:
-    """Prefix of base^omega of the given length."""
-    if not base:
-        raise WordError("empty base word")
-    if length < 0:
-        raise WordError("negative length")
-    return (base * -(-length // len(base)))[:length]
-
-
-def fractional_power(base: str, exponent: Fraction | int) -> str:
-    """The word base^exponent; exponent * |base| must be an integer."""
-    if not base:
-        raise WordError("empty base word")
-    total = Fraction(exponent) * len(base)
-    if total.denominator != 1 or total < 0:
-        raise WordError(f"{exponent} * |{base}| is not a valid word length")
-    return repeat_to_length(base, int(total))
-
-
 def fractional_exponent(w: str) -> FractionalPower:
     """E(w): the pair (x, r) with w = x^r, x primitive and r maximal.
 
@@ -143,25 +123,6 @@ def _integer_power(w: str, power: FractionalPower) -> tuple[int, str]:
     return 1, w
 
 
-def primitive_root(w: str) -> str:
-    return integer_exponent(w)[1]
-
-
-def is_primitive(w: str) -> bool:
-    """True iff w is not a proper integer power; equivalently w occurs in ww
-    only at positions 0 and |w|."""
-    if not w:
-        raise WordError("empty input")
-    return (w + w).find(w, 1) == len(w)
-
-
-def is_conjugate(u: str, v: str) -> bool:
-    """True iff u and v are rotations of one another."""
-    if not u or not v:
-        raise WordError("empty input")
-    return len(u) == len(v) and v in (u + u)
-
-
 def prefix_comparable(u: str, v: str) -> bool:
     """True iff one of u, v is a prefix of the other (equivalently, u is a
     prefix of vs for some word s)."""
@@ -172,17 +133,6 @@ def suffix_comparable(u: str, v: str) -> bool:
     """True iff one of u, v is a suffix of the other (equivalently, u is a
     suffix of pv for some word p)."""
     return u.endswith(v) or v.endswith(u)
-
-
-def fine_wilf_root(u: str, v: str) -> str | None:
-    """Common primitive root of u and v when their infinite powers share a
-    prefix of length |u| + |v| - gcd(|u|, |v|); None otherwise."""
-    if not u or not v:
-        raise WordError("empty input")
-    bound = len(u) + len(v) - gcd(len(u), len(v))
-    if repeat_to_length(u, bound) != repeat_to_length(v, bound):
-        return None
-    return primitive_root(u)
 
 
 def _letter_planes(w: str) -> list[int]:

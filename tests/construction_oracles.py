@@ -13,6 +13,8 @@ built here in one piece.  Base and source words are over the letters "01".
   again, from its start, into chunks v_1, v_2, ... with
   |v_i| + 1 = k (|u_i| + 1).  Block i is (u_i SEP v_i SEP)^n u_i SEP, and
   each block is followed by END.
+
+`factor_complexity` counts the distinct factors of one length in a prefix.
 """
 
 
@@ -66,3 +68,10 @@ def intermediate_block(source, n, k, i, letters):
 def intermediate_word(source, n, k, blocks, letters):
     """Blocks 1..blocks of the intermediate word, each followed by END."""
     return "".join(intermediate_block(source, n, k, i, letters) + letters[5] for i in range(1, blocks + 1))
+
+
+def factor_complexity(gen, prefix_len, n):
+    """Number of distinct length-n factors of the generator's prefix (a lower
+    bound for the complexity of the infinite word)."""
+    text = gen.prefix(prefix_len)
+    return len({text[i:i + n] for i in range(prefix_len - n + 1)})

@@ -5,7 +5,31 @@ O(n^2) loops, so the bit-parallel engine can be checked against independent
 implementations: `profile_border` runs an incremental failure array from
 every start, `profile_sweep` scans equality runs per period, and
 `profile_naive` takes the minimum over all factors directly.
+
+`repeat_to_length`, `fractional_power` and `is_primitive` build and check the
+periodic words the tests feed to the library.
 """
+
+from fractions import Fraction
+
+
+def repeat_to_length(base, length):
+    """Prefix of base^omega of the given length."""
+    return (base * -(-length // len(base)))[:length]
+
+
+def fractional_power(base, exponent):
+    """The word base^exponent; exponent * |base| must be an integer."""
+    total = Fraction(exponent) * len(base)
+    if total.denominator != 1 or total < 0:
+        raise ValueError(f"{exponent} * |{base}| is not a valid word length")
+    return repeat_to_length(base, int(total))
+
+
+def is_primitive(w):
+    """True iff w is not a proper integer power; equivalently w occurs in ww
+    only at positions 0 and |w|."""
+    return (w + w).find(w, 1) == len(w)
 
 
 def profile_border(text):

@@ -7,7 +7,8 @@ keeps from it the tuples whose images, read in order, introduce new codomain
 letters in codomain order (one tuple per renaming of the codomain letters).
 `lower_bound_oracle` (None when no injective morphism exists) and
 `classify_oracle` run the two searches of `morphexp.mapped_exponent` over
-this full enumeration.
+this full enumeration.  `compose` builds the composition of two morphisms,
+for the oracle that rebuilds a pumped witness from two steps.
 """
 
 from fractions import Fraction
@@ -23,7 +24,16 @@ from morphexp.mapped_exponent import (
     pump_witness,
 )
 from morphexp.morphisms import Morphism, sardinas_patterson, words_up_to
-from morphexp.words import fractional_exponent, prefix_comparable, suffix_comparable
+from morphexp.words import WordError, fractional_exponent, prefix_comparable, suffix_comparable
+
+
+def compose(outer, inner):
+    """(outer o inner)(a) = outer(inner(a)); defined on inner's domain."""
+    for ch in inner.codomain:
+        if ch not in outer.domain and any(ch in img for img in inner.images.values()):
+            raise WordError(f"alphabet mismatch: letter {ch!r} not in outer domain")
+    images = {letter: outer.apply(inner.images[letter]) for letter in inner.domain}
+    return Morphism(images, domain=inner.domain, codomain=outer.codomain)
 
 
 def injective_product(domain, codomain, max_image_len):

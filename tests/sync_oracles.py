@@ -1,18 +1,63 @@
-"""Reference synchronization engine for the tests.
+"""Reference parsing engines over a set of words, for the tests.
 
 `_split_probed` is the literal reading of the probed definition that
 `morphexp.codes.is_synchronizing` computes from covers: it enumerates every
 product of code words up to the probe length and intersects the splits that
 each occurrence of the text allows.  Its cost grows exponentially with the
 probe length, so it runs only on small inputs.  `_parse_boundaries` gives the
-parse boundaries of one product from the forward parse count; the backward
-count is the forward count run on the reversed text and pieces.
+parse boundaries of one product from the forward parse count `parse_counts`;
+the backward count is the forward count run on the reversed text and pieces.
+`decode` reads the preimage under an injective morphism off the same count.
+
+`x_interpretations` lists the interpretations of a word over a set X straight
+from their definition: the first piece is a suffix of an X-word, the interior
+pieces are X-words and the last piece is a prefix of an X-word.  It shares no
+code with `morphexp.codes.x_degree`, whose disjoint families the degree tests
+check against it.
 """
 
 from collections import deque
+from dataclasses import dataclass
 
 from morphexp.codes import CodeSet
-from morphexp.morphisms import parse_counts
+from morphexp.morphisms import Morphism
+from morphexp.words import WordError
+
+
+def parse_counts(text, pieces):
+    """ways[i]: the number of factorizations of text[:i] into pieces (each
+    usable any number of times)."""
+    n = len(text)
+    ways = [1] + [0] * n
+    for end in range(1, n + 1):
+        total = 0
+        for x in pieces:
+            start = end - len(x)
+            if start >= 0 and ways[start] and text.startswith(x, start):
+                total += ways[start]
+        ways[end] = total
+    return ways
+
+
+def decode(h: Morphism, w: str) -> str | None:
+    """Preimage of w under an injective morphism, or None when w is not in
+    the image submonoid."""
+    if not h.is_injective():
+        raise WordError("decode requires an injective morphism")
+    ways = parse_counts(w, list(h.images.values()))
+    pos = len(w)
+    if not ways[pos]:
+        return None
+    # The parse is unique, so walking back from the end along parseable
+    # prefixes retraces it.
+    out = []
+    while pos:
+        for letter, img in h.images.items():
+            if w.endswith(img, 0, pos) and ways[pos - len(img)]:
+                out.append(letter)
+                pos -= len(img)
+                break
+    return "".join(reversed(out))
 
 
 def _parse_boundaries(text: str, code: CodeSet) -> set[int]:
@@ -44,3 +89,50 @@ def _split_probed(text: str, code: CodeSet, probe_len: int) -> int | None:
                 candidates &= {m - start for m in boundaries if 0 <= m - start <= len(text)}
                 start = u.find(text, start + 1)
     return min(candidates) if candidates else None
+
+
+@dataclass(frozen=True)
+class Interpretation:
+    """Pieces of one parse, plus the cut offsets separating them (a cut at 0
+    or at |w| marks an empty flanking piece)."""
+
+    pieces: tuple[str, ...]
+    cuts: tuple[int, ...]
+
+    def to_text(self) -> str:
+        pieces = "|".join(p or "''" for p in self.pieces)
+        return f"{pieces} @ [{','.join(map(str, self.cuts))}]"
+
+
+def _pieces(text, cuts):
+    bounds = (0,) + cuts + (len(text),)
+    return tuple(text[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def x_interpretations(w, code):
+    """The interpretations of w over the code set, ordered by cut tuple (the
+    cut-free one first when it exists).  An empty word is refused."""
+    if not w:
+        raise WordError("empty input")
+    return _interpretations(w, set(code.words))
+
+
+def _interpretations(w, words):
+    suffixes = {x[i:] for x in words for i in range(len(x) + 1)}
+    prefixes = {x[:i] for x in words for i in range(len(x) + 1)}
+    if w in suffixes and w in prefixes:
+        yield Interpretation((w,), ())
+    for first in range(len(w) + 1):
+        if w[:first] in suffixes:
+            yield from _continuations(w, words, prefixes, (first,))
+
+
+def _continuations(w, words, prefixes, cuts):
+    """Every interpretation whose cuts start with `cuts`, in tuple order: the
+    one that ends there first, then those that go on by one more X-word."""
+    last = cuts[-1]
+    if w[last:] in prefixes:
+        yield Interpretation(_pieces(w, cuts), cuts)
+    for end in range(last + 1, len(w) + 1):
+        if w[last:end] in words:
+            yield from _continuations(w, words, prefixes, cuts + (end,))

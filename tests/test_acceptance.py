@@ -9,7 +9,6 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
 
 from morphexp.codes import CodeSet, x_degree
 from morphexp.infinite import (
@@ -17,7 +16,6 @@ from morphexp.infinite import (
     OptimalBinaryGenerator,
     PeriodicGenerator,
     ace_estimate,
-    factor_complexity,
     thue_morse,
 )
 from morphexp.mapped_exponent import (
@@ -26,21 +24,19 @@ from morphexp.mapped_exponent import (
     classify_general,
     highpower_word,
     lowpower_morphism,
+    mapped_exponent_lower_bound,
 )
 from morphexp.morphisms import Morphism, enumerate_injective, spreading_morphism
-from morphexp.words import (
-    fractional_exponent,
-    fractional_power,
-    prefix_comparable,
-    suffix_comparable,
-)
+from morphexp.words import fractional_exponent, prefix_comparable, suffix_comparable
 from construction_oracles import (
     chunk_schedule,
+    factor_complexity,
     intermediate_block,
     intermediate_word,
     interleaved_chunks,
     thue_morse_word,
 )
+from profile_oracles import fractional_power
 
 
 @contextmanager
@@ -84,6 +80,21 @@ def test_criterion_2_lowpower_upper_bound():
             for h in morphisms:
                 e = fractional_exponent(h.apply(word)).exponent
                 assert e < bound, (n, h.to_text(), e)
+
+
+def test_criterion_2_lowpower_is_optimal_within_the_search_bound():
+    with criterion(2, "lowpower reaches the exact bounded maximum"):
+        for n in (2, 3):
+            word = "ab" * n + "ba"
+            for max_image_len in range(2, 7):
+                k = (max_image_len - 1) // 2
+                expected = lowpower_morphism(n, k)[2]
+                best, argmax = mapped_exponent_lower_bound(word, max_image_len)
+                assert best == expected, (n, max_image_len)
+                assert argmax.to_text() == f"a={'01' * k}0,b=10", (n, max_image_len)
+                if max_image_len <= 5:
+                    best, _ = mapped_exponent_lower_bound(word, max_image_len, codomain_size=3)
+                    assert best == expected, (n, max_image_len)
 
 
 def test_criterion_3_highpower_identity():

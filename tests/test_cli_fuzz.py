@@ -5,13 +5,16 @@ integer parameters up to 10^18 and every output format, and checks that no
 exception escapes `run` and that the exit code is 0 (success), 1 (analysis
 error) or 2 (usage error).  Sizes are drawn so that work that is allowed
 stays small, while the huge values exercise the checks that refuse a build
-or a search before it starts.
+or a search before it starts.  A second fuzz draws searches over five to
+eight letters with images of up to four letters, the shapes that ran for
+minutes before searches had a step limit.
 """
 
 import random
 
 import pytest
 
+from morphexp import morphisms
 from morphexp.cli import run
 
 HUGE = (10**7 + 1, 10**9, 2**63, 10**18, 10**18 - 1)
@@ -121,3 +124,39 @@ def test_every_command_line_exits_0_1_or_2(seed, capsys):
         assert code in (0, 1, 2), argv
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def _wide_search_argv(rng):
+    letters = "abcdefgh"[:rng.randint(5, 8)]
+    command = rng.choice(("classify", "witness", "lower-bound"))
+    if command == "lower-bound":
+        word = "".join(rng.choice(letters) for _ in range(rng.randint(len(letters), 20)))
+    else:
+        # head h gap h tail: the letter h factors the word, so the search
+        # runs unless the identity already certifies it.
+        head, gap, tail = ("".join(rng.choice(letters[:-1]) for _ in range(rng.randint(1, 6))) for _ in range(3))
+        word = head + letters[-1] + gap + letters[-1] + tail
+    argv = [command, word, "--max-image-len", str(rng.randint(3, 4))]
+    if command == "witness":
+        argv += ["--target", str(rng.randint(2, 12))]
+    if command == "lower-bound":
+        argv += ["--codomain", str(rng.randint(2, 3))]
+    return argv + ["--format", rng.choice(("text", "json"))]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_wide_searches_end_or_exit_1(seed, capsys, monkeypatch):
+    # A lower step limit keeps the draws quick; the searches stop at it the
+    # way they stop at the real one.
+    monkeypatch.setattr(morphisms, "MAX_SEARCH_STEPS", 300_000)
+    rng = random.Random(f"wide:{seed}")
+    codes = set()
+    for _ in range(30):
+        argv = _wide_search_argv(rng)
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1), argv
+        if code == 1:
+            assert "error: " in err, argv
+        codes.add(code)
+    assert codes == {0, 1}

@@ -17,22 +17,22 @@ from morphexp.infinite import (
     StreamGenerator,
     ace_estimate,
     cassaigne_morphism,
-    factor_complexity,
     generator_from_spec,
     thue_morse,
 )
 from morphexp.morphisms import Morphism, parse_morphism, spreading_morphism
-from morphexp.words import WordError, fractional_exponent, fractional_power
+from morphexp.words import WordError, fractional_exponent
 from ace_oracles import ace_oracle, report_of
 from construction_oracles import (
     chunk_schedule,
+    factor_complexity,
     intermediate_block,
     interleaved_chunks,
     interleaved_round,
     intermediate_word,
     thue_morse_word,
 )
-from profile_oracles import profile_border, profile_sweep
+from profile_oracles import fractional_power, profile_border, profile_sweep
 
 
 class TestBasicGenerators:
@@ -509,11 +509,6 @@ class TestOptimalBinary:
             OptimalBinaryGenerator(1, 1, 9)
         with pytest.raises(WordError, match="m must exceed 2k\\+2"):
             OptimalBinaryGenerator(1, 2, 6)
-
-    def test_implied_delta(self):
-        assert OptimalBinaryGenerator(1, 2, 13).implied_delta == Fraction(2)
-        assert OptimalBinaryGenerator(1, 2, 30).implied_delta == Fraction(3, 10)
-        assert OptimalBinaryGenerator(1, 2, 7).implied_delta is None
 
     def test_emits_binary_word(self):
         gen = OptimalBinaryGenerator(1, 2, 7)

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 from math import ceil
 
 import pytest
@@ -18,8 +17,9 @@ from morphexp.mapped_exponent import (
     mapped_exponent_lower_bound,
     pump_witness,
 )
-from morphexp.morphisms import Morphism, compose, enumerate_injective
+from morphexp.morphisms import Morphism, enumerate_injective
 from morphexp.words import WordError, fractional_exponent, fresh_letters
+from search_oracles import compose
 
 
 def morphisms(domain, codomain, max_image_len):

@@ -1,19 +1,18 @@
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from morphexp.morphisms import (
     Morphism,
-    binary_embedding,
-    compose,
     enumerate_injective,
     parse_morphism,
     sardinas_patterson,
     words_up_to,
 )
-from morphexp.words import WordError, fractional_exponent
+from morphexp.words import WordError
+from search_oracles import compose
+from sync_oracles import decode
 
 
 def morphisms(domain, codomain, max_image_len):
@@ -139,31 +138,6 @@ class TestCompose:
             compose(g, h)
 
 
-class TestBinaryEmbedding:
-    def test_formula_instances(self):
-        assert binary_embedding("pq").to_text() == "p=001,q=011"
-        assert binary_embedding("p").to_text() == "p=01"
-        assert binary_embedding("pqr").to_text() == "p=0001,q=0011,r=0111"
-
-    def test_injective_prefix_code(self):
-        for n in range(1, 7):
-            src = "abcdefg"[:n]
-            assert binary_embedding(src).is_injective()
-
-    def test_exponent_never_decreases(self):
-        rng = random.Random(23)
-        for alpha_size in (2, 3, 4):
-            src = "abcd"[:alpha_size]
-            inner_pool = list(morphisms(src, "xy", 2))
-            emb = binary_embedding("xy")
-            for _ in range(25):
-                w = "".join(rng.choice(src) for _ in range(rng.randint(1, 8)))
-                inner = rng.choice(inner_pool)
-                before = fractional_exponent(inner.apply(w)).exponent
-                after = fractional_exponent(emb.apply(inner.apply(w))).exponent
-                assert after >= before
-
-
 class TestLetterSets:
     def test_morphism_checks_its_letter_sets(self):
         with pytest.raises(WordError, match="duplicate letter 'a'"):
@@ -179,13 +153,6 @@ class TestLetterSets:
         # Letter sets given as any iterable of letters are kept as str.
         h = Morphism({"b": "1", "a": "0"}, domain=["a", "b"], codomain=iter("01"))
         assert (h.domain, h.codomain, h.to_text()) == ("ab", "01", "a=0,b=1")
-
-    def test_binary_embedding_checks_its_source(self):
-        with pytest.raises(WordError, match="duplicate letter 'p'"):
-            binary_embedding("pqp")
-        with pytest.raises(WordError, match="single characters, got 'pq'"):
-            binary_embedding(["pq", "r"])
-        assert binary_embedding(iter("qp")).to_text() == "q=001,p=011"
 
     def test_enumeration_checks_its_letter_sets(self):
         with pytest.raises(WordError, match="duplicate letter 'a'"):
@@ -239,8 +206,8 @@ class TestDecode:
         h = Morphism({"a": "ab", "b": "aab"})
         for _ in range(100):
             w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 10)))
-            assert h.decode(h.apply(w)) == w
+            assert decode(h, h.apply(w)) == w
 
     def test_non_image_returns_none(self):
         h = Morphism({"a": "ab", "b": "aab"})
-        assert h.decode("ba") is None
+        assert decode(h, "ba") is None

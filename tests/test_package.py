@@ -1,0 +1,44 @@
+"""The package as a whole: its public names and its imports."""
+
+import ast
+import sys
+from pathlib import Path
+
+import morphexp
+
+PUBLIC = {
+    # words
+    "FractionalPower", "ParseError", "WordError", "border_array", "fractional_exponent", "fresh_letters",
+    "integer_exponent", "letter_set", "max_exponent_factor", "minimal_period_profile", "parse_rational",
+    "prefix_comparable", "smallest_period", "suffix_comparable",
+    # morphisms
+    "Morphism", "enumerate_injective", "parse_morphism", "sardinas_patterson", "spreading_morphism", "words_up_to",
+    # mapped_exponent
+    "FINITE", "INFINITE", "UNKNOWN", "GapFactorization", "MappedExponentVerdict", "classify_general",
+    "gap_factorization", "highpower_word", "lowpower_morphism", "mapped_exponent_lower_bound", "pump_witness",
+    # codes
+    "CodeSet", "is_synchronizing", "parse_code_set", "x_degree",
+    # infinite
+    "AceEstimate", "ImageGenerator", "InterleavedCopiesGenerator", "MorphicGenerator", "OptimalBinaryGenerator",
+    "PeriodicGenerator", "StreamGenerator", "WordGenerator", "ace_estimate", "cassaigne_morphism",
+    "generator_from_spec", "thue_morse",
+}
+
+
+def test_public_names():
+    assert sorted(morphexp.__all__) == sorted(PUBLIC)
+
+
+def test_the_library_imports_only_the_standard_library():
+    sources = sorted(Path(morphexp.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            for top in tops:
+                assert top in sys.stdlib_module_names, (path.name, top)

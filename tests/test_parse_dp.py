@@ -1,12 +1,13 @@
-"""The forward parse count (`morphisms.parse_counts`) and its three callers
-(`x_factorization_count`, `Morphism.decode` and the sync oracle's
-`_parse_boundaries`), against brute-force enumeration of every factorization."""
+"""The sync oracles' forward parse count (`sync_oracles.parse_counts`) and
+its two readers (`decode` and `_parse_boundaries`), against brute-force
+enumeration of every factorization.  The sync, decode and factorization
+tests in test_codes.py and test_morphisms.py rely on these three."""
 
 import random
 
-from morphexp.codes import CodeSet, x_factorization_count
+from morphexp.codes import CodeSet
 from morphexp.morphisms import Morphism
-from sync_oracles import _parse_boundaries
+from sync_oracles import _parse_boundaries, decode, parse_counts
 
 
 def brute_factorizations(text, pieces):
@@ -46,7 +47,7 @@ class TestParseDP:
             code = CodeSet(random_pieces(rng, letters))
             text = random_text(rng, code.words, letters) or letters[0]
             expected = len(brute_factorizations(text, code.words))
-            assert x_factorization_count(text, code) == expected, (text, code.words)
+            assert parse_counts(text, code.words)[-1] == expected, (text, code.words)
 
     def test_parse_boundaries(self):
         rng = random.Random(42)
@@ -76,4 +77,4 @@ class TestParseDP:
             assert len(parses) <= 1
             letter_of = {img: letter for letter, img in h.images.items()}
             expected = "".join(letter_of[x] for x in parses[0]) if parses else None
-            assert h.decode(text) == expected, (text, h.to_text())
+            assert decode(h, text) == expected, (text, h.to_text())

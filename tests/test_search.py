@@ -4,7 +4,8 @@ import os
 import random
 import subprocess
 import sys
-from functools import cache
+import time
+from functools import cache, partial
 from pathlib import Path
 from string import digits
 
@@ -67,7 +68,7 @@ def memo_key(size, max_image_len, codomain_size):
 
 
 def held():
-    return sum(map(len, _spaces.values()))
+    return sum(len(space) for _, space in _spaces.values())
 
 
 def random_alphabets(rng, size, codomain_size):
@@ -284,6 +285,98 @@ class TestSearchLimits:
         assert int(peak_kb) < 100 * 1024
 
 
+def search_steps(*args, **kwargs):
+    """The steps a search takes when it is read to the end."""
+    search = _injective_images(*args, **kwargs)
+    while True:
+        try:
+            next(search)
+        except StopIteration as end:
+            return end.value
+
+
+class TestStepLimit:
+    def test_steps_count_candidates_and_code_test_bounds(self):
+        # One branch, one row of 2 + 4 + 8 candidates.
+        assert search_steps(1, "01", 3) == 14
+        # The root row of 2 and a row of 2 below each of its images.
+        assert search_steps(2, "01", 1) == 6
+        # The root row of 6 and a row of 6 below each image, plus one code
+        # test on each of {0, 00}, {1, 11}, {00, 0} and {11, 1}, charged 2
+        # steps for each of its 2 images and each of their 3 letters.
+        assert search_steps(2, "01", 2) == 6 + 6 * 6 + 4 * 2 * (2 + 3)
+
+    @pytest.mark.parametrize("argv", [
+        ["lower-bound", "abcdefgh", "--max-image-len", "4", "--codomain", "3"],
+        ["classify", "bfedfcdadhfcgfghbeae", "--max-image-len", "4"],
+    ])
+    def test_searches_that_ran_for_minutes_exit_1_within_5_s(self, argv, capsys):
+        started = time.perf_counter()
+        assert run(argv) == 1
+        elapsed = time.perf_counter() - started
+        limit = morphisms_module.MAX_SEARCH_STEPS
+        assert capsys.readouterr() == ("", f"error: the search took more than the limit of {limit} steps\n")
+        assert elapsed < 5, elapsed
+
+    def test_the_largest_binary_search_at_length_3_fits(self, capsys):
+        # Seven letters beside the factored one, all of the space searched.
+        assert run(["classify", "bfedfcdadhfcgfghbeae"]) == 0
+        assert capsys.readouterr().out == "tag: unknown\nsearch bound: 3\n"
+
+    def test_a_full_search_takes_exactly_the_steps_the_memo_keeps(self, monkeypatch):
+        list(memo_space(3, 3, 2))
+        steps = _spaces[memo_key(3, 3, 2)][0]
+        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", steps)
+        assert list(_injective_images(3, "01", 3, canonical=True)) == oracle_space(3, 3, 2)
+        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", steps - 1)
+        with pytest.raises(WordError, match=f"more than the limit of {steps - 1} steps"):
+            list(_injective_images(3, "01", 3, canonical=True))
+
+    def test_enumerate_injective_stops_at_the_limit(self, monkeypatch):
+        steps = search_steps(3, "01", 3)
+        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", steps - 1)
+        got = []
+        with pytest.raises(WordError, match="the search took more than the limit"):
+            got.extend(enumerate_injective("abc", "01", 3))
+        assert got == list(injective_product("abc", "01", 3))[:len(got)]
+
+    def test_a_search_stopped_at_the_limit_stores_nothing(self, monkeypatch):
+        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", 1_000)
+        with pytest.raises(WordError, match="more than the limit of 1000 steps"):
+            list(memo_space(3, 3, 2))
+        assert not _spaces
+
+    def test_the_outcome_does_not_depend_on_the_memo(self, monkeypatch):
+        # Words whose searches read the space (3, "01", 3): lower bounds read
+        # all of it, classifications up to their first hit.
+        rng = random.Random(6301)
+        queries = [partial(mapped_exponent_lower_bound, random_word(rng, "abc", 6), 3) for _ in range(2)]
+        queries += [partial(classify_general, searching_word(rng, "abcd"), 3) for _ in range(6)]
+        list(memo_space(3, 3, 2))
+        steps = _spaces[memo_key(3, 3, 2)][0]
+
+        def outcome(query):
+            try:
+                return query()
+            except WordError as exc:
+                return str(exc)
+
+        raised = kept = 0
+        for limit in sorted({0, 1, steps // 8, steps // 4, steps // 2, steps - 1, steps, 2 * steps}):
+            for query in queries:
+                _spaces.clear()
+                monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", limit)
+                cold = outcome(query)
+                # Warm: the memo holds the space, read under a larger limit.
+                monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", 2 * steps)
+                list(memo_space(3, 3, 2))
+                monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", limit)
+                assert outcome(query) == cold, limit
+                raised += isinstance(cold, str)
+                kept += not isinstance(cold, str)
+        assert raised and kept
+
+
 class TestSearchMemo:
     def interleave(self, rng, rounds, cap=None):
         """Reads iterators of random spaces, two of them sharing a space, a
@@ -303,7 +396,7 @@ class TestSearchMemo:
                     runs.remove(run_)
                 else:
                     got.append(images)
-                for (size, letters, max_image_len), space in _spaces.items():
+                for (size, letters, max_image_len), (_, space) in _spaces.items():
                     assert space == oracle_space(size, max_image_len, len(letters))
                 if cap is not None:
                     assert held() <= cap
@@ -355,7 +448,7 @@ class TestSearchMemo:
             list(memo_space(3, 3, 2))
         assert not _spaces
         assert list(memo_space(3, 3, 2)) == oracle_space(3, 3, 2)
-        assert _spaces[memo_key(3, 3, 2)] == oracle_space(3, 3, 2)
+        assert _spaces[memo_key(3, 3, 2)][1] == oracle_space(3, 3, 2)
 
     def test_first_hit_then_full_search_on_one_space(self):
         rng = random.Random(6104)
@@ -371,7 +464,7 @@ class TestSearchMemo:
                 expected = classify_oracle(w, max_image_len, codomain_size, target).to_record()
                 assert classify_general(w, max_image_len, codomain_size, target).to_record() == expected, w
                 if None in tried(oracle_hits(w, oracle_space(*shape))):
-                    assert _spaces[memo_key(*shape)] == oracle_space(*shape), w
+                    assert _spaces[memo_key(*shape)][1] == oracle_space(*shape), w
                 else:
                     assert memo_key(*shape) not in _spaces, w
                     stopped += 1
@@ -384,7 +477,7 @@ class TestSearchMemo:
             else:
                 best, argmax = mapped_exponent_lower_bound(v, max_image_len, codomain_size)
                 assert (best, argmax.to_text()) == (expected_bound[0], expected_bound[1].to_text()), v
-            assert _spaces[memo_key(*shape)] == oracle_space(*shape)
+            assert _spaces[memo_key(*shape)][1] == oracle_space(*shape)
             assert classify_general(w, max_image_len, codomain_size, target).to_record() == expected, w
         assert stopped >= 5
 
@@ -393,7 +486,12 @@ class TestSearchMemo:
         real = morphisms_module._injective_images
 
         def counting(*args, **kwargs):
-            for images in real(*args, **kwargs):
+            search = real(*args, **kwargs)
+            while True:
+                try:
+                    images = next(search)
+                except StopIteration as end:
+                    return end.value  # the steps, which the memo keeps
                 visits.append(images)
                 yield images
 

