@@ -8,9 +8,7 @@ from .words import (
     border_array,
     fractional_exponent,
     fresh_letters,
-    integer_exponent,
     letter_set,
-    max_exponent_factor,
     minimal_period_profile,
     parse_rational,
     prefix_comparable,
@@ -19,9 +17,8 @@ from .words import (
 )
 from .morphisms import (
     Morphism,
-    enumerate_injective,
+    is_code,
     parse_morphism,
-    sardinas_patterson,
     spreading_morphism,
     words_up_to,
 )

@@ -13,7 +13,7 @@ from collections import deque
 from math import inf
 from typing import Iterable, Iterator
 
-from .morphisms import sardinas_patterson
+from .morphisms import is_code
 from .words import ParseError, WordError
 
 
@@ -41,7 +41,7 @@ class CodeSet:
 
     def is_code(self) -> bool:
         """True iff every concatenation of elements decodes uniquely."""
-        return sardinas_patterson(self.words) is None
+        return is_code(self.words)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)

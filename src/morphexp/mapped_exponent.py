@@ -20,7 +20,8 @@ from fractions import Fraction
 from math import ceil
 from string import digits
 
-from .morphisms import Morphism, _canonical_images, sardinas_patterson, spreading_morphism
+from . import morphisms
+from .morphisms import Morphism, _canonical_images, _over_budget, is_code, spreading_morphism
 from .words import (
     MAX_BUILD_LETTERS,
     WordError,
@@ -133,7 +134,7 @@ def pump_witness(
     missing = [ch for ch in others if ch not in base.images]
     if missing:
         raise WordError(f"base morphism lacks an image for {missing[0]!r}")
-    if others and sardinas_patterson([base.images[ch] for ch in others]) is not None:
+    if others and not is_code([base.images[ch] for ch in others]):
         raise WordError("base morphism is not injective beside the pumped letter")
 
     head, gap, tail = (base.apply(part) for part in (fact.head, fact.gap, fact.tail))
@@ -217,7 +218,9 @@ def mapped_exponent_lower_bound(
 ) -> tuple[Fraction, Morphism]:
     """Exact maximum of E(h(w)) over every injective h with image lengths
     <= max_image_len into a codomain of codomain_size letters; the argmax is
-    the first maximizer in enumeration order."""
+    the first maximizer in search order.  Each exact period computation is
+    charged the letters of its image against morphisms.MAX_SEARCH_STEPS,
+    and past it WordError is raised."""
     if not w:
         raise WordError("empty input")
     if max_image_len < 1 or codomain_size < 1:
@@ -227,6 +230,7 @@ def mapped_exponent_lower_bound(
     # E(h(w)) = |h(w)| / smallest period, compared as integer pairs.
     best_len, best_period = 0, 1
     best_images: tuple[str, ...] | None = None
+    scored = 0
     ords = [ord(ch) for ch in domain]
     for images in _canonical_images(len(domain), codomain, max_image_len):
         image = w.translate(dict(zip(ords, images)))
@@ -237,6 +241,9 @@ def mapped_exponent_lower_bound(
             bound = (n * best_period - 1) // best_len
             if bound < 1 or image.find(image[:n - bound], 1, n) == -1:
                 continue
+        scored += n
+        if scored > morphisms.MAX_SEARCH_STEPS:
+            raise _over_budget()
         period = smallest_period(image)
         if n * best_period > best_len * period:
             best_len, best_period, best_images = n, period, images

@@ -1,9 +1,8 @@
-"""Morphisms between free monoids: application, injectivity, enumeration.
+"""Morphisms between free monoids: application, injectivity, search.
 
 A morphism is given by its letter images.  Injectivity on the whole free
 monoid is decided exactly: the images must be pairwise distinct and form a
-uniquely decodable code (Sardinas-Patterson); on failure a shortest pair of
-distinct words with equal images is produced.
+uniquely decodable code (Sardinas-Patterson).
 """
 
 from __future__ import annotations
@@ -14,57 +13,53 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .words import ParseError, WordError, letter_set
 
 
-def sardinas_patterson(images: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Decide unique decodability of a list of nonempty code words.
+def is_code(images: Sequence[str]) -> bool:
+    """True iff the nonempty words `images` are pairwise distinct and form a
+    uniquely decodable code (Sardinas-Patterson).
 
-    Returns None when the images form a code.  Otherwise returns two distinct
-    index sequences with equal concatenations, shortest first in BFS order.
+    Searches the dangling suffixes breadth first: a set is not a code iff
+    some dangling suffix is itself one of the words.
     """
     for img in images:
         if not img:
             raise WordError("erasing morphism")
-    # State: a dangling suffix d with witness sequences (ahead, behind) such
-    # that images(ahead) == images(behind) + d and the sequences differ in
-    # their first element.
-    queue: deque[tuple[str, tuple[int, ...], tuple[int, ...]]] = deque()
+    if len(set(images)) < len(images):
+        return False
+    # A dangling suffix d: some sequences of words, differing in their first
+    # word, concatenate to x and x + d.
+    queue: deque[str] = deque()
     seen: set[str] = set()
-    for i, a in enumerate(images):
-        for j, b in enumerate(images):
-            if i == j:
-                continue
-            if a == b:
-                return (i,), (j,)
-            if b.startswith(a):
+    for a in images:
+        for b in images:
+            if a != b and b.startswith(a):
                 d = b[len(a):]
                 if d not in seen:
                     seen.add(d)
-                    queue.append((d, (j,), (i,)))
+                    queue.append(d)
     while queue:
-        d, ahead, behind = queue.popleft()
-        for k, u in enumerate(images):
-            if u == d:
-                return ahead, behind + (k,)
-            if d.startswith(u):
-                nd = d[len(u):]
-                if nd not in seen:
-                    seen.add(nd)
-                    queue.append((nd, ahead, behind + (k,)))
-            elif u.startswith(d):
+        d = queue.popleft()
+        for u in images:
+            if u.startswith(d):
                 nd = u[len(d):]
-                if nd not in seen:
-                    seen.add(nd)
-                    queue.append((nd, behind + (k,), ahead))
-    return None
+            elif d.startswith(u):
+                nd = d[len(u):]
+            else:
+                continue
+            if not nd:
+                return False
+            if nd not in seen:
+                seen.add(nd)
+                queue.append(nd)
+    return True
 
 
 class Morphism:
     """A letter-to-word map extended to words by concatenation.
 
-    Immutable after construction; the injectivity verdict is computed once on
-    demand and cached.
+    Immutable after construction.
     """
 
-    __slots__ = ("domain", "codomain", "images", "_verdict")
+    __slots__ = ("domain", "codomain", "images")
 
     def __init__(
         self,
@@ -90,7 +85,6 @@ class Morphism:
         self.domain = domain
         self.codomain = codomain
         self.images = {letter: images[letter] for letter in domain}
-        self._verdict: tuple[bool, tuple[str, str] | None] | None = None
 
     @classmethod
     def identity(cls, letters: str) -> "Morphism":
@@ -103,24 +97,8 @@ class Morphism:
         except KeyError as exc:
             raise WordError(f"letter {exc.args[0]!r} outside morphism domain") from None
 
-    def _decide_injectivity(self) -> tuple[bool, tuple[str, str] | None]:
-        if self._verdict is None:
-            letters = self.domain
-            witness = sardinas_patterson([self.images[ch] for ch in letters])
-            if witness is None:
-                self._verdict = (True, None)
-            else:
-                first, second = witness
-                pair = ("".join(letters[i] for i in first), "".join(letters[i] for i in second))
-                self._verdict = (False, pair)
-        return self._verdict
-
     def is_injective(self) -> bool:
-        return self._decide_injectivity()[0]
-
-    def injectivity_counterexample(self) -> tuple[str, str] | None:
-        """A shortest pair of distinct words with equal images, or None."""
-        return self._decide_injectivity()[1]
+        return is_code(list(self.images.values()))
 
     def to_text(self) -> str:
         return ",".join(f"{letter}={self.images[letter]}" for letter in self.domain)
@@ -175,23 +153,12 @@ def words_up_to(alphabet: Iterable[str], max_len: int) -> list[str]:
     return out
 
 
-def enumerate_injective(
-    domain: Iterable[str], codomain: Iterable[str], max_image_len: int
-) -> Iterator[tuple[str, ...]]:
-    """The image tuples, in domain-letter order, of every injective morphism
-    with image lengths in 1..max_image_len, each exactly once, ordered
-    lexicographically (individual images in shortlex order).  A tuple becomes
-    a morphism with Morphism(dict(zip(domain, images)), domain, codomain)."""
-    if max_image_len < 1:
-        raise WordError("max_image_len must be >= 1")
-    yield from _injective_images(len(letter_set(domain)), letter_set(codomain), max_image_len)
-
-
 # The most candidate images, over all lengths, that a search builds.  Every
 # branch of the search tries each of them, so the limit bounds its work.
 MAX_SEARCH_CANDIDATES = 32_768
 # The most steps a search takes: one per candidate image that a branch tries,
-# plus the most steps each Sardinas-Patterson test it runs can take.
+# plus the most steps each code test it runs can take.  Scoring the tuples of
+# a lower bound is charged against the same limit.
 MAX_SEARCH_STEPS = 18_000_000
 # The most image tuples the search memo holds, over all its spaces.
 MAX_CACHED_TUPLES = 100_000
@@ -201,15 +168,22 @@ def _over_budget() -> WordError:
     return WordError(f"the search took more than the limit of {MAX_SEARCH_STEPS} steps")
 
 
-def _injective_images(
-    size: int, codomain: str, max_image_len: int, canonical: bool = False
-) -> Iterator[tuple[str, ...]]:
-    """The injective image tuples of length `size` over codomain, in the
-    order of `enumerate_injective`, found depth first.
+def _injective_images(size: int, codomain: str, max_image_len: int) -> Iterator[tuple[str, ...]]:
+    """The injective image tuples of length `size` over codomain, with image
+    lengths in 1..max_image_len, one per renaming of the codomain letters:
+    the one whose images, read in order, introduce new letters in codomain
+    order.  They come in lexicographic order (images in shortlex order),
+    found depth first.
+
+    The tuple kept is the lexicographic minimum of its renaming orbit, and
+    renaming keeps image lengths, injectivity and every exponent and
+    comparability of the images, so a search that stops at its first hit
+    (or keeps its first maximizer) finds the tuple it would find among all
+    the injective tuples.
 
     Images are assigned one domain letter at a time, and a branch is dropped
     as soon as its partial tuple repeats an image or is not a code: every
-    subset of a code is a code.  Sardinas-Patterson runs only once a partial
+    subset of a code is a code.  The code test runs only once a partial
     tuple is neither prefix-free nor suffix-free, since a set that is either
     is a code.  By McMillan's inequality the images x of a code over k
     letters have weights k^(L - |x|), each at least 1, summing to at most
@@ -217,15 +191,7 @@ def _injective_images(
     number of letters still to assign.  A search over more than
     MAX_SEARCH_CANDIDATES candidate images raises WordError before it builds
     any; an empty codomain gives no tuple for a nonempty domain.  A search
-    raises WordError once its steps pass MAX_SEARCH_STEPS, and returns the
-    steps it took when it reaches its end.
-
-    canonical=True keeps one tuple per renaming of the codomain letters: the
-    one whose images, read in order, introduce new letters in codomain order.
-    It is the lexicographic minimum of its renaming orbit, and renaming keeps
-    image lengths, injectivity and every exponent and comparability of the
-    images, so a search that stops at its first hit (or keeps its first
-    maximizer) finds the same tuple either way.
+    raises WordError once its steps pass MAX_SEARCH_STEPS.
     """
     if size == 0:
         yield ()
@@ -242,8 +208,8 @@ def _injective_images(
     candidates = words_up_to(codomain, max_image_len)
     # choices[m]: the images open to a tuple whose images so far use the
     # first m codomain letters, each with the letter count after it and its
-    # weight.  The last row holds every candidate and stays there, so the
-    # full enumeration walks it and the canonical one starts at row 0.
+    # weight.  The search starts at row 0; the last row holds every
+    # candidate.
     rank = {ch: i for i, ch in enumerate(codomain)}
     choices = []
     for m in range(len(codomain) + 1):
@@ -266,7 +232,7 @@ def _injective_images(
     # starts with the image; a repeated image is comparable both ways.  A
     # branch is charged its whole row of candidates when it opens: it tries
     # each of them unless the reader stops first.
-    row = choices[0 if canonical else len(codomain)]
+    row = choices[0]
     work = len(row)
     if work > MAX_SEARCH_STEPS:
         raise _over_budget()
@@ -289,7 +255,7 @@ def _injective_images(
                 work += tested * (tested + len(x) + sum(map(len, images)))
                 if work > MAX_SEARCH_STEPS:
                     raise _over_budget()
-                if sardinas_patterson(images + (x,)) is not None:
+                if not is_code(images + (x,)):
                     continue
             if len(images) == last:
                 yield (*images, x)
@@ -304,42 +270,33 @@ def _injective_images(
             break
         else:
             stack.pop()
-    return work
 
 
-# The canonical search spaces read to the end in this process, keyed by
-# (domain size, codomain letters, max image length), each with the steps its
-# search took.
-_spaces: dict[tuple[int, str, int], tuple[int, list[tuple[str, ...]]]] = {}
+# The search spaces read to the end in this process, keyed by (domain size,
+# codomain letters, max image length).
+_spaces: dict[tuple[int, str, int], list[tuple[str, ...]]] = {}
 
 
 def _canonical_images(size: int, codomain: str, max_image_len: int) -> Iterator[tuple[str, ...]]:
-    """The tuples of _injective_images(size, codomain, max_image_len,
-    canonical=True), in the same order, replayed from the memo when a search
-    has read the whole space before.
+    """The tuples of _injective_images(size, codomain, max_image_len), in the
+    same order, replayed from the memo when a search has read the whole
+    space before.
 
     A space is stored once a search reaches its end, and only if it fits
     beside the spaces already held within MAX_CACHED_TUPLES tuples.  A search
-    that stops early, at a first hit or by an exception, stores nothing.  A
-    space is replayed only if the steps its search took are within
-    MAX_SEARCH_STEPS, so a replay raises exactly where the search would.
+    that stops early, at a first hit or by an exception, stores nothing.
+    MAX_SEARCH_STEPS is a constant, so a stored space was read within it.
     """
     key = (size, codomain, max_image_len)
-    steps, found = _spaces.get(key, (0, None))
-    if found is not None and steps <= MAX_SEARCH_STEPS:
+    found = _spaces.get(key)
+    if found is not None:
         yield from found
         return
     found = []
-    search = _injective_images(size, codomain, max_image_len, canonical=True)
-    while True:
-        try:
-            images = next(search)
-        except StopIteration as end:
-            steps = end.value
-            break
+    for images in _injective_images(size, codomain, max_image_len):
         # One tuple past the cap is enough to rule the space out.
         if len(found) <= MAX_CACHED_TUPLES:
             found.append(images)
         yield images
-    if len(found) + sum(len(held) for _, held in _spaces.values()) <= MAX_CACHED_TUPLES:
-        _spaces[key] = steps, found
+    if len(found) + sum(map(len, _spaces.values())) <= MAX_CACHED_TUPLES:
+        _spaces[key] = found

@@ -110,14 +110,10 @@ def fractional_exponent(w: str) -> FractionalPower:
     return FractionalPower(w[:p], Fraction(len(w), p))
 
 
-def integer_exponent(w: str) -> tuple[int, str]:
-    """IE(w): maximal n with w = root^n, root primitive."""
-    return _integer_power(w, fractional_exponent(w))
-
-
 def _integer_power(w: str, power: FractionalPower) -> tuple[int, str]:
-    """IE(w) read off E(w) = power: w is a proper power of its primitive base
-    exactly when the exponent is an integer, and primitive otherwise."""
+    """IE(w), the maximal n with w = root^n and root primitive, read off
+    E(w) = power: w is a proper power of its primitive base exactly when the
+    exponent is an integer, and primitive otherwise."""
     if power.exponent.denominator == 1:
         return power.exponent.numerator, power.base
     return 1, w
@@ -243,14 +239,3 @@ def _max_exponent(w: str, min_len: int) -> tuple[int, int, int]:
                 runs, k = longer, k + step
         best_len, best_per, best_start = p + k, p, (runs & -runs).bit_length() - 1
     return best_len, best_per, best_start
-
-
-def max_exponent_factor(w: str, min_len: int = 1) -> tuple[str, Fraction]:
-    """Among factors of length >= min_len, one with maximal fractional
-    exponent (ties: shortest factor, then leftmost occurrence)."""
-    if not w:
-        raise WordError("empty input")
-    if not 1 <= min_len <= len(w):
-        raise WordError(f"min_len {min_len} out of range 1..{len(w)}")
-    length, period, pos = _max_exponent(w, min_len)
-    return w[pos:pos + length], Fraction(length, period)

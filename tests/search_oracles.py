@@ -1,8 +1,11 @@
 """Reference injective-morphism search for the tests.
 
-`injective_product` is the plain enumeration the library's depth-first
-search must reproduce: every tuple of `product` over the candidate images,
-kept when its images are distinct and form a code.  `canonical_product`
+`sardinas_patterson` is the witness-returning code test: for a set that is
+not a code it gives two distinct index sequences with equal concatenations,
+so each non-code verdict carries its own proof.  `injective_product` is the
+plain enumeration over it: every tuple of `product` over the candidate
+images, kept when its images are distinct and form a code.
+`canonical_product`, which the library's depth-first search must reproduce,
 keeps from it the tuples whose images, read in order, introduce new codomain
 letters in codomain order (one tuple per renaming of the codomain letters).
 `lower_bound_oracle` (None when no injective morphism exists) and
@@ -11,6 +14,7 @@ this full enumeration.  `compose` builds the composition of two morphisms,
 for the oracle that rebuilds a pumped witness from two steps.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import product
 from string import digits
@@ -23,8 +27,51 @@ from morphexp.mapped_exponent import (
     gap_factorization,
     pump_witness,
 )
-from morphexp.morphisms import Morphism, sardinas_patterson, words_up_to
+from morphexp.morphisms import Morphism, words_up_to
 from morphexp.words import WordError, fractional_exponent, prefix_comparable, suffix_comparable
+
+
+def sardinas_patterson(images):
+    """Decide unique decodability of a list of nonempty code words.
+
+    Returns None when the images form a code.  Otherwise returns two distinct
+    index sequences with equal concatenations, shortest first in BFS order.
+    """
+    for img in images:
+        if not img:
+            raise WordError("erasing morphism")
+    # State: a dangling suffix d with witness sequences (ahead, behind) such
+    # that images(ahead) == images(behind) + d and the sequences differ in
+    # their first element.
+    queue = deque()
+    seen = set()
+    for i, a in enumerate(images):
+        for j, b in enumerate(images):
+            if i == j:
+                continue
+            if a == b:
+                return (i,), (j,)
+            if b.startswith(a):
+                d = b[len(a):]
+                if d not in seen:
+                    seen.add(d)
+                    queue.append((d, (j,), (i,)))
+    while queue:
+        d, ahead, behind = queue.popleft()
+        for k, u in enumerate(images):
+            if u == d:
+                return ahead, behind + (k,)
+            if d.startswith(u):
+                nd = d[len(u):]
+                if nd not in seen:
+                    seen.add(nd)
+                    queue.append((nd, ahead, behind + (k,)))
+            elif u.startswith(d):
+                nd = u[len(d):]
+                if nd not in seen:
+                    seen.add(nd)
+                    queue.append((nd, behind + (k,), ahead))
+    return None
 
 
 def compose(outer, inner):

@@ -26,7 +26,7 @@ from morphexp.mapped_exponent import (
     lowpower_morphism,
     mapped_exponent_lower_bound,
 )
-from morphexp.morphisms import Morphism, enumerate_injective, spreading_morphism
+from morphexp.morphisms import Morphism, spreading_morphism
 from morphexp.words import fractional_exponent, prefix_comparable, suffix_comparable
 from construction_oracles import (
     chunk_schedule,
@@ -37,6 +37,7 @@ from construction_oracles import (
     thue_morse_word,
 )
 from profile_oracles import fractional_power
+from search_oracles import injective_product
 
 
 @contextmanager
@@ -71,7 +72,7 @@ def test_criterion_2_lowpower_upper_bound():
         domain, codomain = "ab", "01"
         morphisms = [
             Morphism(dict(zip(domain, images)), domain=domain, codomain=codomain)
-            for images in enumerate_injective(domain, codomain, 4)
+            for images in injective_product(domain, codomain, 4)
         ]
         assert morphisms
         for n in (2, 3, 4):

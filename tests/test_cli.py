@@ -17,7 +17,7 @@ from morphexp.cli import run
 from morphexp.codes import CodeSet, is_synchronizing, x_degree
 from morphexp.infinite import ace_estimate, thue_morse
 from morphexp.mapped_exponent import classify_general, mapped_exponent_lower_bound
-from morphexp.words import fractional_exponent, integer_exponent
+from morphexp.words import _integer_power, fractional_exponent
 
 
 def invoke(capsys, *argv):
@@ -336,7 +336,7 @@ class TestThinAdapter:
             _, out, _ = invoke(capsys, "exp", w, "--format", "json")
             assert calls == [w]
             base, e = fractional_exponent(w)
-            n, root = integer_exponent(w)
+            n, root = _integer_power(w, fractional_exponent(w))
             assert json.loads(out) == {"word": w, "exponent": str(e), "base": base, "integer_exponent": n, "root": root}
 
     def test_ace_equals_library(self, capsys):

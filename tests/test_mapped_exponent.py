@@ -17,13 +17,13 @@ from morphexp.mapped_exponent import (
     mapped_exponent_lower_bound,
     pump_witness,
 )
-from morphexp.morphisms import Morphism, enumerate_injective
+from morphexp.morphisms import Morphism
 from morphexp.words import WordError, fractional_exponent, fresh_letters
-from search_oracles import compose
+from search_oracles import compose, injective_product
 
 
 def morphisms(domain, codomain, max_image_len):
-    for images in enumerate_injective(domain, codomain, max_image_len):
+    for images in injective_product(domain, codomain, max_image_len):
         yield Morphism(dict(zip(domain, images)), domain=domain, codomain=codomain)
 
 

@@ -3,20 +3,21 @@ from itertools import product
 
 import pytest
 
+from morphexp.mapped_exponent import classify_general, mapped_exponent_lower_bound
 from morphexp.morphisms import (
     Morphism,
-    enumerate_injective,
+    _injective_images,
+    is_code,
     parse_morphism,
-    sardinas_patterson,
     words_up_to,
 )
 from morphexp.words import WordError
-from search_oracles import compose
+from search_oracles import compose, injective_product, is_canonical, sardinas_patterson
 from sync_oracles import decode
 
 
 def morphisms(domain, codomain, max_image_len):
-    for images in enumerate_injective(domain, codomain, max_image_len):
+    for images in injective_product(domain, codomain, max_image_len):
         yield Morphism(dict(zip(domain, images)), domain=domain, codomain=codomain)
 
 
@@ -62,20 +63,23 @@ class TestInjectivity:
         assert not bad.is_injective()
         trivial = Morphism({"a": "x", "b": "x"})
         assert not trivial.is_injective()
-        assert trivial.injectivity_counterexample() == ("a", "b")
+        assert is_code(["0", "01", "11"]) and not is_code(["0", "01", "10"])
 
     def test_counterexample_has_equal_images(self):
-        for images in ({"a": "ab", "b": "abab"}, {"a": "0", "b": "01", "c": "10"}):
-            h = Morphism(images)
-            assert not h.is_injective()
-            u, v = h.injectivity_counterexample()
-            assert u != v
-            assert h.apply(u) == h.apply(v)
+        # The oracle's witness for a set that is not a code.
+        for images in (["ab", "abab"], ["0", "01", "10"], ["x", "x"]):
+            assert not is_code(images)
+            first, second = sardinas_patterson(images)
+            assert first != second
+            assert "".join(images[i] for i in first) == "".join(images[i] for i in second)
+        assert sardinas_patterson(["x", "x"]) == ((0,), (1,))
 
     def test_erasing_rejected(self):
         h = Morphism({"a": "", "b": "x"})
         with pytest.raises(WordError, match="erasing"):
             h.is_injective()
+        with pytest.raises(WordError, match="erasing"):
+            is_code(["x", "x", ""])
 
     @staticmethod
     def _collision_up_to(h: dict, letters: str, depth: int) -> bool:
@@ -96,9 +100,10 @@ class TestInjectivity:
 
     def test_brute_force_agreement(self):
         # Every morphism with <= 3 domain letters and binary images of length
-        # <= 3.  Non-injective verdicts are checked against their own witness
-        # (sound for any collision length); a brute collision search over all
-        # word pairs of length <= 6 must never contradict either verdict.
+        # <= 3.  Non-injective verdicts are checked against the oracle's
+        # witness (sound for any collision length); a brute collision search
+        # over all word pairs of length <= 6 must never contradict either
+        # verdict.
         images = words_up_to("01", 3)
         for size in (1, 2, 3):
             letters = "abc"[:size]
@@ -106,10 +111,38 @@ class TestInjectivity:
                 h = dict(zip(letters, imgs))
                 m = Morphism(h)
                 verdict = m.is_injective()
+                witness = sardinas_patterson(imgs)
+                assert verdict == (witness is None), h
                 if not verdict:
-                    u, v = m.injectivity_counterexample()
+                    u, v = ("".join(letters[i] for i in seq) for seq in witness)
                     assert u != v and m.apply(u) == m.apply(v), h
                 assert not (verdict and self._collision_up_to(h, letters, depth=6)), h
+
+    def test_is_code_against_the_oracles(self):
+        # Seeded sets of 1-5 images of up to 4 letters over 2-3 letters,
+        # drawn with repeats; some hold an empty image.  A brute collision
+        # search over short words must never contradict a code verdict.
+        rng = random.Random(25)
+        codes = erasing = 0
+        for _ in range(20_000):
+            letters = "abcde"[:rng.randint(1, 5)]
+            codomain = "012"[:rng.randint(2, 3)]
+            imgs = ["".join(rng.choice(codomain) for _ in range(rng.randint(0 if rng.random() < 0.02 else 1, 4)))
+                    for _ in letters]
+            if rng.random() < 0.1:
+                imgs[-1] = rng.choice(imgs)
+            if "" in imgs:
+                for test in (is_code, sardinas_patterson):
+                    with pytest.raises(WordError, match="erasing"):
+                        test(imgs)
+                erasing += 1
+                continue
+            verdict = is_code(imgs)
+            assert verdict == (sardinas_patterson(imgs) is None), imgs
+            depth = 3 if len(letters) > 3 else 4
+            assert not (verdict and self._collision_up_to(dict(zip(letters, imgs)), letters, depth)), imgs
+            codes += verdict
+        assert 5_000 < codes < 15_000 and erasing
 
 
 class TestCompose:
@@ -155,35 +188,33 @@ class TestLetterSets:
         assert (h.domain, h.codomain, h.to_text()) == ("ab", "01", "a=0,b=1")
 
     def test_enumeration_checks_its_letter_sets(self):
-        with pytest.raises(WordError, match="duplicate letter 'a'"):
-            next(enumerate_injective("aa", "01", 2))
-        with pytest.raises(WordError, match="duplicate letter '1'"):
-            next(enumerate_injective("ab", "011", 2))
         with pytest.raises(WordError, match="duplicate letter '0'"):
             words_up_to("00", 2)
 
 
 class TestEnumeration:
     def test_unit_length_binary(self):
-        got = [m.to_text() for m in morphisms("ab", "01", 1)]
-        assert got == ["a=0,b=1", "a=1,b=0"]
+        assert list(_injective_images(2, "01", 1)) == [("0", "1")]
 
     def test_count_matches_filtered_brute_force(self):
         candidates = words_up_to("01", 2)
         expected = 0
         for u, v in product(candidates, repeat=2):
-            if u != v and sardinas_patterson([u, v]) is None:
+            if u != v and sardinas_patterson([u, v]) is None and is_canonical((u, v), "01"):
                 expected += 1
-        got = sum(1 for _ in enumerate_injective("ab", "01", 2))
+        got = sum(1 for _ in _injective_images(2, "01", 2))
         assert got == expected
 
     def test_all_yielded_are_injective(self):
-        for m in morphisms("ab", "01", 3):
-            assert m.is_injective()
+        for images in _injective_images(3, "01", 3):
+            assert Morphism(dict(zip("abc", images))).is_injective()
+            assert sardinas_patterson(images) is None
 
     def test_bad_bound(self):
         with pytest.raises(WordError):
-            list(enumerate_injective("ab", "01", 0))
+            mapped_exponent_lower_bound("ab", 0)
+        with pytest.raises(WordError):
+            classify_general("abcacb", 0)
 
 
 class TestTextFormat:

@@ -9,10 +9,10 @@ import morphexp
 PUBLIC = {
     # words
     "FractionalPower", "ParseError", "WordError", "border_array", "fractional_exponent", "fresh_letters",
-    "integer_exponent", "letter_set", "max_exponent_factor", "minimal_period_profile", "parse_rational",
-    "prefix_comparable", "smallest_period", "suffix_comparable",
+    "letter_set", "minimal_period_profile", "parse_rational", "prefix_comparable", "smallest_period",
+    "suffix_comparable",
     # morphisms
-    "Morphism", "enumerate_injective", "parse_morphism", "sardinas_patterson", "spreading_morphism", "words_up_to",
+    "Morphism", "is_code", "parse_morphism", "spreading_morphism", "words_up_to",
     # mapped_exponent
     "FINITE", "INFINITE", "UNKNOWN", "GapFactorization", "MappedExponentVerdict", "classify_general",
     "gap_factorization", "highpower_word", "lowpower_morphism", "mapped_exponent_lower_bound", "pump_witness",

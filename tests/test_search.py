@@ -22,7 +22,7 @@ from morphexp.mapped_exponent import (
     gap_factorization,
     mapped_exponent_lower_bound,
 )
-from morphexp.morphisms import _canonical_images, _injective_images, _spaces, enumerate_injective
+from morphexp.morphisms import _canonical_images, _injective_images, _spaces
 from morphexp.words import WordError, fractional_exponent, prefix_comparable, suffix_comparable
 from search_oracles import (
     canonical_product,
@@ -68,7 +68,7 @@ def memo_key(size, max_image_len, codomain_size):
 
 
 def held():
-    return sum(len(space) for _, space in _spaces.values())
+    return sum(map(len, _spaces.values()))
 
 
 def random_alphabets(rng, size, codomain_size):
@@ -131,24 +131,16 @@ def reaches_search(w):
 
 
 class TestEnumerationOracle:
-    def test_matches_product_in_order(self):
-        rng = random.Random(6001)
-        for size, max_image_len, codomain_size in (*shapes(), *WIDE_SHAPES):
-            domain, codomain = random_alphabets(rng, size, codomain_size)
-            expected = list(injective_product(domain, codomain, max_image_len))
-            got = list(enumerate_injective(domain, codomain, max_image_len))
-            assert got == expected, (domain, codomain, max_image_len)
-
     def test_canonical_is_the_oracle_subsequence(self):
         rng = random.Random(6002)
         for size, max_image_len, codomain_size in (*shapes(), *WIDE_SHAPES):
             domain, codomain = random_alphabets(rng, size, codomain_size)
             expected = list(canonical_product(domain, codomain, max_image_len))
-            got = list(_injective_images(size, codomain, max_image_len, canonical=True))
+            got = list(_injective_images(size, codomain, max_image_len))
             assert got == expected, (domain, codomain, max_image_len)
 
     def test_empty_domain_has_one_tuple(self):
-        assert list(enumerate_injective("", "01", 2)) == [()]
+        assert list(_injective_images(0, "01", 2)) == [()]
 
 
 class TestSearchesAgainstOracle:
@@ -186,22 +178,21 @@ class TestSearchesAgainstOracle:
 
 
 class TestSearchWork:
-    def count_calls(self, monkeypatch, module):
+    def count_calls(self, monkeypatch, module, name):
         calls = []
-        real = module.sardinas_patterson
+        real = getattr(module, name)
 
         def counting(images):
             calls.append(tuple(images))
             return real(images)
 
-        monkeypatch.setattr(module, "sardinas_patterson", counting)
+        monkeypatch.setattr(module, name, counting)
         return calls
 
     def test_prefix_free_or_suffix_free_tuples_never_reach_sardinas_patterson(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, morphisms_module)
-        for canonical in (False, True):
-            for _ in _injective_images(3, "012", 3, canonical=canonical):
-                pass
+        calls = self.count_calls(monkeypatch, morphisms_module, "is_code")
+        for _ in _injective_images(3, "012", 3):
+            pass
         assert calls
         for images in calls:
             assert any(x != y and x.startswith(y) for x in images for y in images), images
@@ -209,12 +200,12 @@ class TestSearchWork:
 
     def test_pruned_canonical_search_against_product(self, monkeypatch):
         codomain = digits[:3]
-        calls = self.count_calls(monkeypatch, morphisms_module)
-        searched = sum(1 for _ in _injective_images(3, codomain, 3, canonical=True))
+        calls = self.count_calls(monkeypatch, morphisms_module, "is_code")
+        searched = sum(1 for _ in _injective_images(3, codomain, 3))
         assert searched == 8_638
         assert len(calls) <= 2_000
 
-        oracle_calls = self.count_calls(monkeypatch, search_oracles)
+        oracle_calls = self.count_calls(monkeypatch, search_oracles, "sardinas_patterson")
         enumerated = sum(1 for _ in injective_product("abc", codomain, 3))
         assert enumerated == 51_828
         assert len(oracle_calls) == 54_834
@@ -224,12 +215,11 @@ class TestSearchWork:
         # McMillan's sum, and two images over 1 letter at least 2 > 1^5, so
         # no code exists and no branch is tried.
         def failing(images):
-            raise AssertionError(f"sardinas_patterson{images}")
+            raise AssertionError(f"is_code{images}")
 
-        monkeypatch.setattr(morphisms_module, "sardinas_patterson", failing)
-        for canonical in (False, True):
-            assert list(_injective_images(9, "01", 3, canonical=canonical)) == []
-            assert list(_injective_images(2, "0", 5, canonical=canonical)) == []
+        monkeypatch.setattr(morphisms_module, "is_code", failing)
+        assert list(_injective_images(9, "01", 3)) == []
+        assert list(_injective_images(2, "0", 5)) == []
 
 
 def run_bounded(code):
@@ -246,12 +236,12 @@ class TestSearchLimits:
     def test_a_search_at_the_candidate_limit_runs_and_one_past_it_raises(self, monkeypatch):
         # Two letters up to length 3 make 2 + 4 + 8 = 14 candidate images.
         monkeypatch.setattr(morphisms_module, "MAX_SEARCH_CANDIDATES", 14)
-        assert list(enumerate_injective("ab", "01", 3)) == list(injective_product("ab", "01", 3))
+        assert list(_injective_images(2, "01", 3)) == list(canonical_product("ab", "01", 3))
         with pytest.raises(WordError, match="more than the limit of 14 candidate images"):
-            next(enumerate_injective("ab", "01", 4))
+            next(_injective_images(2, "01", 4))
         monkeypatch.setattr(morphisms_module, "MAX_SEARCH_CANDIDATES", 13)
         with pytest.raises(WordError, match="more than the limit of 13 candidate images"):
-            next(enumerate_injective("ab", "01", 3))
+            next(_injective_images(2, "01", 3))
 
     def test_an_empty_codomain_is_refused_at_once(self):
         code = (
@@ -265,8 +255,8 @@ class TestSearchLimits:
 
     def test_an_empty_codomain_has_no_injective_tuple(self):
         code = (
-            "from morphexp import enumerate_injective, words_up_to\n"
-            "print(list(enumerate_injective('ab', '', 10**9)), words_up_to('', 10**9))\n"
+            "from morphexp.morphisms import _injective_images, words_up_to\n"
+            "print(list(_injective_images(2, '', 10**9)), words_up_to('', 10**9))\n"
         )
         assert run_bounded(code) == "[] []\n"
         assert list(_injective_images(0, "", 10**9)) == [()]
@@ -285,26 +275,27 @@ class TestSearchLimits:
         assert int(peak_kb) < 100 * 1024
 
 
-def search_steps(*args, **kwargs):
-    """The steps a search takes when it is read to the end."""
-    search = _injective_images(*args, **kwargs)
-    while True:
-        try:
-            next(search)
-        except StopIteration as end:
-            return end.value
-
-
 class TestStepLimit:
-    def test_steps_count_candidates_and_code_test_bounds(self):
-        # One branch, one row of 2 + 4 + 8 candidates.
-        assert search_steps(1, "01", 3) == 14
-        # The root row of 2 and a row of 2 below each of its images.
-        assert search_steps(2, "01", 1) == 6
-        # The root row of 6 and a row of 6 below each image, plus one code
-        # test on each of {0, 00}, {1, 11}, {00, 0} and {11, 1}, charged 2
-        # steps for each of its 2 images and each of their 3 letters.
-        assert search_steps(2, "01", 2) == 6 + 6 * 6 + 4 * 2 * (2 + 3)
+    def test_steps_count_candidates_and_code_test_bounds(self, monkeypatch):
+        cases = [
+            # One branch, one row of the 1 + 2 + 4 candidates that start
+            # with 0.
+            ((1, "01", 3), 7),
+            # The root row of 0 alone and a row of 0 and 1 below it.
+            ((2, "01", 1), 3),
+            # The root row of 0, 00 and 01 and a row of all 6 candidates
+            # below each, plus one code test on each of {0, 00} and {00, 0},
+            # charged 2 steps for each of its 2 images and each of their 3
+            # letters.
+            ((2, "01", 2), 3 + 3 * 6 + 2 * 2 * (2 + 3)),
+        ]
+        for (size, codomain, max_image_len), steps in cases:
+            expected = list(canonical_product("abc"[:size], codomain, max_image_len))
+            monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", steps)
+            assert list(_injective_images(size, codomain, max_image_len)) == expected
+            monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", steps - 1)
+            with pytest.raises(WordError, match=f"more than the limit of {steps - 1} steps"):
+                list(_injective_images(size, codomain, max_image_len))
 
     @pytest.mark.parametrize("argv", [
         ["lower-bound", "abcdefgh", "--max-image-len", "4", "--codomain", "3"],
@@ -323,22 +314,12 @@ class TestStepLimit:
         assert run(["classify", "bfedfcdadhfcgfghbeae"]) == 0
         assert capsys.readouterr().out == "tag: unknown\nsearch bound: 3\n"
 
-    def test_a_full_search_takes_exactly_the_steps_the_memo_keeps(self, monkeypatch):
-        list(memo_space(3, 3, 2))
-        steps = _spaces[memo_key(3, 3, 2)][0]
-        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", steps)
-        assert list(_injective_images(3, "01", 3, canonical=True)) == oracle_space(3, 3, 2)
-        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", steps - 1)
-        with pytest.raises(WordError, match=f"more than the limit of {steps - 1} steps"):
-            list(_injective_images(3, "01", 3, canonical=True))
-
-    def test_enumerate_injective_stops_at_the_limit(self, monkeypatch):
-        steps = search_steps(3, "01", 3)
-        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", steps - 1)
+    def test_a_search_stops_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", 1_000)
         got = []
         with pytest.raises(WordError, match="the search took more than the limit"):
-            got.extend(enumerate_injective("abc", "01", 3))
-        assert got == list(injective_product("abc", "01", 3))[:len(got)]
+            got.extend(_injective_images(3, "01", 3))
+        assert got and got == oracle_space(3, 3, 2)[:len(got)]
 
     def test_a_search_stopped_at_the_limit_stores_nothing(self, monkeypatch):
         monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", 1_000)
@@ -346,35 +327,38 @@ class TestStepLimit:
             list(memo_space(3, 3, 2))
         assert not _spaces
 
-    def test_the_outcome_does_not_depend_on_the_memo(self, monkeypatch):
+    def test_the_outcome_does_not_depend_on_the_memo(self):
         # Words whose searches read the space (3, "01", 3): lower bounds read
         # all of it, classifications up to their first hit.
         rng = random.Random(6301)
         queries = [partial(mapped_exponent_lower_bound, random_word(rng, "abc", 6), 3) for _ in range(2)]
         queries += [partial(classify_general, searching_word(rng, "abcd"), 3) for _ in range(6)]
-        list(memo_space(3, 3, 2))
-        steps = _spaces[memo_key(3, 3, 2)][0]
+        for query in queries:
+            _spaces.clear()
+            cold = query()
+            list(memo_space(3, 3, 2))
+            assert query() == cold
 
-        def outcome(query):
-            try:
-                return query()
-            except WordError as exc:
-                return str(exc)
+    def test_scoring_is_charged_the_letters_of_each_image(self, monkeypatch):
+        # One tuple, a=0 and b=1, scored on its 100-letter image.
+        w = "ab" * 50
+        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", 100)
+        assert mapped_exponent_lower_bound(w, 1)[0] == 50
+        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", 99)
+        with pytest.raises(WordError, match="more than the limit of 99 steps"):
+            mapped_exponent_lower_bound(w, 1)
 
-        raised = kept = 0
-        for limit in sorted({0, 1, steps // 8, steps // 4, steps // 2, steps - 1, steps, 2 * steps}):
-            for query in queries:
-                _spaces.clear()
-                monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", limit)
-                cold = outcome(query)
-                # Warm: the memo holds the space, read under a larger limit.
-                monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", 2 * steps)
-                list(memo_space(3, 3, 2))
-                monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", limit)
-                assert outcome(query) == cold, limit
-                raised += isinstance(cold, str)
-                kept += not isinstance(cold, str)
-        assert raised and kept
+    def test_scoring_a_long_word_exits_1_within_10_s(self, capsys):
+        # The 10,344 tuples over two digits, each to be scored on an image
+        # of about 67,000 letters, would take minutes.
+        rng = random.Random(20002)
+        w = "".join(rng.choice("abc") for _ in range(20000))
+        started = time.perf_counter()
+        assert run(["lower-bound", w, "--max-image-len", "4"]) == 1
+        elapsed = time.perf_counter() - started
+        limit = morphisms_module.MAX_SEARCH_STEPS
+        assert capsys.readouterr() == ("", f"error: the search took more than the limit of {limit} steps\n")
+        assert elapsed < 10, elapsed
 
 
 class TestSearchMemo:
@@ -396,7 +380,7 @@ class TestSearchMemo:
                     runs.remove(run_)
                 else:
                     got.append(images)
-                for (size, letters, max_image_len), (_, space) in _spaces.items():
+                for (size, letters, max_image_len), space in _spaces.items():
                     assert space == oracle_space(size, max_image_len, len(letters))
                 if cap is not None:
                     assert held() <= cap
@@ -434,7 +418,7 @@ class TestSearchMemo:
         assert held() <= cap
 
     def test_a_search_that_raises_leaves_the_space_whole(self, monkeypatch):
-        real = morphisms_module.sardinas_patterson
+        real = morphisms_module.is_code
         calls = []
 
         def failing(images):
@@ -443,12 +427,12 @@ class TestSearchMemo:
                 raise RuntimeError("interrupted")
             return real(images)
 
-        monkeypatch.setattr(morphisms_module, "sardinas_patterson", failing)
+        monkeypatch.setattr(morphisms_module, "is_code", failing)
         with pytest.raises(RuntimeError, match="interrupted"):
             list(memo_space(3, 3, 2))
         assert not _spaces
         assert list(memo_space(3, 3, 2)) == oracle_space(3, 3, 2)
-        assert _spaces[memo_key(3, 3, 2)][1] == oracle_space(3, 3, 2)
+        assert _spaces[memo_key(3, 3, 2)] == oracle_space(3, 3, 2)
 
     def test_first_hit_then_full_search_on_one_space(self):
         rng = random.Random(6104)
@@ -464,7 +448,7 @@ class TestSearchMemo:
                 expected = classify_oracle(w, max_image_len, codomain_size, target).to_record()
                 assert classify_general(w, max_image_len, codomain_size, target).to_record() == expected, w
                 if None in tried(oracle_hits(w, oracle_space(*shape))):
-                    assert _spaces[memo_key(*shape)][1] == oracle_space(*shape), w
+                    assert _spaces[memo_key(*shape)] == oracle_space(*shape), w
                 else:
                     assert memo_key(*shape) not in _spaces, w
                     stopped += 1
@@ -477,7 +461,7 @@ class TestSearchMemo:
             else:
                 best, argmax = mapped_exponent_lower_bound(v, max_image_len, codomain_size)
                 assert (best, argmax.to_text()) == (expected_bound[0], expected_bound[1].to_text()), v
-            assert _spaces[memo_key(*shape)][1] == oracle_space(*shape)
+            assert _spaces[memo_key(*shape)] == oracle_space(*shape)
             assert classify_general(w, max_image_len, codomain_size, target).to_record() == expected, w
         assert stopped >= 5
 
@@ -485,13 +469,8 @@ class TestSearchMemo:
         visits = []
         real = morphisms_module._injective_images
 
-        def counting(*args, **kwargs):
-            search = real(*args, **kwargs)
-            while True:
-                try:
-                    images = next(search)
-                except StopIteration as end:
-                    return end.value  # the steps, which the memo keeps
+        def counting(*args):
+            for images in real(*args):
                 visits.append(images)
                 yield images
 

@@ -5,11 +5,10 @@ import pytest
 
 from morphexp.words import (
     WordError,
+    _integer_power,
     _max_exponent,
     fractional_exponent,
-    integer_exponent,
     letter_set,
-    max_exponent_factor,
     minimal_period_profile,
     parse_rational,
     prefix_comparable,
@@ -75,8 +74,9 @@ class TestFractionalExponent:
         rng = random.Random(3)
         for _ in range(200):
             w = random_word(rng, "ab", rng.randint(1, 16))
-            n, root = integer_exponent(w)
-            e = fractional_exponent(w).exponent
+            power = fractional_exponent(w)
+            n, root = _integer_power(w, power)
+            e = power.exponent
             assert e >= n
             if len(w) % smallest_period(w) == 0:
                 assert e == n
@@ -84,15 +84,14 @@ class TestFractionalExponent:
 
 class TestIntegerExponent:
     def test_examples(self):
-        assert integer_exponent("abab") == (2, "ab")
-        assert integer_exponent("abc") == (1, "abc")
-        assert integer_exponent("aaaaaa") == (6, "a")
+        for w, expected in (("abab", (2, "ab")), ("abc", (1, "abc")), ("aaaaaa", (6, "a"))):
+            assert _integer_power(w, fractional_exponent(w)) == expected
 
     def test_root_is_primitive_and_rebuilds(self):
         rng = random.Random(4)
         for _ in range(200):
             w = random_word(rng, "ab", rng.randint(1, 18))
-            n, root = integer_exponent(w)
+            n, root = _integer_power(w, fractional_exponent(w))
             assert is_primitive(root)
             assert root * n == w
 
@@ -195,41 +194,31 @@ class TestOccurrencesInPowers:
 
 class TestMaxExponentFactor:
     def test_examples(self):
-        assert max_exponent_factor("abaab", 1) == ("aa", Fraction(2))
-        assert max_exponent_factor("ababab", 2) == ("ababab", Fraction(3))
-        assert max_exponent_factor("abc", 1) == ("a", Fraction(1))
-
-    def test_min_len_validation(self):
-        with pytest.raises(WordError, match="out of range"):
-            max_exponent_factor("ab", 3)
-        with pytest.raises(WordError, match="out of range"):
-            max_exponent_factor("ab", 0)
+        # (length, period, start): aa, ababab and a.
+        assert _max_exponent("abaab", 1) == (2, 1, 2)
+        assert _max_exponent("ababab", 2) == (6, 2, 0)
+        assert _max_exponent("abc", 1) == (1, 1, 0)
 
     @staticmethod
     def brute(word, min_len):
         best = None
         for length in range(min_len, len(word) + 1):
             for start in range(len(word) - length + 1):
-                factor = word[start:start + length]
-                e = Fraction(length, brute_smallest_period(factor))
-                key = (-e, length, start)
+                period = brute_smallest_period(word[start:start + length])
+                key = (-Fraction(length, period), length, start)
                 if best is None or key < best[0]:
-                    best = (key, factor, e)
-        return best[1], best[2]
+                    best = (key, (length, period, start))
+        return best[1]
 
     def test_exhaustive_agreement(self):
         rng = random.Random(10)
         for _ in range(120):
             w = random_word(rng, "ab", rng.randint(1, 14))
             min_len = rng.randint(1, len(w))
-            got_f, got_e = max_exponent_factor(w, min_len)
-            exp_f, exp_e = self.brute(w, min_len)
-            assert (str(got_f), got_e) == (exp_f, exp_e), (w, min_len)
+            assert _max_exponent(w, min_len) == self.brute(w, min_len), (w, min_len)
         for _ in range(40):
             w = random_word(rng, "abc", rng.randint(1, 12))
-            got_f, got_e = max_exponent_factor(w, 1)
-            exp_f, exp_e = self.brute(w, 1)
-            assert (str(got_f), got_e) == (exp_f, exp_e), w
+            assert _max_exponent(w, 1) == self.brute(w, 1), w
 
     def test_engines_agree(self):
         rng = random.Random(11)
