@@ -21,6 +21,7 @@ from .mapped_exponent import (
 from .words import (
     ParseError,
     WordError,
+    _exact_exponent,
     _integer_power,
     fractional_exponent,
     parse_rational,
@@ -188,7 +189,7 @@ def _cmd_family(args: argparse.Namespace) -> None:
         word, h, expected = lowpower_morphism(args.n, args.k)
     else:
         word, h, expected = highpower_word(args.n)
-    computed = fractional_exponent(h.apply(word)).exponent
+    computed = _exact_exponent(h.apply(word), expected)
     record = {
         "family": args.which,
         "n": args.n,

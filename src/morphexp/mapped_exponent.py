@@ -26,10 +26,10 @@ from .words import (
     MAX_BUILD_LETTERS,
     WordError,
     _check_build_size,
-    fractional_exponent,
+    _exact_exponent,
+    _period_at_most,
     fresh_letters,
     prefix_comparable,
-    smallest_period,
     suffix_comparable,
 )
 
@@ -121,7 +121,8 @@ def pump_witness(
     fresh letter) turns the image into a power of a period containing exactly
     one c; pumping c to c (V U c)^(pump-1) then multiplies the exponent.  The
     returned exponent is recomputed from the final image, not trusted from
-    the construction.
+    the construction, by `_exact_exponent`, which finds the period at once
+    when the image reaches the target.
     """
     target = Fraction(target)
     if target < 1:
@@ -159,7 +160,7 @@ def pump_witness(
     images = {ch: base.images[ch] for ch in others}
     images[pumped] = s + c + (behind + ahead + c) * (pump - 1) + p
     witness = Morphism(images, domain=letters, codomain=base.codomain + c)
-    achieved = fractional_exponent(witness.apply(w)).exponent
+    achieved = _exact_exponent(witness.apply(w), target)
     if achieved < target:
         raise WordError(f"pump fell short: reached {achieved}, wanted {target}")
     return witness, achieved
@@ -199,14 +200,14 @@ def classify_general(
     search_codomain = _search_codomain(codomain_size)
     for letter, fact in facts:
         rest = letters.replace(letter, "")
+        # head, gap and tail hold only letters of rest: coded as indices into
+        # rest, each image tuple is their translate table.
+        code = {ord(ch): i for i, ch in enumerate(rest)}
+        head, gap, tail = fact.head.translate(code), fact.gap.translate(code), fact.tail.translate(code)
         for images in _canonical_images(len(rest), search_codomain, max_image_len):
-            # head, gap and tail hold only letters of rest, so translating
-            # them applies the morphism with these images.
-            mapping = dict(zip(rest, images))
-            table = str.maketrans(mapping)
-            head, gap, tail = fact.head.translate(table), fact.gap.translate(table), fact.tail.translate(table)
-            if suffix_comparable(head, gap) and prefix_comparable(gap, tail):
-                h = Morphism(mapping, domain=rest, codomain=search_codomain)
+            mapped = gap.translate(images)
+            if suffix_comparable(head.translate(images), mapped) and prefix_comparable(mapped, tail.translate(images)):
+                h = Morphism(dict(zip(rest, images)), domain=rest, codomain=search_codomain)
                 return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, h, goal))
     return MappedExponentVerdict(UNKNOWN, search_bound=max_image_len)
 
@@ -218,9 +219,15 @@ def mapped_exponent_lower_bound(
 ) -> tuple[Fraction, Morphism]:
     """Exact maximum of E(h(w)) over every injective h with image lengths
     <= max_image_len into a codomain of codomain_size letters; the argmax is
-    the first maximizer in search order.  Each exact period computation is
-    charged the letters of its image against morphisms.MAX_SEARCH_STEPS,
-    and past it WordError is raised."""
+    the first maximizer in search order.
+
+    Each tuple's image is built by one translate of w, coded once as letter
+    indices, and is charged its letters against morphisms.MAX_SEARCH_STEPS;
+    past it WordError is raised.  An image can beat the best so far only
+    with a period at most some bound B, so its first n - B letters must
+    occur again at some position from 1 to B: one `str.find` checks that,
+    and only an image that passes has its period sought, by
+    `_period_at_most(image, B)`."""
     if not w:
         raise WordError("empty input")
     if max_image_len < 1 or codomain_size < 1:
@@ -231,21 +238,20 @@ def mapped_exponent_lower_bound(
     best_len, best_period = 0, 1
     best_images: tuple[str, ...] | None = None
     scored = 0
-    ords = [ord(ch) for ch in domain]
+    coded = w.translate({ord(ch): i for i, ch in enumerate(domain)})
     for images in _canonical_images(len(domain), codomain, max_image_len):
-        image = w.translate(dict(zip(ords, images)))
+        image = coded.translate(images)
         n = len(image)
-        if best_len:
-            # Only a period p <= bound beats the best (n / p > best_len /
-            # best_period), and such a p puts image[:n - bound] at p.
-            bound = (n * best_period - 1) // best_len
-            if bound < 1 or image.find(image[:n - bound], 1, n) == -1:
-                continue
         scored += n
         if scored > morphisms.MAX_SEARCH_STEPS:
             raise _over_budget()
-        period = smallest_period(image)
-        if n * best_period > best_len * period:
+        # Only a period p <= bound beats the best (n / p > best_len /
+        # best_period); the first image has no best to beat.
+        bound = (n * best_period - 1) // best_len if best_len else n
+        if bound < 1 or image.find(image[:n - bound], 1, n) == -1:
+            continue
+        period = _period_at_most(image, bound)
+        if period is not None:
             best_len, best_period, best_images = n, period, images
     if best_images is None:
         raise WordError("no injective morphism exists within the given bounds")

@@ -100,6 +100,43 @@ def smallest_period(w: str) -> int:
     return len(w) - border_array(w)[len(w)]
 
 
+def _period_at_most(w: str, bound: int) -> int | None:
+    """smallest_period(w) when it is at most `bound`, else None.
+
+    A period p <= bound puts the prefix w[:n - bound] again at p, so
+    `str.find` (two-way matching, in C) yields the candidates in ascending
+    order, and p is a period iff w starts with w[p:].  Once the failed
+    checks have compared more than 8n letters, the border array takes over,
+    so the worst case stays linear.  The checks run in C, each letter far
+    cheaper than a step of the border array's Python loop: with a limit of
+    2n, half the calls on the images of a random 500-letter word fell back.
+    """
+    if not w:
+        raise WordError("empty input")
+    n = len(w)
+    needle = w[:max(n - bound, 0)]
+    compared = 0
+    p = w.find(needle, 1, n) if bound >= 1 else -1
+    while p != -1:
+        if w.startswith(w[p:]):
+            return p
+        compared += n - p
+        if compared > 8 * n:
+            period = smallest_period(w)
+            return period if period <= bound else None
+        p = w.find(needle, p + 1, n)
+    return None
+
+
+def _exact_exponent(w: str, expected: Fraction) -> Fraction:
+    """E(w), exact, for a word expected to reach exponent `expected` > 0:
+    reaching it takes a period of at most n / expected, which
+    `_period_at_most` looks for first, and only a word that falls short
+    pays for the border array."""
+    n = len(w)
+    return Fraction(n, _period_at_most(w, n * expected.denominator // expected.numerator) or smallest_period(w))
+
+
 def fractional_exponent(w: str) -> FractionalPower:
     """E(w): the pair (x, r) with w = x^r, x primitive and r maximal.
 

@@ -1,0 +1,51 @@
+"""The benchmark's word-queries ops print what bench/digests.json recorded.
+
+The benchmark checks every op's stdout against the recorded digests only
+while it runs; this test runs the same op lists through `cli.run`, so a
+change to any output the benchmark relies on fails tier-1 too.  The digest
+file is only read here.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from morphexp.cli import run
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads imports its neighbour naive from bench/ as well.
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return workloads
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_word_queries_match_the_recorded_digests(seed, workloads):
+    recorded = json.loads((BENCH / "digests.json").read_text())
+    hex_len = recorded["digest_hex"]
+    entry = recorded["seeds"][str(seed)]["word-queries"]
+    ops = workloads.build("word-queries", seed)
+    assert entry["inputs"] == workloads.inputs_digest(ops)
+    tokens = entry["stdout_sha256"]
+    expected = [tokens[i:i + hex_len] for i in range(0, len(tokens), hex_len)]
+    assert len(expected) == len(ops)
+    differing = []
+    for op, digest in zip(ops, expected):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = run(list(op.argv))
+        if rc != 0 or hashlib.sha256(out.getvalue().encode()).hexdigest()[:hex_len] != digest:
+            differing.append((rc, op.argv))
+    assert not differing, differing[:5]

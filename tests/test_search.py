@@ -1,16 +1,19 @@
 """The depth-first injective-morphism search against the product oracle."""
 
+import json
 import os
 import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
 from string import digits
 
 import pytest
 
+import morphexp.cli as cli_module
 import morphexp.mapped_exponent as mapped_exponent_module
 import morphexp.morphisms as morphisms_module
 import search_oracles
@@ -22,8 +25,9 @@ from morphexp.mapped_exponent import (
     gap_factorization,
     mapped_exponent_lower_bound,
 )
-from morphexp.morphisms import _canonical_images, _injective_images, _spaces
+from morphexp.morphisms import _canonical_images, _injective_images, _spaces, parse_morphism
 from morphexp.words import WordError, fractional_exponent, prefix_comparable, suffix_comparable
+from profile_oracles import brute_smallest_period
 from search_oracles import (
     canonical_product,
     classify_oracle,
@@ -360,6 +364,115 @@ class TestStepLimit:
         assert capsys.readouterr() == ("", f"error: the search took more than the limit of {limit} steps\n")
         assert elapsed < 10, elapsed
 
+    def test_a_periodic_word_is_charged_every_tuple(self, capsys):
+        # The find pretest rejects nearly every one of the 10,344 tuples,
+        # each of which is still translated to about 130,000 letters.
+        started = time.perf_counter()
+        assert run(["lower-bound", "abc" * 13333 + "a", "--max-image-len", "4"]) == 1
+        elapsed = time.perf_counter() - started
+        limit = morphisms_module.MAX_SEARCH_STEPS
+        assert capsys.readouterr() == ("", f"error: the search took more than the limit of {limit} steps\n")
+        assert elapsed < 5, elapsed
+
+
+def oracle_exponent(w):
+    return Fraction(len(w), brute_smallest_period(w))
+
+
+class TestCodedWords:
+    """The searches code a word's letters as their indices in its alphabet.
+    Words over the codomain's own digits, and over the code points below
+    the alphabet size, must come out as over any other letters."""
+
+    ALPHABETS = ("01", "012", "210", "\x00\x01", "\x00\x01\x02", "\x02\x00\x01", "a\x01\x00")
+
+    def words(self, rng):
+        out = ["0110", "0120", "1001", "2101", "\x00\x01\x01\x00", "\x01\x00\x02\x00\x01"]
+        for letters in self.ALPHABETS:
+            out += [random_word(rng, letters, rng.randint(len(letters), 7)) for _ in range(4)]
+        return out
+
+    def test_lower_bound(self):
+        rng = random.Random(2311)
+        for w in self.words(rng):
+            for max_image_len, codomain_size in ((1, 2), (2, 2), (2, 3), (3, 2)):
+                expected = lower_bound_oracle(w, max_image_len, codomain_size)
+                if expected is None:
+                    with pytest.raises(WordError, match="no injective morphism"):
+                        mapped_exponent_lower_bound(w, max_image_len, codomain_size)
+                    continue
+                best, argmax = expected
+                got_best, got_argmax = mapped_exponent_lower_bound(w, max_image_len, codomain_size)
+                assert (got_best, got_argmax.to_text()) == (best, argmax.to_text()), (w, max_image_len)
+                assert got_best == oracle_exponent(got_argmax.apply(w))
+
+    def test_classify_and_witness(self):
+        rng = random.Random(2312)
+        three = [letters for letters in self.ALPHABETS if len(letters) == 3]
+        words = self.words(rng) + [searching_word(rng, letters) for letters in three for _ in range(6)]
+        tags = set()
+        for w in words:
+            for target in (None, Fraction(rng.randint(1, 30), rng.randint(1, 4))):
+                max_image_len = rng.randint(1, 3)
+                verdict = classify_general(w, max_image_len=max_image_len, target=target)
+                expected = classify_oracle(w, max_image_len=max_image_len, target=target)
+                assert verdict.to_record() == expected.to_record(), w
+                tags.add(verdict.tag)
+                if verdict.witness is not None:
+                    h, achieved = verdict.witness
+                    assert achieved == oracle_exponent(h.apply(w)) >= (2 * len(w) if target is None else target)
+        assert {INFINITE, UNKNOWN} <= tags
+
+    @pytest.mark.parametrize("argv", [
+        ["lower-bound", "0110", "--max-image-len", "2"],
+        ["lower-bound", "2101", "--max-image-len", "2", "--codomain", "3"],
+        ["classify", "101021210", "--max-image-len", "2"],
+        ["witness", "101021210", "--target", "7/2", "--max-image-len", "2"],
+    ])
+    def test_digit_words_on_the_cli(self, argv, capsys):
+        assert run([*argv, "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        w = argv[1]
+        max_image_len = int(argv[argv.index("--max-image-len") + 1]) if "--max-image-len" in argv else 3
+        if argv[0] == "lower-bound":
+            best, argmax = lower_bound_oracle(w, max_image_len, record["codomain_size"])
+            assert (record["best_exponent"], record["argmax_morphism"]) == (str(best), argmax.to_text())
+            return
+        target = Fraction(argv[argv.index("--target") + 1]) if "--target" in argv else None
+        expected = classify_oracle(w, max_image_len=max_image_len, target=target).to_record()
+        assert {key: record[key] for key in expected} == expected
+        assert record["tag"] == INFINITE
+        h = parse_morphism(record["witness_morphism"])
+        assert Fraction(record["achieved_exponent"]) == oracle_exponent(h.apply(w))
+
+    def test_family_exponents(self, capsys):
+        argvs = [["lowpower", "--n", str(n), "--k", str(k)] for n in range(2, 10) for k in range(5)]
+        argvs += [["highpower", "--n", str(n)] for n in range(2, 8)]
+        for argv in argvs:
+            assert run(["family", *argv, "--format", "json"]) == 0
+            record = json.loads(capsys.readouterr().out)
+            image = parse_morphism(record["morphism"]).apply(record["word"])
+            assert record["computed_exponent"] == record["expected_exponent"] == str(oracle_exponent(image)), argv
+            assert record["verified"] is True
+
+    @pytest.mark.parametrize("shift", [Fraction(-1, 7), Fraction(1, 7)])
+    def test_a_family_mismatch_reports_the_exact_exponent(self, shift, monkeypatch, capsys):
+        # An expected exponent above the image's one leaves no period within
+        # the bound; one below it finds the period at once.
+        real = cli_module.lowpower_morphism
+
+        def off(n, k):
+            word, h, expected = real(n, k)
+            return word, h, expected + shift
+
+        monkeypatch.setattr(cli_module, "lowpower_morphism", off)
+        assert run(["family", "lowpower", "--n", "5", "--k", "2", "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        image = parse_morphism(record["morphism"]).apply(record["word"])
+        assert record["computed_exponent"] == str(oracle_exponent(image))
+        assert Fraction(record["expected_exponent"]) == oracle_exponent(image) + shift
+        assert record["verified"] is False
+
 
 class TestSearchMemo:
     def interleave(self, rng, rounds, cap=None):
@@ -532,13 +645,13 @@ class TestScoring:
 
     def test_only_tuples_that_can_beat_the_best_are_scored(self, monkeypatch):
         scored = []
-        real = mapped_exponent_module.smallest_period
+        real = mapped_exponent_module._period_at_most
 
-        def counting(w):
+        def counting(w, bound):
             scored.append(w)
-            return real(w)
+            return real(w, bound)
 
-        monkeypatch.setattr(mapped_exponent_module, "smallest_period", counting)
+        monkeypatch.setattr(mapped_exponent_module, "_period_at_most", counting)
         rng = random.Random(6202)
         enumerated = 0
         for size, max_image_len, codomain_size in BENCH_SHAPES:

@@ -1,12 +1,15 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from morphexp import words
 from morphexp.words import (
     WordError,
     _integer_power,
     _max_exponent,
+    _period_at_most,
     fractional_exponent,
     letter_set,
     minimal_period_profile,
@@ -50,6 +53,49 @@ class TestSmallestPeriod:
         for _ in range(100):
             w = random_word(rng, "abc", rng.randint(1, 12))
             assert smallest_period(w) == brute_smallest_period(w)
+
+
+def period_test_words(rng):
+    """Random, periodic and near-periodic words: the last kind keep a
+    period for all but their last letter or two."""
+    out = [random_word(rng, rng.choice(["a", "ab", "abc"]), rng.randint(1, 40)) for _ in range(200)]
+    for _ in range(100):
+        base = random_word(rng, "ab", rng.randint(1, 6))
+        out.append(repeat_to_length(base, rng.randint(1, 40)))
+    for k in range(1, 25):
+        out += ["a" * k + "b", "ab" * k + "a", "aab" * k + "aa", "ab" * k + "b", "aab" * k + "ab"]
+    return out
+
+
+class TestPeriodAtMost:
+    def test_against_smallest_period_and_the_oracle(self):
+        rng = random.Random(2301)
+        for w in period_test_words(rng):
+            period = smallest_period(w)
+            assert period == brute_smallest_period(w), w
+            for bound in range(len(w) + 2):
+                assert _period_at_most(w, bound) == (period if period <= bound else None), (w, bound)
+
+    def test_empty_rejected(self):
+        with pytest.raises(WordError, match="empty"):
+            _period_at_most("", 1)
+
+    @pytest.mark.parametrize("w", ["a" * 100000 + "b", "ab" * 50000 + "b"])
+    def test_many_failed_checks_fall_back_in_linear_time(self, w, monkeypatch):
+        # The prefix w[:1] occurs at every candidate shift, and each check
+        # fails only at the last letter.
+        fallbacks = []
+        real = words.smallest_period
+
+        def counting(text):
+            fallbacks.append(len(text))
+            return real(text)
+
+        monkeypatch.setattr(words, "smallest_period", counting)
+        started = time.perf_counter()
+        assert _period_at_most(w, len(w) - 1) is None
+        assert time.perf_counter() - started < 1
+        assert fallbacks == [len(w)]
 
 
 class TestFractionalExponent:
