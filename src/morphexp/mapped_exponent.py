@@ -181,6 +181,14 @@ def classify_general(
     at most two letters the identity step alone decides, so the verdict is
     never unknown there: the letters beside the factored one form a unary or
     empty alphabet, which makes every comparability condition hold.
+
+    Factorizations are tried in letter order, and the witness comes from the
+    first tuple, in search order, that certifies the earliest factorization
+    with any.  Each factorization leaves |alphabet(w)| - 1 letters beside its
+    own, so the search reads that one space once for all of them, and the
+    search's step limit bounds the whole call.  Each test of a tuple against
+    a factorization is charged the letters of its head, gap and tail against
+    morphisms.MAX_SEARCH_STEPS; past it WordError is raised.
     """
     if not w:
         raise WordError("empty input")
@@ -198,18 +206,35 @@ def classify_general(
             return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, identity, goal))
 
     search_codomain = _search_codomain(codomain_size)
+    # head, gap and tail hold only the letters beside the factored one:
+    # coded as indices into them, each image tuple is their translate table.
+    coded = []
     for letter, fact in facts:
-        rest = letters.replace(letter, "")
-        # head, gap and tail hold only letters of rest: coded as indices into
-        # rest, each image tuple is their translate table.
-        code = {ord(ch): i for i, ch in enumerate(rest)}
-        head, gap, tail = fact.head.translate(code), fact.gap.translate(code), fact.tail.translate(code)
-        for images in _canonical_images(len(rest), search_codomain, max_image_len):
+        code = {ord(ch): i for i, ch in enumerate(letters.replace(letter, ""))}
+        parts = [part.translate(code) for part in (fact.head, fact.gap, fact.tail)]
+        coded.append((*parts, sum(map(len, parts))))
+    # Only the factorizations before the earliest one certified so far can
+    # still change the verdict.
+    earliest, found = len(coded), None
+    scored = 0
+    for images in _canonical_images(len(letters) - 1, search_codomain, max_image_len):
+        for i in range(earliest):
+            head, gap, tail, letter_count = coded[i]
+            scored += letter_count
+            if scored > morphisms.MAX_SEARCH_STEPS:
+                raise _over_budget()
             mapped = gap.translate(images)
             if suffix_comparable(head.translate(images), mapped) and prefix_comparable(mapped, tail.translate(images)):
-                h = Morphism(dict(zip(rest, images)), domain=rest, codomain=search_codomain)
-                return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, h, goal))
-    return MappedExponentVerdict(UNKNOWN, search_bound=max_image_len)
+                earliest, found = i, images
+                break
+        if earliest == 0:
+            break
+    if found is None:
+        return MappedExponentVerdict(UNKNOWN, search_bound=max_image_len)
+    letter, fact = facts[earliest]
+    rest = letters.replace(letter, "")
+    h = Morphism(dict(zip(rest, found)), domain=rest, codomain=search_codomain)
+    return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, h, goal))
 
 
 def mapped_exponent_lower_bound(

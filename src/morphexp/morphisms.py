@@ -286,6 +286,8 @@ def _canonical_images(size: int, codomain: str, max_image_len: int) -> Iterator[
     beside the spaces already held within MAX_CACHED_TUPLES tuples.  A search
     that stops early, at a first hit or by an exception, stores nothing.
     MAX_SEARCH_STEPS is a constant, so a stored space was read within it.
+    Each CLI search command reads at most one space once, so replays serve
+    later commands in the same process, not the same command.
     """
     key = (size, codomain, max_image_len)
     found = _spaces.get(key)

@@ -7,7 +7,8 @@ error) or 2 (usage error).  Sizes are drawn so that work that is allowed
 stays small, while the huge values exercise the checks that refuse a build
 or a search before it starts.  A second fuzz draws searches over five to
 eight letters with images of up to four letters, the shapes that ran for
-minutes before searches had a step limit.
+minutes before searches had a step limit, with words that two letters factor
+and gaps of hundreds of letters.
 """
 
 import random
@@ -133,9 +134,18 @@ def _wide_search_argv(rng):
         word = "".join(rng.choice(letters) for _ in range(rng.randint(len(letters), 20)))
     else:
         # head h gap h tail: the letter h factors the word, so the search
-        # runs unless the identity already certifies it.
-        head, gap, tail = ("".join(rng.choice(letters[:-1]) for _ in range(rng.randint(1, 6))) for _ in range(3))
+        # runs unless the identity already certifies it.  Some gaps run to
+        # hundreds of letters, and in half the words a second letter, placed
+        # once, factors the word too.
+        second = rng.random() < 0.5
+        rest = letters[:-2] if second else letters[:-1]
+        gap_len = rng.choice((rng.randint(1, 6), rng.randint(100, 400)))
+        head, tail = ("".join(rng.choice(rest) for _ in range(rng.randint(1, 6))) for _ in range(2))
+        gap = "".join(rng.choice(rest) for _ in range(gap_len))
         word = head + letters[-1] + gap + letters[-1] + tail
+        if second:
+            at = rng.randint(0, len(word))
+            word = word[:at] + letters[-2] + word[at:]
     argv = [command, word, "--max-image-len", str(rng.randint(3, 4))]
     if command == "witness":
         argv += ["--target", str(rng.randint(2, 12))]

@@ -99,6 +99,15 @@ def searching_word(rng, letters):
             return w
 
 
+def several_factorizations(rng, letters):
+    """A word over exactly these letters that two or more of them factor and
+    whose classification searches."""
+    while True:
+        w = random_word(rng, letters, rng.randint(len(letters), 10))
+        if sum(gap_factorization(w, ch) is not None for ch in letters) >= 2 and reaches_search(w):
+            return w
+
+
 def oracle_hits(w, space):
     """Per gap factorization of w, in the order classify_general tries them,
     the index of the first tuple of space that certifies it, or None."""
@@ -180,6 +189,32 @@ class TestSearchesAgainstOracle:
             tags.add(got["tag"])
         assert {INFINITE, UNKNOWN} <= tags
 
+    def test_classify_records_with_several_factorizations(self):
+        # One read of the space tests every factorization, and the verdict
+        # keeps the first hit of the earliest one that has a hit, also where
+        # a later factorization hits earlier in the space.
+        rng = random.Random(6005)
+        cases = []
+        for letters, max_image_lens in (("abc", (1, 2, 3)), ("abcd", (1, 2, 3)), ("abcde", (1, 2))):
+            cases += [(several_factorizations(rng, letters), rng.choice(max_image_lens)) for _ in range(30)]
+        for letters in ("abc", "abcd"):
+            later = []
+            while len(later) < 6:
+                w = several_factorizations(rng, letters)
+                hits = oracle_hits(w, oracle_space(len(letters) - 1, 3, 2))
+                first = next((k for k, hit in enumerate(hits) if hit is not None), len(hits))
+                if any(hit is not None and hit < hits[first] for hit in hits[first + 1:]):
+                    later.append((w, 3))
+            cases += later
+        tags = set()
+        for w, max_image_len in cases:
+            for target in (None, rng.randint(1, 6)):
+                expected = classify_oracle(w, max_image_len=max_image_len, target=target).to_record()
+                got = classify_general(w, max_image_len=max_image_len, target=target).to_record()
+                assert got == expected, (w, max_image_len, target)
+                tags.add(got["tag"])
+        assert {INFINITE, UNKNOWN} <= tags
+
 
 class TestSearchWork:
     def count_calls(self, monkeypatch, module, name):
@@ -224,6 +259,23 @@ class TestSearchWork:
         monkeypatch.setattr(morphisms_module, "is_code", failing)
         assert list(_injective_images(9, "01", 3)) == []
         assert list(_injective_images(2, "0", 5)) == []
+
+    @pytest.mark.parametrize("max_image_len", [2, 3])
+    def test_classify_reads_one_space_once(self, monkeypatch, max_image_len):
+        # Four letters factor ecabdeabccdc and none is certified, so every
+        # factorization is tested on the whole space, which the memo may not
+        # hold.
+        started = []
+        real = morphisms_module._injective_images
+
+        def counting(*args):
+            started.append(args)
+            yield from real(*args)
+
+        monkeypatch.setattr(morphisms_module, "_injective_images", counting)
+        monkeypatch.setattr(morphisms_module, "MAX_CACHED_TUPLES", 0)
+        assert classify_general("ecabdeabccdc", max_image_len).tag == UNKNOWN
+        assert started == [(4, "01", max_image_len)]
 
 
 def run_bounded(code):
@@ -337,6 +389,7 @@ class TestStepLimit:
         rng = random.Random(6301)
         queries = [partial(mapped_exponent_lower_bound, random_word(rng, "abc", 6), 3) for _ in range(2)]
         queries += [partial(classify_general, searching_word(rng, "abcd"), 3) for _ in range(6)]
+        queries += [partial(classify_general, several_factorizations(rng, "abcd"), 3) for _ in range(6)]
         for query in queries:
             _spaces.clear()
             cold = query()
@@ -351,6 +404,36 @@ class TestStepLimit:
         monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", 99)
         with pytest.raises(WordError, match="more than the limit of 99 steps"):
             mapped_exponent_lower_bound(w, 1)
+
+    def test_classify_is_charged_the_letters_of_each_test(self, monkeypatch):
+        # Only d factors the word, and no tuple certifies it: the head ends
+        # in h(a) h(b) and the gap in h(b) h(a), which are not suffix-
+        # comparable for a code.  Each of the 24 tuples of (3, "01", 2) is
+        # charged the 28 letters of head, gap and tail; the search itself
+        # takes fewer steps.
+        w = "ab" + ("d" + "ccba" * 6) * 2 + "d" + "ca"
+        assert [ch for ch in "abcd" if gap_factorization(w, ch)] == ["d"]
+        steps = len(oracle_space(3, 2, 2)) * 28
+        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", steps)
+        assert classify_general(w, 2).tag == UNKNOWN
+        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", steps - 1)
+        with pytest.raises(WordError, match=f"more than the limit of {steps - 1} steps"):
+            classify_general(w, 2)
+
+    @pytest.mark.parametrize("length, max_image_len", [(8011, 4), (2011, 5)])
+    def test_classifying_a_long_gap_exits_1_within_5_s(self, length, max_image_len, capsys):
+        # Every tuple of the space is tested on the whole gap, as none
+        # certifies the word; both used to answer unknown after seconds.
+        rng = random.Random(20003)
+        gap = "".join(rng.choice("abc") for _ in range((length - 7) // 2 - 2)) + "ba"
+        w = "ab" + ("d" + gap) * 2 + "d" + "ca"
+        assert len(w) == length
+        started = time.perf_counter()
+        assert run(["classify", w, "--max-image-len", str(max_image_len)]) == 1
+        elapsed = time.perf_counter() - started
+        limit = morphisms_module.MAX_SEARCH_STEPS
+        assert capsys.readouterr() == ("", f"error: the search took more than the limit of {limit} steps\n")
+        assert elapsed < 5, elapsed
 
     def test_scoring_a_long_word_exits_1_within_10_s(self, capsys):
         # The 10,344 tuples over two digits, each to be scored on an image
