@@ -92,16 +92,11 @@ def _verdict_text(record: dict) -> str:
 
 def _cmd_classify(args: argparse.Namespace) -> None:
     w = _parse_word(args.word)
-    verdict = classify_general(w, max_image_len=args.max_image_len)
-    record = {"word": w, **verdict.to_record()}
-    _emit(record, _verdict_text(record), args.format)
-
-
-def _cmd_witness(args: argparse.Namespace) -> None:
-    w = _parse_word(args.word)
-    target = parse_rational(args.target)
+    target = None if args.target is None else parse_rational(args.target)
     verdict = classify_general(w, max_image_len=args.max_image_len, target=target)
-    record = {"word": w, "target": str(target), **verdict.to_record()}
+    record = {"word": w, **verdict.to_record()}
+    if target is not None:
+        record["target"] = str(target)
     _emit(record, _verdict_text(record), args.format)
 
 
@@ -208,8 +203,11 @@ def _cmd_family(args: argparse.Namespace) -> None:
     _emit(record, text, args.format)
 
 
+@functools.cache
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser and its subcommand parsers by name.  Parsing
+    reads the parsers and never changes them, so one set per process serves
+    every call."""
     parser = argparse.ArgumentParser(
         prog="morphexp",
         description="Exact word exponents, injective morphisms, codes, and repetition analysis.",
@@ -228,14 +226,14 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p.add_argument("word")
     p.add_argument("--max-image-len", type=int, default=3)
     add_format(p)
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(handler=_cmd_classify, target=None)
 
     p = sub.add_parser("witness", help="construct a morphism reaching a target exponent")
     p.add_argument("word")
     p.add_argument("--target", required=True)
     p.add_argument("--max-image-len", type=int, default=3)
     add_format(p)
-    p.set_defaults(handler=_cmd_witness)
+    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("lower-bound", help="exact max exponent over bounded injective morphisms")
     p.add_argument("word")
@@ -287,16 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     return _build_parsers()[0]
 
 
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # Parsing reads the parsers and never changes them, so one set per
-    # process serves every call.
-    return _build_parsers()
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parsers()
+    parser, commands = _build_parsers()
     # A command line that names a subcommand goes straight to its parser;
     # only one that names none needs the top-level parser.
     command = commands.get(argv[0]) if argv else None

@@ -81,16 +81,21 @@ def parse_code_set(literal: str) -> CodeSet:
     return CodeSet(words)
 
 
-def _flanks(w: str, code: CodeSet) -> tuple[list[int], set[int], bool]:
-    """The cuts an interpretation may start at (w[:c] a suffix of a code
-    word) and end at (w[c:] a prefix of one), and whether the cut-free
-    interpretation exists."""
-    n, m = len(w), code.max_len
-    suffixes = {x[i:] for x in code.words for i in range(len(x) + 1)}
-    prefixes = {x[:i] for x in code.words for i in range(len(x) + 1)}
-    starts = [c for c in range(min(n, m) + 1) if w[:c] in suffixes]
-    ends = {c for c in range(max(n - m, 0), n + 1) if w[c:] in prefixes}
-    return starts, ends, w in suffixes and w in prefixes
+def _flanks(w: str, code: CodeSet) -> tuple[dict[int, int], dict[int, int]]:
+    """Where an occurrence of w may enter and leave its flanking code words:
+    enter maps 0, and each c with w[:c] a proper suffix of a code word, to
+    the fewest letters such a word adds before w; leave maps |w|, and each c
+    with w[c:] a proper prefix of one, to the fewest it adds after w."""
+    n = len(w)
+    enter = {0: 0}
+    leave = {n: 0}
+    for x in code.words:
+        for c in range(1, min(n, len(x) - 1) + 1):
+            if x.endswith(w[:c]):
+                enter[c] = min(enter.get(c, len(x)), len(x) - c)
+            if x.startswith(w[n - c:]):
+                leave[n - c] = min(leave.get(n - c, len(x)), len(x) - c)
+    return enter, leave
 
 
 def _steps(w: str, code: CodeSet) -> list[list[int]]:
@@ -147,13 +152,19 @@ def x_degree(w: str, code: CodeSet) -> int:
 
     Interpretations with at least one cut are the source-to-sink paths of the
     parse graph on cut positions (edges are code words), so a maximal
-    disjoint family is a maximal set of vertex-disjoint paths; the cut-free
-    interpretation conflicts with nothing and contributes one more.
+    disjoint family is a maximal set of vertex-disjoint paths.  A path starts
+    at a flank entry or where the code word at 0 ends, and ends at a flank
+    exit or where a code word ending at |w| starts; the cut-free
+    interpretation exists when |w| is a start and 0 an end, conflicts with
+    nothing and contributes one more.
     """
     if not w:
         raise WordError("empty input")
-    starts, ends, whole = _flanks(w, code)
-    return whole + _max_vertex_disjoint_paths(_steps(w, code), starts, ends)
+    enter, leave = _flanks(w, code)
+    steps = _steps(w, code)
+    starts = set(enter) | set(steps[0])
+    ends = set(leave) | {c for c, targets in enumerate(steps) if len(w) in targets}
+    return (len(w) in starts and 0 in ends) + _max_vertex_disjoint_paths(steps, starts, ends)
 
 
 def _default_probe(w: str, code: CodeSet) -> int:
@@ -193,14 +204,7 @@ def is_synchronizing(w: str, code: CodeSet, probe_len: int | None = None) -> int
     budget = probe_len - n  # letters the flanking words may add outside w
     if any(len(x) <= probe_len and w in x[1:-1] for x in code.words):
         return None
-    enter = {0: 0}
-    leave = {n: 0}
-    for x in code.words:
-        for c in range(1, min(n, len(x) - 1) + 1):
-            if x.endswith(w[:c]):
-                enter[c] = min(enter.get(c, len(x)), len(x) - c)
-            if x.startswith(w[n - c:]):
-                leave[n - c] = min(leave.get(n - c, len(x)), len(x) - c)
+    enter, leave = _flanks(w, code)
     steps = _steps(w, code)
     # Cheapest entry reaching each cut, and cheapest exit reachable from it.
     reach = [enter.get(c, inf) for c in range(n + 1)]

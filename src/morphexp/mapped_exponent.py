@@ -79,14 +79,6 @@ class MappedExponentVerdict:
         }
 
 
-def _search_codomain(codomain_size: int) -> str:
-    if codomain_size < 1:
-        raise WordError("codomain size must be >= 1")
-    if codomain_size > len(digits):
-        raise WordError(f"codomain size must be <= {len(digits)}")
-    return digits[:codomain_size]
-
-
 def gap_factorization(w: str, letter: str) -> GapFactorization | None:
     """The unique gap factorization of w at the given letter, or None when
     the letter is absent or its occurrence gaps differ."""
@@ -169,7 +161,6 @@ def pump_witness(
 def classify_general(
     w: str,
     max_image_len: int = 3,
-    codomain_size: int = 2,
     target: Fraction | int | None = None,
 ) -> MappedExponentVerdict:
     """Three-valued classification over any alphabet.
@@ -177,23 +168,32 @@ def classify_general(
     finite is exact (no letter admits a gap factorization).  infinite is
     certified by a pumped witness, searching the identity morphism first and
     then every injective morphism with images of length <= max_image_len into
-    a codomain of codomain_size letters.  Everything else is unknown.  Over
-    at most two letters the identity step alone decides, so the verdict is
-    never unknown there: the letters beside the factored one form a unary or
-    empty alphabet, which makes every comparability condition hold.
+    01; an injective binary coding keeps any certificate injective and
+    comparable, so a larger codomain decides nothing more.  Everything else
+    is unknown.  Over at most two letters the identity step alone decides,
+    so the verdict is never unknown there: the letters beside the factored
+    one form a unary or empty alphabet, which makes every comparability
+    condition hold.  A target below 1 is refused for every verdict.
 
     Factorizations are tried in letter order, and the witness comes from the
     first tuple, in search order, that certifies the earliest factorization
     with any.  Each factorization leaves |alphabet(w)| - 1 letters beside its
     own, so the search reads that one space once for all of them, and the
-    search's step limit bounds the whole call.  Each test of a tuple against
-    a factorization is charged the letters of its head, gap and tail against
-    morphisms.MAX_SEARCH_STEPS; past it WordError is raised.
+    search's step limit bounds the whole call.  An image has 1 to L =
+    max_image_len letters, so h(head) and h(gap) are compared on the last
+    min(|head|, L|gap|) and min(|gap|, L|head|) letters of head and gap, and
+    h(gap) and h(tail) on the first min(|gap|, L|tail|) and min(|tail|,
+    L|gap|) of gap and tail (on the whole gap, read once, where its two
+    windows cover it).  Each test of a tuple against a factorization is
+    charged the letters of these windows against morphisms.MAX_SEARCH_STEPS;
+    past it WordError is raised.
     """
     if not w:
         raise WordError("empty input")
     if max_image_len < 1:
         raise WordError("max_image_len must be >= 1")
+    if target is not None and target < 1:
+        raise WordError("target exponent must be >= 1")
     letters = "".join(sorted(set(w)))
     facts = [(ch, fact) for ch in letters if (fact := gap_factorization(w, ch)) is not None]
     if not facts:
@@ -205,26 +205,35 @@ def classify_general(
             identity = Morphism.identity(letters.replace(letter, ""))
             return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, identity, goal))
 
-    search_codomain = _search_codomain(codomain_size)
     # head, gap and tail hold only the letters beside the factored one:
     # coded as indices into them, each image tuple is their translate table.
+    # A start window of None means the end window is the whole gap.
     coded = []
     for letter, fact in facts:
         code = {ord(ch): i for i, ch in enumerate(letters.replace(letter, ""))}
-        parts = [part.translate(code) for part in (fact.head, fact.gap, fact.tail)]
-        coded.append((*parts, sum(map(len, parts))))
+        head, gap, tail = (part.translate(code) for part in (fact.head, fact.gap, fact.tail))
+        a, b = min(len(head), max_image_len * len(gap)), min(len(gap), max_image_len * len(head))
+        c, d = min(len(gap), max_image_len * len(tail)), min(len(tail), max_image_len * len(gap))
+        head, tail = head[len(head) - a:], tail[:d]
+        if b + c >= len(gap):
+            coded.append((head, gap, None, tail, a + len(gap) + d))
+        else:
+            coded.append((head, gap[len(gap) - b:], gap[:c], tail, a + b + c + d))
     # Only the factorizations before the earliest one certified so far can
     # still change the verdict.
     earliest, found = len(coded), None
     scored = 0
-    for images in _canonical_images(len(letters) - 1, search_codomain, max_image_len):
+    codomain = digits[:2]
+    for images in _canonical_images(len(letters) - 1, codomain, max_image_len):
         for i in range(earliest):
-            head, gap, tail, letter_count = coded[i]
+            head, end, start, tail, letter_count = coded[i]
             scored += letter_count
             if scored > morphisms.MAX_SEARCH_STEPS:
                 raise _over_budget()
-            mapped = gap.translate(images)
-            if suffix_comparable(head.translate(images), mapped) and prefix_comparable(mapped, tail.translate(images)):
+            mapped = end.translate(images)
+            if suffix_comparable(head.translate(images), mapped) and prefix_comparable(
+                mapped if start is None else start.translate(images), tail.translate(images)
+            ):
                 earliest, found = i, images
                 break
         if earliest == 0:
@@ -233,7 +242,7 @@ def classify_general(
         return MappedExponentVerdict(UNKNOWN, search_bound=max_image_len)
     letter, fact = facts[earliest]
     rest = letters.replace(letter, "")
-    h = Morphism(dict(zip(rest, found)), domain=rest, codomain=search_codomain)
+    h = Morphism(dict(zip(rest, found)), domain=rest, codomain=codomain)
     return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, h, goal))
 
 
@@ -257,8 +266,10 @@ def mapped_exponent_lower_bound(
         raise WordError("empty input")
     if max_image_len < 1 or codomain_size < 1:
         raise WordError("bounds must be >= 1")
+    if codomain_size > len(digits):
+        raise WordError(f"codomain size must be <= {len(digits)}")
     domain = "".join(sorted(set(w)))
-    codomain = _search_codomain(codomain_size)
+    codomain = digits[:codomain_size]
     # E(h(w)) = |h(w)| / smallest period, compared as integer pairs.
     best_len, best_period = 0, 1
     best_images: tuple[str, ...] | None = None

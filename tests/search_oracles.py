@@ -117,7 +117,7 @@ def lower_bound_oracle(w, max_image_len, codomain_size=2):
     return best, Morphism(dict(zip(domain, best_images)), domain=domain, codomain=codomain)
 
 
-def classify_oracle(w, max_image_len=3, codomain_size=2, target=None):
+def classify_oracle(w, max_image_len=3, target=None):
     letters = sorted(set(w))
     facts = [(ch, fact) for ch in letters if (fact := gap_factorization(w, ch)) is not None]
     if not facts:
@@ -127,7 +127,7 @@ def classify_oracle(w, max_image_len=3, codomain_size=2, target=None):
         if suffix_comparable(fact.head, fact.gap) and prefix_comparable(fact.gap, fact.tail):
             identity = Morphism.identity("".join(ch for ch in letters if ch != letter))
             return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, identity, goal))
-    codomain = digits[:codomain_size]
+    codomain = "01"
     for letter, fact in facts:
         rest = "".join(ch for ch in letters if ch != letter)
         for images in injective_product(rest, codomain, max_image_len):

@@ -168,10 +168,19 @@ class TestExitCodes:
             assert (code, out) == (1, "")
             assert err.strip() == "error: max_image_len must be >= 1"
 
+    def test_witness_needs_a_target_of_at_least_1_for_every_verdict(self, capsys):
+        for word, tag in (("abcacbbca", "finite"), ("badcdacbbcd", "unknown"), ("abcabcab", "infinite")):
+            for target in ("1/2", "0"):
+                code, out, err = invoke(capsys, "witness", word, "--target", target, "--max-image-len", "1")
+                assert (code, out) == (1, "")
+                assert err.strip() == "error: target exponent must be >= 1"
+            code, out, _ = invoke(capsys, "witness", word, "--target", "1", "--max-image-len", "1")
+            assert (code, out.splitlines()[0]) == (0, f"tag: {tag}")
+
     def test_subcommand_parser_reads_what_the_top_level_parser_reads(self, capsys):
         # `run` sends a command line that names a subcommand straight to its
         # parser; the top-level parser would set the same values.
-        parser, commands = cli._parsers()
+        parser, commands = cli._build_parsers()
         lines = (
             ("exp", "abab", "--format", "json"),
             ("exp", "--", "-ab"),

@@ -41,6 +41,26 @@ def brute_interpretations(text, code):
     return sorted(out)
 
 
+def max_disjoint(cut_sets):
+    """The most pairwise disjoint cut sets, by branching on the first one."""
+    if not cut_sets:
+        return 0
+    first, rest = cut_sets[0], cut_sets[1:]
+    return max(max_disjoint(rest), 1 + max_disjoint([c for c in rest if not c & first]))
+
+
+def code_cut_from(rng, w, letters):
+    """A set of w itself, w with a letter before or after it, some of its
+    proper prefixes and suffixes, and at times a short word of its own, so
+    that the whole-word flanks occur."""
+    pieces = [w, rng.choice(letters) + w, w + rng.choice(letters)]
+    pieces += [w[:c] for c in range(1, len(w))] + [w[c:] for c in range(1, len(w))]
+    words = set(rng.sample(pieces, min(len(pieces), rng.randint(1, 3))))
+    if rng.random() < 0.3:
+        words.add("".join(rng.choice(letters) for _ in range(rng.randint(1, 3))))
+    return CodeSet(sorted(words))
+
+
 class TestInterpretations:
     def test_single_word_code(self):
         code = CodeSet(["ab"])
@@ -116,6 +136,40 @@ class TestDegree:
                 if best:
                     break
             assert x_degree(text, code) == best, (text, code.words)
+
+    def test_flanks_against_the_oracles_on_codes_cut_from_the_word(self):
+        # x_degree and is_synchronizing read one set of flanks.  The degree
+        # is checked against the interpretations listed from their
+        # definition.  The split is checked against the literal probe at
+        # every length up to saturation, where that is at most 14 letters:
+        # the probe enumerates every product up to its length.  Each kind
+        # of flank must occur.
+        rng = random.Random(45)
+        seen = set()
+        codes = 0
+        for _ in range(1_000):
+            letters = rng.choice(["ab", "abc"])
+            w = "".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+            code = code_cut_from(rng, w, letters)
+            interps = [frozenset(i.cuts) for i in x_interpretations(w, code)]
+            assert x_degree(w, code) == max_disjoint(interps), (w, code.words)
+            suffix = any(x.endswith(w) for x in code)
+            prefix = any(x.startswith(w) for x in code)
+            seen |= {kind for kind, holds in (
+                ("cut-free", frozenset() in interps),
+                ("suffix only", suffix and not prefix),
+                ("prefix only", prefix and not suffix),
+                ("whole word at 0", any(w.startswith(x) for x in code)),
+                ("whole word at |w|", any(w.endswith(x) for x in code)),
+                ("proper flank", any(x != w[:c] and x.endswith(w[:c]) for x in code for c in range(1, len(w)))),
+            ) if holds}
+            saturation = len(w) + 2 * code.max_len - 2
+            if code.is_code() and saturation <= 14:
+                for probe in range(saturation + 1):
+                    assert is_synchronizing(w, code, probe_len=probe) == _split_probed(w, code, probe), (w, code.words)
+                codes += 1
+        assert seen == {"cut-free", "suffix only", "prefix only", "whole word at 0", "whole word at |w|", "proper flank"}
+        assert codes > 200
 
     def test_augmenting_path_reroutes_an_earlier_path(self):
         # The first augmenting path, through cuts 1 and 3, blocks the path

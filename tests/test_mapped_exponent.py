@@ -264,8 +264,6 @@ class TestLowerBound:
         assert mapped_exponent_lower_bound("ab", 1, codomain_size=10)[1].codomain == "0123456789"
         with pytest.raises(WordError, match="codomain size must be <= 10"):
             mapped_exponent_lower_bound("ab", 1, codomain_size=11)
-        with pytest.raises(WordError, match="codomain size must be <= 10"):
-            classify_general("abcabac", codomain_size=11)
 
 
 class TestClassifyFuzz:

@@ -215,6 +215,39 @@ class TestSearchesAgainstOracle:
                 tags.add(got["tag"])
         assert {INFINITE, UNKNOWN} <= tags
 
+    def test_classify_records_where_the_windows_trim(self):
+        # Each image has 1 to L letters, so classify compares only windows
+        # of head, gap and tail.  These words make each window trim: a gap
+        # longer than L times the head or the tail, and a head longer than
+        # L times the gap.
+        rng = random.Random(6006)
+
+        def part(length):
+            return "".join(rng.choice("abc") for _ in range(length))
+
+        trims, tags = set(), set()
+        for i in range(150):
+            max_image_len = rng.randint(1, 3)
+            kind = ("gap", "head", "both")[i % 3]
+            if kind == "head":
+                gap = part(rng.randint(1, 2))
+                head, tail = part(max_image_len * len(gap) + rng.randint(1, 4)), part(rng.randint(0, 3))
+            else:
+                head, tail = part(rng.randint(0, 2)), part(rng.randint(0, 2))
+                longer = max(len(head), len(tail)) if kind == "gap" else len(head) + len(tail)
+                gap = part(max_image_len * longer + rng.randint(1, 4))
+            w = head + ("d" + gap) * rng.randint(1, 2) + "d" + tail
+            h, g, t = (max_image_len * len(p) for p in (head, gap, tail))
+            trims |= {name for name, holds in (("gap end", len(gap) > h), ("gap start", len(gap) > t),
+                                               ("gap middle", len(gap) > h + t), ("head", len(head) > g)) if holds}
+            target = rng.choice([None, rng.randint(1, 6)])
+            expected = classify_oracle(w, max_image_len=max_image_len, target=target).to_record()
+            got = classify_general(w, max_image_len=max_image_len, target=target).to_record()
+            assert got == expected, (w, max_image_len, target)
+            tags.add(got["tag"])
+        assert trims == {"gap end", "gap start", "gap middle", "head"}
+        assert {INFINITE, UNKNOWN} <= tags
+
 
 class TestSearchWork:
     def count_calls(self, monkeypatch, module, name):
@@ -301,13 +334,13 @@ class TestSearchLimits:
 
     def test_an_empty_codomain_is_refused_at_once(self):
         code = (
-            "from morphexp import WordError, classify_general\n"
+            "from morphexp import WordError, mapped_exponent_lower_bound\n"
             "try:\n"
-            "    classify_general('bcacabb', 10**9, codomain_size=0)\n"
+            "    mapped_exponent_lower_bound('bcacabb', 10**9, codomain_size=0)\n"
             "except WordError as exc:\n"
             "    print(exc)\n"
         )
-        assert run_bounded(code) == "codomain size must be >= 1\n"
+        assert run_bounded(code) == "bounds must be >= 1\n"
 
     def test_an_empty_codomain_has_no_injective_tuple(self):
         code = (
@@ -406,30 +439,57 @@ class TestStepLimit:
             mapped_exponent_lower_bound(w, 1)
 
     def test_classify_is_charged_the_letters_of_each_test(self, monkeypatch):
-        # Only d factors the word, and no tuple certifies it: the head ends
+        # Only d factors each word, and no tuple certifies it: the head ends
         # in h(a) h(b) and the gap in h(b) h(a), which are not suffix-
         # comparable for a code.  Each of the 24 tuples of (3, "01", 2) is
-        # charged the 28 letters of head, gap and tail; the search itself
-        # takes fewer steps.
-        w = "ab" + ("d" + "ccba" * 6) * 2 + "d" + "ca"
-        assert [ch for ch in "abcd" if gap_factorization(w, ch)] == ["d"]
-        steps = len(oracle_space(3, 2, 2)) * 28
-        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", steps)
-        assert classify_general(w, 2).tag == UNKNOWN
-        monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", steps - 1)
-        with pytest.raises(WordError, match=f"more than the limit of {steps - 1} steps"):
-            classify_general(w, 2)
+        # charged the letters of the windows that L = 2 leaves of head, gap
+        # and tail, never more than all of them.  The space is read into the
+        # memo first, so that its replay takes no steps.
+        cases = [
+            # The last 4 gap letters against the head, the first 4 against
+            # the tail.
+            ("ab", "ccba" * 6, "ca", 2 + 4 + 4 + 2),
+            # The two gap windows cover the gap, which is read once.
+            ("ab", "ccba", "ca", 2 + 4 + 2),
+            # The last 4 head letters against the 2-letter gap.
+            ("c" * 10 + "ab", "ba", "ca", 4 + 2 + 2),
+        ]
+        assert len(list(memo_space(3, 2, 2))) == 24
+        for head, gap, tail, charge in cases:
+            w = head + ("d" + gap) * 2 + "d" + tail
+            assert [ch for ch in "abcd" if gap_factorization(w, ch)] == ["d"]
+            assert charge <= len(head) + len(gap) + len(tail)
+            monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", 24 * charge)
+            assert classify_general(w, 2).tag == UNKNOWN
+            monkeypatch.setattr(morphisms_module, "MAX_SEARCH_STEPS", 24 * charge - 1)
+            with pytest.raises(WordError, match=f"more than the limit of {24 * charge - 1} steps"):
+                classify_general(w, 2)
 
-    @pytest.mark.parametrize("length, max_image_len", [(8011, 4), (2011, 5)])
-    def test_classifying_a_long_gap_exits_1_within_5_s(self, length, max_image_len, capsys):
-        # Every tuple of the space is tested on the whole gap, as none
-        # certifies the word; both used to answer unknown after seconds.
+    @pytest.mark.parametrize("length, max_image_len", [(8011, 4), (80011, 4), (2011, 5), (8011, 5)])
+    def test_classifying_a_long_gap_answers_within_1_s(self, length, max_image_len, capsys):
+        # No tuple certifies the word, but each test reads only L letters of
+        # the gap per letter of the head and of the tail; these exited 1 at
+        # the step limit while every test read the whole gap.
         rng = random.Random(20003)
         gap = "".join(rng.choice("abc") for _ in range((length - 7) // 2 - 2)) + "ba"
         w = "ab" + ("d" + gap) * 2 + "d" + "ca"
         assert len(w) == length
         started = time.perf_counter()
-        assert run(["classify", w, "--max-image-len", str(max_image_len)]) == 1
+        assert run(["classify", w, "--max-image-len", str(max_image_len)]) == 0
+        elapsed = time.perf_counter() - started
+        assert capsys.readouterr() == (f"tag: unknown\nsearch bound: {max_image_len}\n", "")
+        assert elapsed < 1, elapsed
+
+    def test_a_long_head_and_gap_exit_1_within_5_s(self, capsys):
+        # Head and gap are each within L times the other's length, so each
+        # of the 10,344 tuples is tested on about 6,000 letters.
+        rng = random.Random(20004)
+        head = "".join(rng.choice("abc") for _ in range(3004)) + "ab"
+        gap = "".join(rng.choice("abc") for _ in range(2998)) + "ba"
+        w = head + ("d" + gap) * 2 + "d" + "ca"
+        assert len(w) == 9011
+        started = time.perf_counter()
+        assert run(["classify", w, "--max-image-len", "4"]) == 1
         elapsed = time.perf_counter() - started
         limit = morphisms_module.MAX_SEARCH_STEPS
         assert capsys.readouterr() == ("", f"error: the search took more than the limit of {limit} steps\n")
@@ -497,6 +557,10 @@ class TestCodedWords:
         for w in words:
             for target in (None, Fraction(rng.randint(1, 30), rng.randint(1, 4))):
                 max_image_len = rng.randint(1, 3)
+                if target is not None and target < 1:
+                    with pytest.raises(WordError, match="target exponent must be >= 1"):
+                        classify_general(w, max_image_len=max_image_len, target=target)
+                    continue
                 verdict = classify_general(w, max_image_len=max_image_len, target=target)
                 expected = classify_oracle(w, max_image_len=max_image_len, target=target)
                 assert verdict.to_record() == expected.to_record(), w
@@ -631,18 +695,20 @@ class TestSearchMemo:
         assert _spaces[memo_key(3, 3, 2)] == oracle_space(3, 3, 2)
 
     def test_first_hit_then_full_search_on_one_space(self):
+        # classify searches over two digits, so each shape is read there.
         rng = random.Random(6104)
         stopped = 0
-        for shape in shapes():
-            size, max_image_len, codomain_size = shape
+        for size, max_image_len, _ in shapes():
+            shape = size, max_image_len, 2
             if size == 1:
                 continue  # over two letters the identity step decides
             for _ in range(2):
                 _spaces.clear()
                 w = searching_word(rng, "abcde"[:size + 1])
                 target = rng.randint(1, 6)
-                expected = classify_oracle(w, max_image_len, codomain_size, target).to_record()
-                assert classify_general(w, max_image_len, codomain_size, target).to_record() == expected, w
+                expected = classify_oracle(w, max_image_len=max_image_len, target=target).to_record()
+                got = classify_general(w, max_image_len=max_image_len, target=target).to_record()
+                assert got == expected, w
                 if None in tried(oracle_hits(w, oracle_space(*shape))):
                     assert _spaces[memo_key(*shape)] == oracle_space(*shape), w
                 else:
@@ -650,15 +716,15 @@ class TestSearchMemo:
                     stopped += 1
 
             v = random_word(rng, "abcd"[:size], rng.randint(size, 6))
-            expected_bound = lower_bound_oracle(v, max_image_len, codomain_size)
+            expected_bound = lower_bound_oracle(v, max_image_len)
             if expected_bound is None:
                 with pytest.raises(WordError, match="no injective morphism"):
-                    mapped_exponent_lower_bound(v, max_image_len, codomain_size)
+                    mapped_exponent_lower_bound(v, max_image_len)
             else:
-                best, argmax = mapped_exponent_lower_bound(v, max_image_len, codomain_size)
+                best, argmax = mapped_exponent_lower_bound(v, max_image_len)
                 assert (best, argmax.to_text()) == (expected_bound[0], expected_bound[1].to_text()), v
             assert _spaces[memo_key(*shape)] == oracle_space(*shape)
-            assert classify_general(w, max_image_len, codomain_size, target).to_record() == expected, w
+            assert classify_general(w, max_image_len=max_image_len, target=target).to_record() == expected, w
         assert stopped >= 5
 
     def count_visits(self, monkeypatch):
@@ -681,13 +747,14 @@ class TestSearchMemo:
             if size == 1:
                 continue
             w = searching_word(rng, "abcde"[:size + 1])
-            # One enumeration per factorization, up to the first witness.
-            space = oracle_space(size, max_image_len, codomain_size)
+            # One enumeration per factorization, up to the first witness,
+            # over the two digits classify searches.
+            space = oracle_space(size, max_image_len, 2)
             own = sum(len(space) if hit is None else hit + 1 for hit in tried(oracle_hits(w, space)))
             _spaces.clear()
             visits.clear()
-            classify_general(w, max_image_len, codomain_size)
-            assert len(visits) <= own, (w, max_image_len, codomain_size)
+            classify_general(w, max_image_len=max_image_len)
+            assert len(visits) <= own, (w, max_image_len)
             fewer += len(visits) < own
 
             v = random_word(rng, "abcd"[:size], size + 2)
