@@ -48,6 +48,8 @@ def _parse_params(literal: str | None) -> dict[str, str]:
         if "=" not in chunk:
             raise ParseError(f"expected key=value in params, got {chunk!r}", pos)
         key, value = chunk.split("=", 1)
+        if key in params:
+            raise ParseError(f"repeated parameter {key!r}", pos)
         params[key] = value
         pos += len(chunk) + 1
     return params

@@ -39,10 +39,6 @@ class CodeSet:
     def max_len(self) -> int:
         return max(len(w) for w in self.words)
 
-    def is_code(self) -> bool:
-        """True iff every concatenation of elements decodes uniquely."""
-        return is_code(self.words)
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)
 
@@ -182,12 +178,12 @@ def is_synchronizing(w: str, code: CodeSet, probe_len: int | None = None) -> int
     without enumerating products.  The parse is unique, so the boundaries
     inside an occurrence depend only on its cover, the code words it meets,
     and a product of length <= probe_len holds the occurrence exactly when
-    the cover is that short.  A cover is a code word holding w strictly
-    inside it, which kills every split, or a path in the parse graph of w
-    from an entry cut c (0, or w[:c] a proper suffix of a code word) to an
-    exit cut e (|w|, or w[e:] a proper prefix of one); its length is |w|
-    plus the letters of its flanking words outside w.  Split t survives when
-    every cover avoiding t is longer than probe_len.
+    the cover is that short.  A cover is a chain of steps: an entry at cut c
+    (0, or w[:c] a proper suffix of a code word), code words u -> d of the
+    parse graph and an exit at cut e (|w|, or w[e:] a proper prefix of one),
+    or one code word holding w strictly inside it.  Its length is |w| plus
+    the letters of its words outside w.  Split t dies exactly when a step
+    jumping over t lies on a cover of at most probe_len letters.
 
     No cover is longer than the saturation length |w| + 2 * max - 2: a
     flanking word adds at most max - 1 letters on each side, and a code word
@@ -196,14 +192,12 @@ def is_synchronizing(w: str, code: CodeSet, probe_len: int | None = None) -> int
     """
     if not w:
         raise WordError("empty input")
-    if not code.is_code():
+    if not is_code(code.words):
         raise WordError("the word set is not a code")
     n = len(w)
     if probe_len is None:
         probe_len = _default_probe(w, code)
     budget = probe_len - n  # letters the flanking words may add outside w
-    if any(len(x) <= probe_len and w in x[1:-1] for x in code.words):
-        return None
     enter, leave = _flanks(w, code)
     steps = _steps(w, code)
     # Cheapest entry reaching each cut, and cheapest exit reachable from it.
@@ -214,15 +208,17 @@ def is_synchronizing(w: str, code: CodeSet, probe_len: int | None = None) -> int
     onward = [leave.get(c, inf) for c in range(n + 1)]
     for c in range(n, -1, -1):
         onward[c] = min([onward[c]] + [onward[d] for d in steps[c]])
-    for t in range(n + 1):
-        # Cuts increase along a path, so a cover avoiding t ends before t,
-        # starts after it, or jumps over it with one code word.
-        shortest = min(
-            [reach[e] + cost for e, cost in leave.items() if e < t]
-            + [cost + onward[c] for c, cost in enter.items() if c > t]
-            + [reach[u] + onward[d] for u in range(max(t - code.max_len, 0), t) for d in steps[u] if d > t],
-            default=inf,
-        )
-        if shortest > budget:
-            return t
-    return None
+    # The splits [lo, hi] each step of a short enough cover jumps over; one
+    # sweep finds the first split none covers, in O((|w| + E) log E).
+    jumps = sorted(
+        [(0, c - 1) for c, cost in enter.items() if cost + onward[c] <= budget]
+        + [(e + 1, n) for e, cost in leave.items() if reach[e] + cost <= budget]
+        + [(u + 1, d - 1) for u in range(n + 1) for d in steps[u] if reach[u] + onward[d] <= budget]
+        + [(0, n) for x in code.words if len(x) - n <= budget and w in x[1:-1]]
+    )
+    t = 0  # the first split no jump seen so far covers
+    for lo, hi in jumps:
+        if lo > t:
+            break
+        t = max(t, hi + 1)
+    return t if t <= n else None

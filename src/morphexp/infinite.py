@@ -460,8 +460,18 @@ def _base_generator(spec: str) -> WordGenerator:
     raise ParseError(f"unknown base generator {spec!r}")
 
 
+# The parameters each generator reads; any other key is refused.
+_GENERATOR_KEYS = {"periodic": ("v",), "thue-morse": (), "morphic": ("rules", "seed"),
+                   "interleaved": ("n", "base"), "optimal-binary": ("n", "k", "m", "base")}
+
+
 def generator_from_spec(name: str, params: dict[str, str]) -> WordGenerator:
     """Build a generator from a CLI name and key=value parameters."""
+    if name not in _GENERATOR_KEYS:
+        raise ParseError(f"unknown generator {name!r}")
+    for key in params:
+        if key not in _GENERATOR_KEYS[name]:
+            raise ParseError(f"generator {name!r} reads no parameter {key!r}")
 
     def need(key: str) -> str:
         if key not in params:
@@ -481,10 +491,7 @@ def generator_from_spec(name: str, params: dict[str, str]) -> WordGenerator:
         return thue_morse()
     if name == "morphic":
         return MorphicGenerator(parse_morphism(need("rules")), need("seed"))
+    base = _base_generator(params.get("base", "thue-morse"))
     if name == "interleaved":
-        base = _base_generator(params.get("base", "thue-morse"))
         return InterleavedCopiesGenerator(need_int("n"), base)
-    if name == "optimal-binary":
-        base = _base_generator(params.get("base", "thue-morse"))
-        return OptimalBinaryGenerator(need_int("n"), need_int("k"), need_int("m"), base)
-    raise ParseError(f"unknown generator {name!r}")
+    return OptimalBinaryGenerator(need_int("n"), need_int("k"), need_int("m"), base)

@@ -4,7 +4,12 @@
 `morphexp.codes.is_synchronizing` computes from covers: it enumerates every
 product of code words up to the probe length and intersects the splits that
 each occurrence of the text allows.  Its cost grows exponentially with the
-probe length, so it runs only on small inputs.  `_parse_boundaries` gives the
+probe length, so it runs only on small inputs.  `_split_by_minimum` reads the
+same covers split by split: for each split t it takes the cheapest cover that
+ends before t, starts after t, jumps over t with one code word, or is a code
+word holding the text, and `_killing_steps` names which of those kinds fit
+the probe.  It costs |w| times the number of entries, exits and nearby code
+words, so it runs on short texts.  `_parse_boundaries` gives the
 parse boundaries of one product from the forward parse count `parse_counts`;
 the backward count is the forward count run on the reversed text and pieces.
 `decode` reads the preimage under an injective morphism off the same count.
@@ -18,9 +23,10 @@ check against it.
 
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 
-from morphexp.codes import CodeSet
-from morphexp.morphisms import Morphism
+from morphexp.codes import CodeSet, _default_probe, _flanks, _steps
+from morphexp.morphisms import Morphism, is_code
 from morphexp.words import WordError
 
 
@@ -89,6 +95,50 @@ def _split_probed(text: str, code: CodeSet, probe_len: int) -> int | None:
                 candidates &= {m - start for m in boundaries if 0 <= m - start <= len(text)}
                 start = u.find(text, start + 1)
     return min(candidates) if candidates else None
+
+
+def _killing_steps(text: str, code: CodeSet, probe_len: int | None = None) -> list[set[str]]:
+    """For each split t of the text, the kinds of cover of at most probe_len
+    letters that avoid t: `exit` (ends before t), `entry` (starts after t),
+    `word` (a code word jumps over t) and `holding` (a code word holds the
+    text strictly inside it)."""
+    if not is_code(code.words):
+        raise WordError("the word set is not a code")
+    n = len(text)
+    if probe_len is None:
+        probe_len = _default_probe(text, code)
+    budget = probe_len - n
+    enter, leave = _flanks(text, code)
+    steps = _steps(text, code)
+    reach = [enter.get(c, inf) for c in range(n + 1)]
+    for c in range(n + 1):
+        for d in steps[c]:
+            reach[d] = min(reach[d], reach[c])
+    onward = [leave.get(c, inf) for c in range(n + 1)]
+    for c in range(n, -1, -1):
+        onward[c] = min([onward[c]] + [onward[d] for d in steps[c]])
+    holding = min((len(x) - n for x in code.words if text in x[1:-1]), default=inf)
+    kills = []
+    for t in range(n + 1):
+        # Cuts increase along a path, so a cover avoiding t ends before t,
+        # starts after it, or jumps over it with one code word, which starts
+        # at most max_len cuts before t.
+        shortest = {
+            "exit": min((reach[e] + cost for e, cost in leave.items() if e < t), default=inf),
+            "entry": min((cost + onward[c] for c, cost in enter.items() if c > t), default=inf),
+            "word": min(
+                (reach[u] + onward[d] for u in range(max(t - code.max_len, 0), t) for d in steps[u] if d > t),
+                default=inf,
+            ),
+            "holding": holding,
+        }
+        kills.append({kind for kind, cost in shortest.items() if cost <= budget})
+    return kills
+
+
+def _split_by_minimum(text: str, code: CodeSet, probe_len: int | None = None) -> int | None:
+    """The first split that no cover of at most probe_len letters avoids."""
+    return next((t for t, kinds in enumerate(_killing_steps(text, code, probe_len)) if not kinds), None)
 
 
 @dataclass(frozen=True)

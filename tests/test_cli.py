@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -148,6 +149,42 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, "sync", "ab" * 8, "--code", "a,b,cccccccc", "--probe", "31", "--format", "json")
         assert code == 0
         assert json.loads(out)["split"] == 0
+
+    def test_sync_with_long_code_words_answers_within_a_second(self, capsys):
+        # A minimum per split over every nearby code word took 9 s and 5 s
+        # on these inputs; one sweep over the cover steps takes hundredths.
+        cases = (
+            (("ab" * 8000, "ab,ba," + "c" * 16000), "no synchronizing split (probe length 128000)\n"),
+            (("a" * 8000, "a,b" + "a" * 8000), "synchronizing split at 8000 (probe length 64004)\n"),
+        )
+        for (word, code_set), expected in cases:
+            started = time.perf_counter()
+            result = invoke(capsys, "sync", word, "--code", code_set)
+            elapsed = time.perf_counter() - started
+            assert result == (0, expected, ""), code_set[:8]
+            assert elapsed < 1.0, (code_set[:8], elapsed)
+
+    def test_unread_or_repeated_generator_parameter_is_2(self, capsys):
+        # A key that the generator never reads, or one given twice, would
+        # otherwise change the answer silently.
+        valid = {
+            "periodic": "v=ab",
+            "thue-morse": "",
+            "morphic": "rules=a=ab,b=a;seed=a",
+            "interleaved": "n=2",
+            "optimal-binary": "n=1;k=2;m=7",
+        }
+        for gen, params in valid.items():
+            assert invoke(capsys, "generate", "--gen", gen, "--params", params, "--prefix", "5")[0] == 0, gen
+            for bad, key in ((f"{params};bsae=periodic:ab", "bsae"), (f"{params};v=ab;v=abc", "v")):
+                bad = bad.lstrip(";")
+                code, out, err = invoke(capsys, "generate", "--gen", gen, "--params", bad, "--prefix", "5")
+                assert (code, out) == (2, ""), (gen, bad)
+                assert err.startswith("usage error:") and repr(key) in err, (gen, bad, err)
+        code, _, err = invoke(capsys, "generate", "--gen", "mystery", "--params", "v=ab;bsae=x", "--prefix", "5")
+        assert code == 2 and "unknown generator 'mystery'" in err
+        code, _, err = invoke(capsys, "ace", "--gen", "periodic", "--params", "v=ab;v=abc", "--prefix", "9", "--tail", "2")
+        assert code == 2 and err.startswith("usage error: repeated parameter 'v' (position 5)")
 
     def test_morphic_letter_outside_domain(self, capsys):
         params = ("--gen", "morphic", "--params", "rules=a=ab,b=bbc;seed=a")

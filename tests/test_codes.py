@@ -9,9 +9,16 @@ from morphexp.codes import (
     parse_code_set,
     x_degree,
 )
-from morphexp.morphisms import Morphism
+from morphexp.morphisms import Morphism, is_code
 from morphexp.words import WordError, fractional_exponent
-from sync_oracles import _split_probed, decode, parse_counts, x_interpretations
+from sync_oracles import (
+    _killing_steps,
+    _split_by_minimum,
+    _split_probed,
+    decode,
+    parse_counts,
+    x_interpretations,
+)
 
 
 def brute_interpretations(text, code):
@@ -164,7 +171,7 @@ class TestDegree:
                 ("proper flank", any(x != w[:c] and x.endswith(w[:c]) for x in code for c in range(1, len(w)))),
             ) if holds}
             saturation = len(w) + 2 * code.max_len - 2
-            if code.is_code() and saturation <= 14:
+            if is_code(code.words) and saturation <= 14:
                 for probe in range(saturation + 1):
                     assert is_synchronizing(w, code, probe_len=probe) == _split_probed(w, code, probe), (w, code.words)
                 codes += 1
@@ -214,7 +221,7 @@ class TestFactorizationCount:
 
     def test_codes_have_at_most_one_factorization(self):
         for code in (CodeSet(["ab", "ba"]), CodeSet(["0", "01", "11"]), CodeSet(["aa", "ab"])):
-            assert code.is_code()
+            assert is_code(code.words)
             alphabet = sorted({ch for w in code.words for ch in w})
             layer = [""]
             for _ in range(10):
@@ -223,7 +230,7 @@ class TestFactorizationCount:
                     assert parse_counts(w, code.words)[-1] <= 1
 
     def test_non_code_detected(self):
-        assert not CodeSet(["a", "aa"]).is_code()
+        assert not is_code(CodeSet(["a", "aa"]).words)
 
 
 class TestSynchronizing:
@@ -263,7 +270,7 @@ class TestSynchronizing:
                 for _ in range(rng.randint(1, 3))
             }
             code = CodeSet(sorted(words))
-            if not code.is_code():
+            if not is_code(code.words):
                 continue
             text = "".join(rng.choice("ab") for _ in range(rng.randint(1, 5)))
             for probe in range(len(text) + 2 * code.max_len + 2):
@@ -286,7 +293,7 @@ class TestSynchronizing:
                 for _ in range(rng.randint(1, 3))
             }
             code = CodeSet(sorted(words))
-            if not code.is_code():
+            if not is_code(code.words):
                 continue
             text = "".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
             if rng.random() < 0.5:
@@ -310,7 +317,7 @@ class TestSynchronizing:
                 for _ in range(rng.randint(1, 4))
             }
             code = CodeSet(sorted(words))
-            if not code.is_code():
+            if not is_code(code.words):
                 continue
             text = "".join(rng.choice("ab") for _ in range(rng.randint(1, 10)))
             split = is_synchronizing(text, code)
@@ -320,6 +327,44 @@ class TestSynchronizing:
             cases += 1
             splits += split is not None
         assert 0 < splits < cases
+
+    def test_one_sweep_equals_the_per_split_minimum(self):
+        # The sweep over the jumps of cheap steps against the cheapest cover
+        # avoiding each split, at the default probe and every probe up to 30.
+        # A third of the texts are cut from inside code words, so code words
+        # holding the text occur; a third are cut from products, so entries
+        # and exits of several costs occur.  Each kind of step must be the
+        # only one to kill some split.
+        rng = random.Random(102)
+        cases = 0
+        sole = set()
+        while cases < 20_000:
+            letters = rng.choice(["ab", "abc"])
+            words = {
+                "".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 4))
+            }
+            code = CodeSet(sorted(words))
+            if not is_code(code.words):
+                continue
+            roll = rng.randrange(3)
+            if roll == 0:
+                x = rng.choice(code.words)
+                start = rng.randrange(len(x))
+                text = x[start:rng.randint(start + 1, len(x))]
+            elif roll == 1:
+                product = "".join(rng.choice(code.words) for _ in range(5))
+                start = rng.randrange(len(product))
+                text = product[start:start + rng.randint(1, 10)]
+            else:
+                text = "".join(rng.choice(letters) for _ in range(rng.randint(1, 8)))
+            for probe in [None, *range(31)]:
+                assert is_synchronizing(text, code, probe_len=probe) == _split_by_minimum(
+                    text, code, probe
+                ), (text, code.words, probe)
+                sole |= {next(iter(kinds)) for kinds in _killing_steps(text, code, probe) if len(kinds) == 1}
+                cases += 1
+        assert sole == {"entry", "exit", "word", "holding"}
 
     def test_long_probe_does_not_enumerate_products(self):
         # The literal probe enumerates every product up to the probe length;

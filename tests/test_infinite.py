@@ -644,6 +644,37 @@ class TestAceEstimate:
         assert len(lines) == 1 + (10 - 8 + 1)
         assert lines[1] == "8,4,1,0"
 
+    def test_fibonacci_word_closed_form(self):
+        # The Fibonacci word, fixed point of a -> ab, b -> a.  With F_1 = 1,
+        # F_2 = 2 and F_{j+1} = F_j + F_{j-1}, its longest factor of period
+        # F_j first occurs at offset F_{j+1} and has F_{j+2} + F_j - 2
+        # letters; cut at the prefix end it keeps m_j of them.  The estimate
+        # is the largest m_j / F_j over the factors long enough for the tail,
+        # ties to the shorter factor, then the earlier one.  Every estimate
+        # stays below the critical exponent 2 + phi, the root of
+        # y^2 - y - 1 = 0 shifted by 2.
+        fib = [1, 2]
+        while fib[-2] < 50_000:
+            fib.append(fib[-1] + fib[-2])
+        checks = 0
+        for n in [*range(7, 401), 1_000, 2_000, 10_000, 50_000]:
+            factors = []
+            for period, offset, full in zip(fib, fib[1:], fib[2:]):
+                length = min(full + period - 2, n - offset)
+                factors.append((Fraction(length, period), -length, -offset))
+            for tail in (1, 2, 8, 64, 512):
+                fitting = [factor for factor in factors if -factor[1] >= tail]
+                if not fitting:
+                    continue
+                best, length, offset = max(fitting)
+                gen = generator_from_spec("morphic", {"rules": "a=ab,b=a", "seed": "a"})
+                est = ace_estimate(gen, n, tail)
+                assert (est.estimate, est.witness_offset, est.witness_length) == (best, -offset, -length), (n, tail)
+                y = est.estimate - 2
+                assert y * y - y - 1 < 0, (n, tail)
+                checks += 1
+        assert checks == 1_499
+
     def test_bounds_validated(self):
         with pytest.raises(WordError):
             ace_estimate(thue_morse(), 10, 0)
