@@ -6,12 +6,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from string import digits
 from typing import Sequence
 
 from .codes import _default_probe, is_synchronizing, parse_code_set, x_degree
-from .infinite import ace_estimate, generator_from_spec
+from .infinite import _parse_params, ace_estimate, generator_from_spec
 from .mapped_exponent import (
     classify_general,
     highpower_word,
@@ -37,22 +38,6 @@ def _parse_word(literal: str) -> str:
     if not literal:
         raise ParseError("empty word literal")
     return literal
-
-
-def _parse_params(literal: str | None) -> dict[str, str]:
-    params: dict[str, str] = {}
-    if not literal:
-        return params
-    pos = 0
-    for chunk in literal.split(";"):
-        if "=" not in chunk:
-            raise ParseError(f"expected key=value in params, got {chunk!r}", pos)
-        key, value = chunk.split("=", 1)
-        if key in params:
-            raise ParseError(f"repeated parameter {key!r}", pos)
-        params[key] = value
-        pos += len(chunk) + 1
-    return params
 
 
 # The bytes json writes as themselves: printable ASCII but the quote and the
@@ -309,7 +294,14 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

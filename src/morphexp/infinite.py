@@ -249,6 +249,14 @@ def thue_morse() -> MorphicGenerator:
     return MorphicGenerator(Morphism({"0": "01", "1": "10"}), "0")
 
 
+def _binary_base(base: WordGenerator | None) -> WordGenerator:
+    """A derived generator's base: binary, and Thue-Morse when none is given."""
+    base = thue_morse() if base is None else base
+    if len(base.alphabet) != 2:
+        raise WordError("base generator must be over a binary alphabet")
+    return base
+
+
 class InterleavedCopiesGenerator(WordGenerator):
     """Interleaves n renamed copies of a binary base word in rounds of
     growing chunks: round j contributes the j-th length-j chunk of every
@@ -260,17 +268,15 @@ class InterleavedCopiesGenerator(WordGenerator):
     jn^2/(jn+1) = n - n/(jn+1).
     """
 
-    def __init__(self, copies: int, base: WordGenerator):
+    def __init__(self, copies: int, base: WordGenerator | None = None):
         if copies < 1:
             raise WordError("copies must be >= 1")
-        if len(base.alphabet) != 2:
-            raise WordError("base generator must be over a binary alphabet")
+        base = _binary_base(base)
         pool = fresh_letters(2 * copies, avoid="abc")
         super().__init__(pool)
         self.copies = copies
         self.base = base
-        lo, hi = base.alphabet
-        self._renamings = [str.maketrans(lo + hi, a + b) for a, b in zip(pool[0::2], pool[1::2])]
+        self._renamings = [str.maketrans(base.alphabet, a + b) for a, b in zip(pool[0::2], pool[1::2])]
         self._rounds_done = 0
 
     def _grow(self, n: int) -> None:
@@ -318,8 +324,7 @@ def _intermediate_pieces(source: WordGenerator, n: int, k: int, letters: str) ->
     time, only when the stream reaches it.  A module function, so that the
     stream holds no reference to its generator."""
     u1, u2, v1, v2, sep, end = letters
-    lo, hi = source.alphabet
-    u_table, v_table = str.maketrans(lo + hi, u1 + u2), str.maketrans(lo + hi, v1 + v2)
+    u_table, v_table = str.maketrans(source.alphabet, u1 + u2), str.maketrans(source.alphabet, v1 + v2)
     u_start = v_start = 0
     for i in count(1):
         u_size, v_size = _chunk_sizes(k, i)
@@ -363,9 +368,7 @@ class OptimalBinaryGenerator(ImageGenerator):
             raise WordError("constraint violated: k must be >= 2")
         if m <= 2 * k + 2:
             raise WordError(f"constraint violated: m must exceed 2k+2 = {2 * k + 2}")
-        source = base if base is not None else thue_morse()
-        if len(source.alphabet) != 2:
-            raise WordError("base generator must be over a binary alphabet")
+        source = _binary_base(base)
         h = cassaigne_morphism((m - 1, m - 2, 2, 1, 3, 4), m)
         letters = h.domain
         super().__init__(h, StreamGenerator(_intermediate_pieces(source, n, k, letters), letters))
@@ -446,52 +449,55 @@ def ace_estimate(gen: WordGenerator, prefix_len: int, tail: int) -> AceEstimate:
     )
 
 
-def _base_generator(spec: str) -> WordGenerator:
-    if spec == "thue-morse":
-        return thue_morse()
-    if spec.startswith("periodic:"):
-        return PeriodicGenerator(spec[len("periodic:"):])
-    if spec.startswith("morphic:"):
-        rest = spec[len("morphic:"):]
-        if ":" not in rest:
-            raise ParseError("morphic base needs rules:seed", len("morphic:"))
-        rules, seed = rest.rsplit(":", 1)
-        return MorphicGenerator(parse_morphism(rules), seed)
-    raise ParseError(f"unknown base generator {spec!r}")
+def _parse_params(literal: str | None) -> dict[str, str]:
+    params: dict[str, str] = {}
+    pos = 0
+    for chunk in literal.split(";") if literal else ():
+        key, eq, value = chunk.partition("=")
+        if not eq:
+            raise ParseError(f"expected key=value in params, got {chunk!r}", pos)
+        if key in params:
+            raise ParseError(f"repeated parameter {key!r}", pos)
+        params[key] = value
+        pos += len(chunk) + 1
+    return params
 
 
-# The parameters each generator reads; any other key is refused.
-_GENERATOR_KEYS = {"periodic": ("v",), "thue-morse": (), "morphic": ("rules", "seed"),
-                   "interleaved": ("n", "base"), "optimal-binary": ("n", "k", "m", "base")}
+# Each generator's constructor and the parameters it reads, in argument
+# order; any other key is refused, and only `base` may be left out.
+_GENERATORS = {"periodic": (PeriodicGenerator, ("v",)), "thue-morse": (thue_morse, ()),
+               "morphic": (MorphicGenerator, ("rules", "seed")),
+               "interleaved": (InterleavedCopiesGenerator, ("n", "base")),
+               "optimal-binary": (OptimalBinaryGenerator, ("n", "k", "m", "base"))}
 
 
 def generator_from_spec(name: str, params: dict[str, str]) -> WordGenerator:
-    """Build a generator from a CLI name and key=value parameters."""
-    if name not in _GENERATOR_KEYS:
+    """Build a generator from a CLI name and key=value parameters.  A base
+    spec NAME[:FIELD...] gives the parameters of a generator that reads no
+    base as fields in order, split from the right; it is built first."""
+    if name not in _GENERATORS:
         raise ParseError(f"unknown generator {name!r}")
+    make, keys = _GENERATORS[name]
     for key in params:
-        if key not in _GENERATOR_KEYS[name]:
+        if key not in keys:
             raise ParseError(f"generator {name!r} reads no parameter {key!r}")
-
-    def need(key: str) -> str:
+    base = []
+    if "base" in params:
+        base_name, colon, fields = params["base"].partition(":")
+        base_keys = _GENERATORS[base_name][1] if base_name in _GENERATORS else ()
+        values = fields.rsplit(":", len(base_keys) - 1) if colon else []
+        if "base" in base_keys or len(values) > len(base_keys):
+            raise ParseError(f"base {params['base']!r} is not NAME[:FIELD...] of a generator that reads no base")
+        base.append(generator_from_spec(base_name, dict(zip(base_keys, values))))
+    args = []
+    for key in filter("base".__ne__, keys):
         if key not in params:
             raise ParseError(f"generator {name!r} needs parameter {key!r}")
-        return params[key]
-
-    def need_int(key: str) -> int:
-        value = need(key)
-        try:
-            return int(value)
-        except ValueError:
-            raise ParseError(f"generator {name!r} parameter {key!r} is not an integer: {value!r}") from None
-
-    if name == "periodic":
-        return PeriodicGenerator(need("v"))
-    if name == "thue-morse":
-        return thue_morse()
-    if name == "morphic":
-        return MorphicGenerator(parse_morphism(need("rules")), need("seed"))
-    base = _base_generator(params.get("base", "thue-morse"))
-    if name == "interleaved":
-        return InterleavedCopiesGenerator(need_int("n"), base)
-    return OptimalBinaryGenerator(need_int("n"), need_int("k"), need_int("m"), base)
+        value = params[key]
+        if key in ("n", "k", "m"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise ParseError(f"generator {name!r} parameter {key!r} is not an integer: {value!r}") from None
+        args.append(parse_morphism(value) if key == "rules" else value)
+    return make(*args, *base)

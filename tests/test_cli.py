@@ -348,6 +348,90 @@ class TestExitCodes:
         assert invoke(capsys, "exp", "a")[0] == 0
 
 
+# Exit code and stdout of `generate` for interleaved (n=2, prefix 12) and
+# optimal-binary (n=2;k=2;m=7, prefix 28): each base spec, then the faults
+# in their own parameters.  Recorded while `cli` still split `--params` and
+# `infinite` parsed base specs with a grammar of their own.
+GRAMMAR_PINS = (
+    ("interleaved", "n=2;base=periodic:01", 0, "ACBADCBABDCD\n"),
+    ("interleaved", "n=2;base=morphic:a=ab,b=ba:a", 0, "ACBBDDABACDC\n"),
+    ("interleaved", "n=2;base=thue-morse", 0, "ACBBDDABACDC\n"),
+    ("interleaved", "n=2", 0, "ACBBDDABACDC\n"),
+    ("interleaved", "n=2;base=periodic", 2, ""),
+    ("interleaved", "n=2;base=periodic:", 1, ""),
+    ("interleaved", "n=2;base=periodic:abc", 1, ""),
+    ("interleaved", "n=2;base=morphic:a=ab,b=ba", 2, ""),
+    ("interleaved", "n=2;base=morphic::a", 2, ""),
+    ("interleaved", "n=2;base=thue-morse:x", 2, ""),
+    ("interleaved", "n=2;base=", 2, ""),
+    ("interleaved", "n=2;base=interleaved:2", 2, ""),
+    ("interleaved", "n=2;base=mystery", 2, ""),
+    ("optimal-binary", "n=2;k=2;m=7;base=periodic:01", 0, "abbbbbbaabbbbbabbbbbbaaaabbb\n"),
+    ("optimal-binary", "n=2;k=2;m=7;base=morphic:a=ab,b=ba:a", 0, "abbbbbbaabbbbbaabbbbbaaaabbb\n"),
+    ("optimal-binary", "n=2;k=2;m=7;base=thue-morse", 0, "abbbbbbaabbbbbaabbbbbaaaabbb\n"),
+    ("optimal-binary", "n=2;k=2;m=7", 0, "abbbbbbaabbbbbaabbbbbaaaabbb\n"),
+    ("optimal-binary", "n=2;k=2;m=7;base=periodic", 2, ""),
+    ("optimal-binary", "n=2;k=2;m=7;base=periodic:", 1, ""),
+    ("optimal-binary", "n=2;k=2;m=7;base=periodic:abc", 1, ""),
+    ("optimal-binary", "n=2;k=2;m=7;base=morphic:a=ab,b=ba", 2, ""),
+    ("optimal-binary", "n=2;k=2;m=7;base=morphic::a", 2, ""),
+    ("optimal-binary", "n=2;k=2;m=7;base=thue-morse:x", 2, ""),
+    ("optimal-binary", "n=2;k=2;m=7;base=", 2, ""),
+    ("optimal-binary", "n=2;k=2;m=7;base=interleaved:2", 2, ""),
+    ("optimal-binary", "n=2;k=2;m=7;base=mystery", 2, ""),
+    ("interleaved", "base=periodic:01", 2, ""),
+    ("interleaved", "n=x", 2, ""),
+    ("interleaved", "n=2;k=3", 2, ""),
+    ("interleaved", "n=2;n=3", 2, ""),
+    ("optimal-binary", "k=2;m=7;base=periodic:01", 2, ""),
+    ("optimal-binary", "n=x;k=2;m=7", 2, ""),
+    ("optimal-binary", "n=2;k=2;m=7;j=3", 2, ""),
+    ("optimal-binary", "n=2;k=2;m=7;n=3", 2, ""),
+)
+
+
+@pytest.mark.parametrize("gen, params, code, out", GRAMMAR_PINS)
+def test_generator_grammar_keeps_its_stdout_and_exit_code(capsys, gen, params, code, out):
+    prefix = {"interleaved": "12", "optimal-binary": "28"}[gen]
+    result = invoke(capsys, "generate", "--gen", gen, "--params", params, "--prefix", prefix)
+    assert result[:2] == (code, out)
+    assert (result[2] == "") == (code == 0)
+
+
+def _readme_examples():
+    """(command, output lines) for each example in README's command-line
+    block that shows its output."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("morphexp "):
+            examples.append((line[len("morphexp "):], []))
+        elif line.strip():
+            examples[-1][1].append(line.strip())
+    return [(command, shown) for command, shown in examples if shown]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadmeExamples:
+    def test_the_examples_with_output(self):
+        commands = [command.split()[0] for command, _ in README_EXAMPLES]
+        assert commands == ["exp", "classify", "witness", "lower-bound"]
+
+    @pytest.mark.parametrize("command, shown", README_EXAMPLES, ids=[command for command, _ in README_EXAMPLES])
+    def test_example_prints_what_readme_shows(self, capsys, command, shown):
+        code, out, err = invoke(capsys, *command.split())
+        assert (code, err) == (0, "")
+        if "..." in shown[0]:
+            # A json record shown in part: the keys it shows hold its values.
+            shown_keys = json.loads(shown[0].replace(", ...", ""))
+            assert shown_keys.items() <= json.loads(out).items()
+        else:
+            assert out.splitlines() == shown
+
+
 class TestThinAdapter:
     def test_classify_equals_library(self, capsys):
         _, out, _ = invoke(capsys, "classify", "abab", "--format", "json")
@@ -530,7 +614,7 @@ class TestGenerateJson:
         emitted.clear()
         extra = ("--params", params) if params else ()
         code, out, _ = invoke(capsys, "generate", "--gen", gen, *extra, "--prefix", str(prefix), "--format", "json")
-        word = infinite.generator_from_spec(gen, cli._parse_params(params)).prefix(prefix)
+        word = infinite.generator_from_spec(gen, infinite._parse_params(params)).prefix(prefix)
         record = {"generator": gen, "prefix": prefix, "word": word}
         assert (code, out) == (0, json.dumps(record, sort_keys=True) + "\n"), (gen, params, prefix)
         assert (not emitted) == plain, (gen, params, prefix)
@@ -580,7 +664,7 @@ class TestGenerateJson:
         for gen_name, params in specs:
             sizes = [0, 1, 999, 50_000]
             rng.shuffle(sizes)
-            gen = infinite.generator_from_spec(gen_name, cli._parse_params(params))
+            gen = infinite.generator_from_spec(gen_name, infinite._parse_params(params))
             for n in sizes:
                 assert set(gen.prefix(n)) <= set(gen.alphabet), (gen_name, params, n)
                 if gen_name == "optimal-binary":
@@ -615,3 +699,23 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "E = 2 (base ab); IE = 2 (root ab)", "")
+
+    @pytest.mark.parametrize("argv", (
+        ("generate", "--gen", "thue-morse", "--prefix", "2000000"),
+        ("generate", "--gen", "thue-morse", "--prefix", "2000000", "--format", "json"),
+        ("ace", "--gen", "thue-morse", "--prefix", "20000", "--tail", "8", "--format", "csv"),
+    ))
+    def test_closed_stdout_exits_1_without_a_traceback(self, argv):
+        # Each output is far longer than a 64 KiB pipe buffer, so a write
+        # always finds the pipe closed.
+        src = str(Path(morphexp.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "morphexp", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        assert len(proc.stdout.read(5)) == 5
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in err and "Exception ignored" not in err

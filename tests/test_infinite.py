@@ -889,3 +889,16 @@ class TestGeneratorSpecs:
     def test_missing_parameter(self):
         with pytest.raises(WordError, match="needs parameter"):
             generator_from_spec("periodic", {})
+
+    def test_base_spec_fields_are_the_generator_parameters_split_from_the_right(self):
+        # Only the rules may hold a colon: here it is a letter of the fixed point.
+        rules, seed = "0=0:,:=:0", "0"
+        spec = generator_from_spec("interleaved", {"n": "2", "base": f"morphic:{rules}:{seed}"})
+        direct = InterleavedCopiesGenerator(2, MorphicGenerator(parse_morphism(rules), seed))
+        assert spec.prefix(500) == direct.prefix(500)
+        spec = generator_from_spec("optimal-binary", {"n": "1", "k": "2", "m": "7", "base": "periodic:0:"})
+        assert spec.prefix(500) == OptimalBinaryGenerator(1, 2, 7, PeriodicGenerator("0:")).prefix(500)
+
+    def test_derived_generators_default_to_a_thue_morse_base(self):
+        assert InterleavedCopiesGenerator(3).prefix(500) == InterleavedCopiesGenerator(3, thue_morse()).prefix(500)
+        assert OptimalBinaryGenerator(1, 2, 7).prefix(500) == OptimalBinaryGenerator(1, 2, 7, thue_morse()).prefix(500)
