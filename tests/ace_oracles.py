@@ -5,11 +5,14 @@ the direct way: one `Fraction` per factor length and a dict of offsets, with
 the rows and CSV read off them, over a period profile from `profile_sweep`.
 The library computes only the rows; `report_of` reads the exponents and
 offsets off those, so the two can be compared field by field.
+`max_exponent_every_shift` is the estimate's search without its shift
+filter.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
+from morphexp.words import _agreements, _letter_planes, _runs_of
 from profile_oracles import profile_sweep
 
 
@@ -48,3 +51,29 @@ def report_of(est):
         per_length, offsets, rows, est.to_csv(),
         est.estimate, est.witness_offset, est.witness_length,
     )
+
+
+def max_exponent_every_shift(w, min_len):
+    """`morphexp.words._max_exponent` with no shift skipped: the run test and
+    the stop rule at every shift p = 1, 2, ..., on the library's masks.  It
+    is fast enough for prefixes of tens of thousands of letters, where the
+    report above is not, and checks which shifts the library leaves out."""
+    n = len(w)
+    planes = _letter_planes(w)
+    best_len, best_per, best_start = min_len, min_len, 0
+    for p in range(1, n):
+        k = max((best_len - best_per) * p // best_per + 1, min_len - p, 1)
+        if k > n - p:
+            break
+        runs = _runs_of(_agreements(planes, p), k)
+        if not runs:
+            continue
+        while longer := runs & (runs >> k):
+            runs, k = longer, 2 * k
+        step = 1 << k.bit_length()
+        while step > 1:
+            step >>= 1
+            if longer := runs & (runs >> step):
+                runs, k = longer, k + step
+        best_len, best_per, best_start = p + k, p, (runs & -runs).bit_length() - 1
+    return best_len, best_per, best_start

@@ -1,4 +1,5 @@
-"""The benchmark's word-queries ops print what bench/digests.json recorded.
+"""The benchmark's word-queries and ace-profile ops print what
+bench/digests.json recorded.
 
 The benchmark checks every op's stdout against the recorded digests only
 while it runs; this test runs the same op lists through `cli.run`, so a
@@ -31,12 +32,12 @@ def workloads():
     return workloads
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_word_queries_match_the_recorded_digests(seed, workloads):
+def differing_ops(workloads, workload, seed):
+    """The ops of one recorded pass whose exit code or stdout digest differ."""
     recorded = json.loads((BENCH / "digests.json").read_text())
     hex_len = recorded["digest_hex"]
-    entry = recorded["seeds"][str(seed)]["word-queries"]
-    ops = workloads.build("word-queries", seed)
+    entry = recorded["seeds"][str(seed)][workload]
+    ops = workloads.build(workload, seed)
     assert entry["inputs"] == workloads.inputs_digest(ops)
     tokens = entry["stdout_sha256"]
     expected = [tokens[i:i + hex_len] for i in range(0, len(tokens), hex_len)]
@@ -48,4 +49,16 @@ def test_word_queries_match_the_recorded_digests(seed, workloads):
             rc = run(list(op.argv))
         if rc != 0 or hashlib.sha256(out.getvalue().encode()).hexdigest()[:hex_len] != digest:
             differing.append((rc, op.argv))
+    return differing
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_word_queries_match_the_recorded_digests(seed, workloads):
+    differing = differing_ops(workloads, "word-queries", seed)
+    assert not differing, differing[:5]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ace_profile_matches_the_recorded_digests(seed, workloads):
+    differing = differing_ops(workloads, "ace-profile", seed)
     assert not differing, differing[:5]

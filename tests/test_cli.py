@@ -186,6 +186,26 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "ace", "--gen", "periodic", "--params", "v=ab;v=abc", "--prefix", "9", "--tail", "2")
         assert code == 2 and err.startswith("usage error: repeated parameter 'v' (position 5)")
 
+    def test_rule_positions_count_from_the_params_literal(self, capsys):
+        # The position of a bad rule is where it sits in --params as typed,
+        # inside a rules= value or inside the rules field of a base spec.
+        cases = {
+            ("morphic", "seed=a;rules=a=ab,b"): "expected letter=image, got 'b' (position 18)",
+            ("morphic", "rules=a=ab,b;seed=a"): "expected letter=image, got 'b' (position 11)",
+            ("morphic", "rules=;seed=a"): "expected letter=image, got '' (position 6)",
+            ("interleaved", "n=2;base=morphic:a=ab,b:a"): "expected letter=image, got 'b' (position 22)",
+            ("optimal-binary", "n=1;k=2;m=7;base=morphic:a=ab,a=b:a"): "duplicate image for letter 'a' (position 30)",
+            ("optimal-binary", "n=1;k=2;m=7;base=morphic:a=ab,bb=a:a"):
+                "morphism domain letter must be a single character, got 'bb' (position 30)",
+        }
+        for (gen, params), message in cases.items():
+            for command in (("generate", "--prefix", "5"), ("ace", "--prefix", "5", "--tail", "1")):
+                code, out, err = invoke(capsys, command[0], "--gen", gen, "--params", params, *command[1:])
+                assert (code, out, err) == (2, "", f"usage error: {message}\n"), (gen, params, command)
+        with pytest.raises(words.ParseError) as caught:
+            infinite.generator_from_spec("interleaved", {"n": "2", "base": "morphic:a=ab,b:a"})
+        assert caught.value.position == len("n=2;base=morphic:a=ab,")
+
     def test_morphic_letter_outside_domain(self, capsys):
         params = ("--gen", "morphic", "--params", "rules=a=ab,b=bbc;seed=a")
         code, out, _ = invoke(capsys, "generate", *params, "--prefix", "11")
@@ -541,6 +561,29 @@ class TestAceByteStable:
             assert (code, built) == (0, [prefix] if fmt == "csv" else [])
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (gen, prefix, fmt)
 
+
+# `ace --prefix 100000 --tail 8 --format json`, at the profile budget,
+# recorded while the search still tested every shift.
+ACE_AT_THE_BUDGET = {
+    ("thue-morse", None): ("2", 8, 4),
+    ("interleaved", "n=3"): ("2", 8, 84),
+    ("interleaved", "n=4"): ("2", 8, 112),
+    ("optimal-binary", "n=2;k=2;m=8"): ("3", 24, 2),
+    ("morphic", "rules=a=ab,b=a;seed=a"): ("64077/17711", 64077, 28657),
+}
+
+
+class TestAceAtTheProfileBudget:
+    @pytest.mark.parametrize("gen, params", ACE_AT_THE_BUDGET)
+    def test_recorded_estimate_and_witness(self, capsys, gen, params):
+        estimate, length, offset = ACE_AT_THE_BUDGET[gen, params]
+        extra = ("--params", params) if params else ()
+        code, out, err = invoke(capsys, "ace", "--gen", gen, *extra, "--prefix", "100000", "--tail", "8", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps({
+            "estimate": estimate, "generator": gen, "prefix": 100000, "tail": 8,
+            "witness_length": length, "witness_offset": offset,
+        }) + "\n"
 
 # SHA-256 of `generate ... --format json` stdout, recorded before morphic
 # fixed points grew through a power of their morphism, keyed by

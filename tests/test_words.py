@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from morphexp import words
+from morphexp import infinite, words
 from morphexp.words import (
     WordError,
     _integer_power,
@@ -19,7 +19,7 @@ from morphexp.words import (
     suffix_comparable,
 )
 from morphexp.morphisms import Morphism
-from ace_oracles import ace_oracle
+from ace_oracles import ace_oracle, max_exponent_every_shift
 from profile_oracles import (
     brute_smallest_period,
     fractional_power,
@@ -331,6 +331,119 @@ class TestLongRuns:
     def test_profile_against_the_sweep(self):
         for _, w in self.broken_periodic_words():
             assert minimal_period_profile(w) == profile_sweep(w), w
+
+
+# One spec per generator the CLI knows, plus the Fibonacci word.
+GENERATOR_SPECS = (
+    ("periodic", {"v": "abcabb"}),
+    ("thue-morse", {}),
+    ("morphic", {"rules": "a=abc,b=ac,c=b", "seed": "a"}),
+    ("interleaved", {"n": "3"}),
+    ("optimal-binary", {"n": "2", "k": "2", "m": "8"}),
+    ("morphic", {"rules": "a=ab,b=a", "seed": "a"}),
+)
+
+
+def expected_max_exponent(w, min_len):
+    report = ace_oracle(w, min_len)
+    return report.witness_length, report.witness_length // report.estimate, report.witness_offset
+
+
+def counting_masks(monkeypatch):
+    """Record the shift of every agreement mask `_max_exponent` builds."""
+    shifts = []
+    agreements = words._agreements
+
+    def counted(planes, p):
+        shifts.append(p)
+        return agreements(planes, p)
+
+    monkeypatch.setattr(words, "_agreements", counted)
+    return shifts
+
+
+class TestRecurringShifts:
+    """`_max_exponent` tests only the shifts where an aligned block recurs."""
+
+    def test_generator_prefixes_against_the_oracles(self):
+        assert {name for name, _ in GENERATOR_SPECS} == set(infinite._GENERATORS)
+        rng = random.Random(29)
+        for name, params in GENERATOR_SPECS:
+            gen = infinite.generator_from_spec(name, params)
+            for n in rng.sample(range(1, 41), 4):
+                w = gen.prefix(n)
+                for min_len in {1, min(8, n), n // 4 or 1, n}:
+                    assert _max_exponent(w, min_len) == TestMaxExponentFactor.brute(w, min_len), (name, n, min_len)
+            for n in (1_000, rng.randint(2_000, 20_000)):
+                w = gen.prefix(n)
+                for min_len in (1, 8, 24, 64, n // 4):
+                    expected = expected_max_exponent(w, min_len) if n == 1_000 else max_exponent_every_shift(w, min_len)
+                    assert _max_exponent(w, min_len) == expected, (name, params, n, min_len)
+
+    def test_planted_repeats_against_the_oracle(self):
+        # Two copies of a short block u at shift s in filler that shares no
+        # letter with u: s is often a power of two or one less, the ends of
+        # a dyadic range, and the second copy often ends the word, where
+        # only the last aligned block of the range can hold the run.  The
+        # tails sit at and just below the planted factor's length s + |u|.
+        rng = random.Random(41)
+        for _ in range(500):
+            n = rng.randint(40, 160)
+            w = list(random_word(rng, "abcdefghijklmnopqrst", n))
+            u = random_word(rng, "XYZ", rng.randint(2, 8))
+            top = 1 << (n - len(u)).bit_length() - 1
+            s = rng.choice((rng.randint(len(u), n - len(u)), top, top - 1))
+            i = rng.choice((rng.randint(0, n - len(u) - s), n - len(u) - s))
+            w[i:i + len(u)] = w[i + s:i + s + len(u)] = u
+            w = "".join(w)
+            length = s + len(u)
+            for min_len in {1, length, length - 1, max(1, length - 3), *rng.sample(range(1, n + 1), 3)}:
+                assert _max_exponent(w, min_len) == max_exponent_every_shift(w, min_len), (w, min_len)
+
+    @staticmethod
+    def adversarial_words(n):
+        rng = random.Random(31 + n)
+        yield random_word(rng, "ab", n)
+        yield random_word(rng, "abcdefghijklmnopqrstuvwxyz", n)
+        yield infinite.generator_from_spec("morphic", {"rules": "a=abc,b=ac,c=b", "seed": "a"}).prefix(n)
+        yield "a" * (n - 1) + "b"
+        yield repeat_to_length("a" * (n // 3 - 1) + "b", n)
+        yield repeat_to_length("aaaaaaab", n)
+        yield "a" * (n // 2) + random_word(rng, "bcdefghijklmnopqrstuvwxyz", n - n // 2)
+
+    @pytest.mark.parametrize("n", [300, 4_000])
+    def test_adversarial_words_against_the_oracles(self, n):
+        for w in self.adversarial_words(n):
+            for min_len in (1, 8, n // 4, n // 2, n - 5):
+                expected = expected_max_exponent(w, min_len) if n == 300 else max_exponent_every_shift(w, min_len)
+                assert _max_exponent(w, min_len) == expected, (w[:20], n, min_len)
+
+    def test_a_range_whose_blocks_recur_too_often_is_tested_whole(self, monkeypatch):
+        # a^2000 then 2,000 letters without a, at min_len 2,400.  No factor
+        # with a period below 2,048 is that long and beats exponent 1, so
+        # every shift in [1024, 2048) needs a run of 2400 - 2047 = 353
+        # agreements or more, and holds an aligned block of 177 letters.
+        # Block a^177 recurs at every shift up to 1,823, so its finds pass
+        # the budget; shift 2047, whose longest run is far below 177, is
+        # tested only because the range falls back to every shift.
+        rng = random.Random(37)
+        w = "a" * 2000 + random_word(rng, "bcdefghijklmnopqrstuvwxyz", 2000)
+        tested = counting_masks(monkeypatch)
+        assert _max_exponent(w, 2400) == max_exponent_every_shift(w, 2400)
+        assert [p for p in tested if 1024 <= p < 2048] == list(range(1024, 2048))
+        longest = run = 0
+        for i in range(len(w) - 2047):
+            run = run + 1 if w[i] == w[i + 2047] else 0
+            longest = max(longest, run)
+        assert longest < 177
+
+    def test_thue_morse_at_the_profile_budget_builds_few_masks(self, monkeypatch):
+        w = infinite.thue_morse().prefix(100_000)
+        tested = counting_masks(monkeypatch)
+        assert _max_exponent(w, 8) == (8, 4, 4)
+        # Testing every shift up to the stop at n/2 builds 49,999.
+        assert len(tested) < 1_000
+        assert tested == sorted(set(tested))
 
 
 class TestPeriodProfile:
