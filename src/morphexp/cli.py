@@ -1,5 +1,6 @@
 """Command-line front end; every subcommand is a thin adapter over the
-library with text/json output, and `ace` also offers csv."""
+library with text/json output, and `ace` also offers csv.  Every output
+format is built here: the library returns plain values."""
 
 from __future__ import annotations
 
@@ -8,11 +9,12 @@ import functools
 import json
 import os
 import sys
+from math import gcd
 from string import digits
 from typing import Sequence
 
 from .codes import _default_probe, is_synchronizing, parse_code_set, x_degree
-from .infinite import _parse_params, ace_estimate, generator_from_spec
+from .infinite import _ace_prefix, _parse_params, ace_estimate, generator_from_spec
 from .mapped_exponent import (
     classify_general,
     highpower_word,
@@ -25,6 +27,7 @@ from .words import (
     _exact_exponent,
     _integer_power,
     fractional_exponent,
+    minimal_period_profile,
     parse_rational,
 )
 
@@ -67,24 +70,27 @@ def _cmd_exp(args: argparse.Namespace) -> None:
     _emit(record, f"E = {e} (base {base}); IE = {n} (root {root})", args.format)
 
 
-def _verdict_text(record: dict) -> str:
-    lines = [f"tag: {record['tag']}"]
-    if record["witness_morphism"] is not None:
-        lines.append(f"witness: {record['witness_morphism']}")
-        lines.append(f"achieved exponent: {record['achieved_exponent']}")
-    if record["search_bound"] is not None:
-        lines.append(f"search bound: {record['search_bound']}")
-    return "\n".join(lines)
-
-
 def _cmd_classify(args: argparse.Namespace) -> None:
     w = _parse_word(args.word)
     target = None if args.target is None else parse_rational(args.target)
     verdict = classify_general(w, max_image_len=args.max_image_len, target=target)
-    record = {"word": w, **verdict.to_record()}
+    h, e = verdict.witness or (None, None)
+    morphism = None if h is None else h.to_text()
+    record = {
+        "word": w,
+        "tag": verdict.tag,
+        "witness_morphism": morphism,
+        "achieved_exponent": None if e is None else str(e),
+        "search_bound": verdict.search_bound,
+    }
     if target is not None:
         record["target"] = str(target)
-    _emit(record, _verdict_text(record), args.format)
+    lines = [f"tag: {verdict.tag}"]
+    if h is not None:
+        lines += [f"witness: {morphism}", f"achieved exponent: {e}"]
+    if verdict.search_bound is not None:
+        lines.append(f"search bound: {verdict.search_bound}")
+    _emit(record, "\n".join(lines), args.format)
 
 
 def _cmd_lower_bound(args: argparse.Namespace) -> None:
@@ -127,11 +133,17 @@ def _cmd_sync(args: argparse.Namespace) -> None:
 
 def _cmd_ace(args: argparse.Namespace) -> None:
     gen = generator_from_spec(args.gen, _parse_params(args.params))
-    estimate = ace_estimate(gen, args.prefix, args.tail)
     if args.format == "csv":
-        # Only csv builds the per-length table.
-        print(estimate.to_csv())
+        # Per factor length: the maximal exponent among factors of that
+        # length, in lowest terms, and the leftmost start of one reaching it.
+        minper, start = minimal_period_profile(_ace_prefix(gen, args.prefix, args.tail))
+        lines = ["factor_length,max_exponent_num,max_exponent_den,witness_offset"]
+        for length in range(args.tail, args.prefix + 1):
+            g = gcd(length, minper[length])
+            lines.append(f"{length},{length // g},{minper[length] // g},{start[length]}")
+        print("\n".join(lines))
         return
+    estimate = ace_estimate(gen, args.prefix, args.tail)
     record = {
         "generator": args.gen,
         "prefix": args.prefix,

@@ -2,19 +2,18 @@
 repetition estimator over those prefixes.
 
 Generators produce stable prefixes: prefix(n) is a prefix of prefix(m) for
-n <= m.  The estimator reports, for every factor length in a tail window, the
-exact maximal fractional exponent among factors of that length; the tail
-maximum is a lower bound for the asymptotic behaviour of the infinite word,
-never a claimed limit.
+n <= m.  The estimator gives the exact maximal fractional exponent among the
+factors of a prefix no shorter than a tail length; it is a lower bound for
+the asymptotic behaviour of the infinite word, never a claimed limit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import factorial, gcd
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .morphisms import Morphism, parse_morphism
@@ -26,7 +25,6 @@ from .words import (
     _max_exponent,
     fresh_letters,
     letter_set,
-    minimal_period_profile,
 )
 
 MAX_PROFILE_LETTERS = 100_000
@@ -394,63 +392,40 @@ def cassaigne_morphism(weights: Sequence[int], m: int) -> Morphism:
 
 @dataclass(frozen=True)
 class AceEstimate:
-    """Per-length maximal exponents over a prefix, and their tail maximum.
+    """The tail maximum of the per-length maximal exponents over a prefix.
 
     `estimate` is max over factor lengths >= tail of the exact maximal
     exponent at that length: a lower bound for the infinite word's asymptotic
-    critical exponent, monotone in prefix_length and non-increasing in tail.
-    It and its witness come from a direct search; only `rows()` builds the
-    prefix's period profile, from `word`, on each call.
+    critical exponent, monotone in the prefix length and non-increasing in
+    tail.  The witness is the shortest factor reaching it, at its leftmost
+    start.
     """
 
-    prefix_length: int
-    tail: int
-    word: str = field(repr=False)
     estimate: Fraction
     witness_offset: int
     witness_length: int
 
-    def rows(self) -> list[tuple[int, int, int, int]]:
-        """(length, exponent numerator, exponent denominator, offset) per
-        factor length in tail..prefix_length: the maximal exponent among
-        factors of that length, in lowest terms, and the leftmost start of
-        a factor reaching it."""
-        minper, start = minimal_period_profile(self.word)
-        rows = []
-        for length in range(self.tail, self.prefix_length + 1):
-            period = minper[length]
-            g = gcd(length, period)
-            rows.append((length, length // g, period // g, start[length]))
-        return rows
 
-    def to_csv(self) -> str:
-        lines = ["factor_length,max_exponent_num,max_exponent_den,witness_offset"]
-        lines.extend(",".join(map(str, row)) for row in self.rows())
-        return "\n".join(lines)
-
-
-def ace_estimate(gen: WordGenerator, prefix_len: int, tail: int) -> AceEstimate:
-    """Exact per-length maximal exponents over the length-prefix_len prefix,
-    for factor lengths tail..prefix_len.  The estimate and its witness come
-    from `_max_exponent`, which tests only the shifts where an aligned block
-    recurs: on the aperiodic generators at 100,000 letters, about 520
-    shifts where testing every shift up to its stop took 27,640 to 49,999.
-    It is still quadratic at worst, and the profile behind the per-length
-    rows always is, so the prefix may have at most MAX_PROFILE_LETTERS
-    letters."""
+def _ace_prefix(gen: WordGenerator, prefix_len: int, tail: int) -> str:
+    """The length-prefix_len prefix of gen, for factor lengths
+    tail..prefix_len.  Its period profile is quadratic, so it may have at
+    most MAX_PROFILE_LETTERS letters."""
     if not 1 <= tail <= prefix_len:
         raise WordError(f"tail {tail} out of range 1..{prefix_len}")
     _check_build_size("the prefix", prefix_len, MAX_PROFILE_LETTERS)
-    word = gen.prefix(prefix_len)
-    best_len, best_per, best_start = _max_exponent(word, tail)
-    return AceEstimate(
-        prefix_length=prefix_len,
-        tail=tail,
-        word=word,
-        estimate=Fraction(best_len, best_per),
-        witness_offset=best_start,
-        witness_length=best_len,
-    )
+    return gen.prefix(prefix_len)
+
+
+def ace_estimate(gen: WordGenerator, prefix_len: int, tail: int) -> AceEstimate:
+    """The exact maximal exponent among factors of length tail..prefix_len
+    of the length-prefix_len prefix, with its witness.  It comes from
+    `_max_exponent`, which tests only the shifts where an aligned block
+    recurs: on the aperiodic generators at 100,000 letters, about 520
+    shifts where testing every shift up to its stop took 27,640 to 49,999.
+    It is still quadratic at worst, so the prefix obeys the profile's
+    MAX_PROFILE_LETTERS limit."""
+    best_len, best_per, best_start = _max_exponent(_ace_prefix(gen, prefix_len, tail), tail)
+    return AceEstimate(Fraction(best_len, best_per), best_start, best_len)
 
 
 def _parse_params(literal: str | None) -> dict[str, str]:

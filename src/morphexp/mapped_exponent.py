@@ -69,15 +69,6 @@ class MappedExponentVerdict:
     witness: tuple[Morphism, Fraction] | None = None
     search_bound: int | None = None
 
-    def to_record(self) -> dict:
-        h, e = self.witness if self.witness else (None, None)
-        return {
-            "tag": self.tag,
-            "witness_morphism": h.to_text() if h else None,
-            "achieved_exponent": str(e) if e is not None else None,
-            "search_bound": self.search_bound,
-        }
-
 
 def gap_factorization(w: str, letter: str) -> GapFactorization | None:
     """The unique gap factorization of w at the given letter, or None when
@@ -179,7 +170,7 @@ def classify_general(
     first tuple, in search order, that certifies the earliest factorization
     with any.  Each factorization leaves |alphabet(w)| - 1 letters beside its
     own, so the search reads that one space once for all of them, and the
-    search's step limit bounds the whole call.  An image has 1 to L =
+    search's step count covers that one read.  An image has 1 to L =
     max_image_len letters, so h(head) and h(gap) are compared on the last
     min(|head|, L|gap|) and min(|gap|, L|head|) letters of head and gap, and
     h(gap) and h(tail) on the first min(|gap|, L|tail|) and min(|tail|,

@@ -1,12 +1,12 @@
 """Reference ACE report for the tests.
 
-`ace_oracle` builds the per-length report of `morphexp.infinite.ace_estimate`
-the direct way: one `Fraction` per factor length and a dict of offsets, with
-the rows and CSV read off them, over a period profile from `profile_sweep`.
-The library computes only the rows; `report_of` reads the exponents and
-offsets off those, so the two can be compared field by field.
-`max_exponent_every_shift` is the estimate's search without its shift
-filter.
+`ace_oracle` builds the per-length report of `morphexp ace` the direct way:
+one `Fraction` per factor length and a dict of offsets, with the rows and
+the csv stdout read off them, over a period profile from `profile_sweep`,
+and the estimate and its witness read off the Fractions.  `report_of` reads
+the same fields off the csv stdout and an `AceEstimate`, so the two can be
+compared field by field.  `max_exponent_every_shift` is the estimate's
+search without its shift filter.
 """
 
 from fractions import Fraction
@@ -39,18 +39,23 @@ def ace_oracle(text, tail):
     estimate = max(per_length.values())
     # Ties go to the shortest length, at its leftmost start.
     witness_length = min(n for n, e in per_length.items() if e == estimate)
-    return AceReport(per_length, offsets, rows, "\n".join(lines), estimate, offsets[witness_length], witness_length)
+    csv = "\n".join(lines) + "\n"
+    return AceReport(per_length, offsets, rows, csv, estimate, offsets[witness_length], witness_length)
 
 
-def report_of(est):
-    """The same fields read from an `AceEstimate`."""
-    rows = est.rows()
+def rows_of(csv):
+    """(length, exponent numerator, exponent denominator, offset) per row of
+    `ace --format csv` stdout."""
+    return [tuple(map(int, line.split(","))) for line in csv.splitlines()[1:]]
+
+
+def report_of(csv, est):
+    """The same fields read from `ace --format csv` stdout and an
+    `AceEstimate`."""
+    rows = rows_of(csv)
     per_length = {length: Fraction(num, den) for length, num, den, _ in rows}
     offsets = {length: offset for length, _, _, offset in rows}
-    return AceReport(
-        per_length, offsets, rows, est.to_csv(),
-        est.estimate, est.witness_offset, est.witness_length,
-    )
+    return AceReport(per_length, offsets, rows, csv, est.estimate, est.witness_offset, est.witness_length)
 
 
 def max_exponent_every_shift(w, min_len):

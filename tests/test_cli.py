@@ -306,6 +306,17 @@ class TestExitCodes:
             assert err.startswith("error: ") and "more than the limit" in err, argv
             assert peak < 1 << 20, argv
 
+    def test_default_classify_witness_stops_at_the_build_limit(self, capsys):
+        # Without --target the witness is pumped to exponent 2|w|, so its
+        # image grows as |w|^2: (ab)^1117 a answers, and (ab)^1118 a exits 1
+        # although its verdict is infinite.
+        code, out, err = invoke(capsys, "classify", "ab" * 1117 + "a")
+        assert (code, err) == (0, "")
+        assert out.startswith("tag: infinite\n")
+        code, out, err = invoke(capsys, "classify", "ab" * 1118 + "a")
+        assert (code, out) == (1, "")
+        assert err == "error: the witness image would have 10012811 letters, more than the limit of 10000000\n"
+
     def test_oversized_prefixes_are_1_before_allocating(self, capsys):
         cases = (
             ("ace", "--gen", "periodic", "--params", "v=ab", "--prefix", "300000000", "--tail", "1"),
@@ -541,24 +552,28 @@ ACE_DIGESTS = {
 
 class TestAceByteStable:
     def test_stdout_digests(self, capsys, monkeypatch):
-        # Only csv builds the period profile, once; text and json never do.
-        built = []
-        profile = words.minimal_period_profile
+        # csv builds the period profile once and never searches for the
+        # estimate; text and json search once and never build the profile.
+        calls = []
 
-        def refuse(w):
-            raise AssertionError("the period profile was built")
+        def spy(name, real):
+            def call(w, *args):
+                calls.append((name, len(w)))
+                return real(w, *args)
+            return call
 
-        def counted(w):
-            built.append(len(w))
-            return profile(w)
-
-        monkeypatch.setattr(words, "minimal_period_profile", refuse)
+        profile = spy("profile", words.minimal_period_profile)
+        search = spy("search", words._max_exponent)
+        for module in (words, cli, infinite):
+            if hasattr(module, "minimal_period_profile"):
+                monkeypatch.setattr(module, "minimal_period_profile", profile)
+            if hasattr(module, "_max_exponent"):
+                monkeypatch.setattr(module, "_max_exponent", search)
         for (gen, params, prefix, fmt), digest in ACE_DIGESTS.items():
-            monkeypatch.setattr(infinite, "minimal_period_profile", counted if fmt == "csv" else refuse)
-            built.clear()
+            calls.clear()
             extra = ("--params", params) if params else ()
             code, out, _ = invoke(capsys, "ace", "--gen", gen, *extra, "--prefix", str(prefix), "--tail", "8", "--format", fmt)
-            assert (code, built) == (0, [prefix] if fmt == "csv" else [])
+            assert (code, calls) == (0, [("profile" if fmt == "csv" else "search", prefix)])
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (gen, prefix, fmt)
 
 
@@ -584,6 +599,23 @@ class TestAceAtTheProfileBudget:
             "estimate": estimate, "generator": gen, "prefix": 100000, "tail": 8,
             "witness_length": length, "witness_offset": offset,
         }) + "\n"
+
+# SHA-256 of `ace --prefix 100000 --tail 8 --format csv` stdout, at the
+# profile budget, recorded while `AceEstimate` still built the csv.
+ACE_CSV_AT_THE_BUDGET = {
+    ("thue-morse", None): "c2c73a1eb107809dfef6352a0572e726707b8a3fe8799ae59602a61c40f1f70e",
+    ("interleaved", "n=4"): "91e32b1f717330a741bacd779ec2afaf2bbe5ea2b0a09bc8bdaebdd6b1e88056",
+}
+
+
+class TestAceCsvAtTheProfileBudget:
+    @pytest.mark.parametrize("gen, params", ACE_CSV_AT_THE_BUDGET)
+    def test_recorded_digest(self, capsys, gen, params):
+        extra = ("--params", params) if params else ()
+        code, out, err = invoke(capsys, "ace", "--gen", gen, *extra, "--prefix", "100000", "--tail", "8", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == ACE_CSV_AT_THE_BUDGET[gen, params]
+
 
 # SHA-256 of `generate ... --format json` stdout, recorded before morphic
 # fixed points grew through a power of their morphism, keyed by

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from morphexp import infinite
+from morphexp.cli import run
 from morphexp.infinite import (
     ImageGenerator,
     InterleavedCopiesGenerator,
@@ -22,7 +23,7 @@ from morphexp.infinite import (
 )
 from morphexp.morphisms import Morphism, parse_morphism, spreading_morphism
 from morphexp.words import WordError, fractional_exponent
-from ace_oracles import ace_oracle, report_of
+from ace_oracles import ace_oracle, report_of, rows_of
 from construction_oracles import (
     chunk_schedule,
     factor_complexity,
@@ -592,6 +593,15 @@ class TestCassaigneMorphism:
             cassaigne_morphism([1, 1], 4)
 
 
+def ace_csv(capsys, name, params, prefix, tail):
+    """`ace --format csv` stdout for a generator spec, through `cli.run`."""
+    argv = ["ace", "--gen", name, "--prefix", str(prefix), "--tail", str(tail), "--format", "csv"]
+    if params:
+        argv += ["--params", ";".join(f"{key}={value}" for key, value in params.items())]
+    assert run(argv) == 0
+    return capsys.readouterr().out
+
+
 class TestAceEstimate:
     def test_periodic_whole_prefix(self):
         est = ace_estimate(PeriodicGenerator("ab"), 100, 50)
@@ -612,11 +622,11 @@ class TestAceEstimate:
         est_large = ace_estimate(thue_morse(), 256, 64).estimate
         assert est_large <= est_small
 
-    def test_per_length_values_are_exact_maxima(self):
+    def test_per_length_values_are_exact_maxima(self, capsys):
         rng = random.Random(50)
         word = "".join(rng.choice("ab") for _ in range(60))
-        est = ace_estimate(PeriodicGenerator(word), 60, 5)
-        rows = {length: (num, den, offset) for length, num, den, offset in est.rows()}
+        csv = ace_csv(capsys, "periodic", {"v": word}, 60, 5)
+        rows = {length: (num, den, offset) for length, num, den, offset in rows_of(csv)}
         assert sorted(rows) == list(range(5, 61))
         for length in (5, 17, 33, 60):
             best = max(
@@ -627,19 +637,18 @@ class TestAceEstimate:
             offset = rows[length][2]
             assert fractional_exponent(word[offset:offset + length]).exponent == best
 
-    def test_engines_agree(self):
-        est = ace_estimate(thue_morse(), 400, 6)
+    def test_engines_agree(self, capsys):
+        rows = rows_of(ace_csv(capsys, "thue-morse", {}, 400, 6))
         text = str(thue_morse().prefix(400))
         for oracle in (profile_border, profile_sweep):
             minper, start = oracle(text)
             exponents = [Fraction(n, minper[n]) for n in range(6, 401)]
-            assert est.rows() == [
+            assert rows == [
                 (n, e.numerator, e.denominator, start[n]) for n, e in zip(range(6, 401), exponents)
             ]
 
-    def test_csv_shape(self):
-        est = ace_estimate(PeriodicGenerator("ab"), 10, 8)
-        lines = est.to_csv().splitlines()
+    def test_csv_shape(self, capsys):
+        lines = ace_csv(capsys, "periodic", {"v": "ab"}, 10, 8).splitlines()
         assert lines[0] == "factor_length,max_exponent_num,max_exponent_den,witness_offset"
         assert len(lines) == 1 + (10 - 8 + 1)
         assert lines[1] == "8,4,1,0"
@@ -683,20 +692,22 @@ class TestAceEstimate:
 
 
 class TestAceRows:
-    # The report read off rows(), field by field, against the per-length
-    # Fractions and offsets dict built directly.
-    def check(self, gen, text, tail):
-        assert report_of(ace_estimate(gen, len(text), tail)) == ace_oracle(text, tail), (text, tail)
+    # The report read off the csv stdout and the estimate, field by field,
+    # against the per-length Fractions and offsets dict built directly.
+    def check(self, capsys, name, params, text, tail):
+        csv = ace_csv(capsys, name, params, len(text), tail)
+        est = ace_estimate(generator_from_spec(name, params), len(text), tail)
+        assert report_of(csv, est) == ace_oracle(text, tail), (text, tail)
 
-    def test_random_words(self):
+    def test_random_words(self, capsys):
         rng = random.Random(70)
         for _ in range(150):
             alphabet = "abcd"[:rng.randint(1, 4)]
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 40)))
             for tail in {1, rng.randint(1, len(text)), len(text)}:
-                self.check(PeriodicGenerator(text), text, tail)
+                self.check(capsys, "periodic", {"v": text}, text, tail)
 
-    def test_cli_generators(self):
+    def test_cli_generators(self, capsys):
         rng = random.Random(71)
         specs = (
             ("thue-morse", {}),
@@ -709,7 +720,7 @@ class TestAceRows:
             for n in (1, 37, 150):
                 text = generator_from_spec(name, params).prefix(n)
                 for tail in {1, min(2, n), rng.randint(1, n), n}:
-                    self.check(generator_from_spec(name, params), text, tail)
+                    self.check(capsys, name, params, text, tail)
 
 
 class TestReferenceCycles:
@@ -842,11 +853,15 @@ class TestPrefixLimit:
         with pytest.raises(WordError, match="more than the limit"):
             ace_estimate(PeriodicGenerator("ab"), 101, 1)
 
-    def test_ace_prefix_has_its_own_limit(self, monkeypatch):
+    def test_ace_prefix_has_its_own_limit(self, monkeypatch, capsys):
         monkeypatch.setattr(infinite, "MAX_PROFILE_LETTERS", 50)
-        assert ace_estimate(thue_morse(), 50, 1).prefix_length == 50
+        assert ace_estimate(thue_morse(), 50, 1).estimate == 2
         with pytest.raises(WordError, match="the prefix would have 51 letters, more than the limit of 50"):
             ace_estimate(thue_morse(), 51, 1)
+        # The csv rows obey the same limit.
+        assert len(rows_of(ace_csv(capsys, "thue-morse", {}, 50, 1))) == 50
+        assert run(["ace", "--gen", "thue-morse", "--prefix", "51", "--tail", "1", "--format", "csv"]) == 1
+        assert capsys.readouterr() == ("", "error: the prefix would have 51 letters, more than the limit of 50\n")
         assert len(thue_morse().prefix(51)) == 51
         assert infinite.MAX_PROFILE_LETTERS < infinite.MAX_BUILD_LETTERS
 

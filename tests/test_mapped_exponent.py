@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import ceil
@@ -6,6 +7,7 @@ import pytest
 
 import morphexp.mapped_exponent as mapped_exponent
 
+from morphexp.cli import run
 from morphexp.mapped_exponent import (
     FINITE,
     INFINITE,
@@ -125,11 +127,24 @@ class TestClassifyGeneral:
             for h in pool:
                 assert fractional_exponent(h.apply(w)).exponent <= len(w), (w, h.to_text())
 
-    def test_verdict_record_shape(self):
-        record = classify_general("abab").to_record()
-        assert set(record) == {"tag", "witness_morphism", "achieved_exponent", "search_bound"}
-        assert record["tag"] == INFINITE
-        assert record["witness_morphism"]
+    def test_verdict_record_shape(self, capsys):
+        # The json record `classify` and `witness` write for each tag.
+        h, e = classify_general("abab").witness
+        cases = [
+            (["classify", "abab"], {"tag": INFINITE, "witness_morphism": h.to_text(),
+                                    "achieved_exponent": str(e), "search_bound": None}),
+            (["classify", "abababba"], {"tag": FINITE, "witness_morphism": None,
+                                        "achieved_exponent": None, "search_bound": None}),
+            (["classify", "abcacb", "--max-image-len", "1"], {"tag": UNKNOWN, "witness_morphism": None,
+                                                              "achieved_exponent": None, "search_bound": 1}),
+        ]
+        h, e = classify_general("abab", target=Fraction(5, 2)).witness
+        cases.append((["witness", "abab", "--target", "5/2"], {
+            "tag": INFINITE, "witness_morphism": h.to_text(), "achieved_exponent": str(e),
+            "search_bound": None, "target": "5/2"}))
+        for argv, fields in cases:
+            assert run([*argv, "--format", "json"]) == 0, argv
+            assert json.loads(capsys.readouterr().out) == {"word": argv[1], **fields}, argv
 
 
 def composed_pump_witness(w, fact, base, target):

@@ -21,6 +21,7 @@ from morphexp.cli import run
 from morphexp.mapped_exponent import (
     INFINITE,
     UNKNOWN,
+    MappedExponentVerdict,
     classify_general,
     gap_factorization,
     mapped_exponent_lower_bound,
@@ -183,10 +184,10 @@ class TestSearchesAgainstOracle:
         for w in words:
             max_image_len = rng.randint(1, 3)
             target = rng.randint(1, 6)
-            expected = classify_oracle(w, max_image_len=max_image_len, target=target).to_record()
-            got = classify_general(w, max_image_len=max_image_len, target=target).to_record()
+            expected = classify_oracle(w, max_image_len=max_image_len, target=target)
+            got = classify_general(w, max_image_len=max_image_len, target=target)
             assert got == expected, w
-            tags.add(got["tag"])
+            tags.add(got.tag)
         assert {INFINITE, UNKNOWN} <= tags
 
     def test_classify_records_with_several_factorizations(self):
@@ -209,10 +210,10 @@ class TestSearchesAgainstOracle:
         tags = set()
         for w, max_image_len in cases:
             for target in (None, rng.randint(1, 6)):
-                expected = classify_oracle(w, max_image_len=max_image_len, target=target).to_record()
-                got = classify_general(w, max_image_len=max_image_len, target=target).to_record()
+                expected = classify_oracle(w, max_image_len=max_image_len, target=target)
+                got = classify_general(w, max_image_len=max_image_len, target=target)
                 assert got == expected, (w, max_image_len, target)
-                tags.add(got["tag"])
+                tags.add(got.tag)
         assert {INFINITE, UNKNOWN} <= tags
 
     def test_classify_records_where_the_windows_trim(self):
@@ -241,10 +242,10 @@ class TestSearchesAgainstOracle:
             trims |= {name for name, holds in (("gap end", len(gap) > h), ("gap start", len(gap) > t),
                                                ("gap middle", len(gap) > h + t), ("head", len(head) > g)) if holds}
             target = rng.choice([None, rng.randint(1, 6)])
-            expected = classify_oracle(w, max_image_len=max_image_len, target=target).to_record()
-            got = classify_general(w, max_image_len=max_image_len, target=target).to_record()
+            expected = classify_oracle(w, max_image_len=max_image_len, target=target)
+            got = classify_general(w, max_image_len=max_image_len, target=target)
             assert got == expected, (w, max_image_len, target)
-            tags.add(got["tag"])
+            tags.add(got.tag)
         assert trims == {"gap end", "gap start", "gap middle", "head"}
         assert {INFINITE, UNKNOWN} <= tags
 
@@ -563,7 +564,7 @@ class TestCodedWords:
                     continue
                 verdict = classify_general(w, max_image_len=max_image_len, target=target)
                 expected = classify_oracle(w, max_image_len=max_image_len, target=target)
-                assert verdict.to_record() == expected.to_record(), w
+                assert verdict == expected, w
                 tags.add(verdict.tag)
                 if verdict.witness is not None:
                     h, achieved = verdict.witness
@@ -586,11 +587,12 @@ class TestCodedWords:
             assert (record["best_exponent"], record["argmax_morphism"]) == (str(best), argmax.to_text())
             return
         target = Fraction(argv[argv.index("--target") + 1]) if "--target" in argv else None
-        expected = classify_oracle(w, max_image_len=max_image_len, target=target).to_record()
-        assert {key: record[key] for key in expected} == expected
-        assert record["tag"] == INFINITE
         h = parse_morphism(record["witness_morphism"])
-        assert Fraction(record["achieved_exponent"]) == oracle_exponent(h.apply(w))
+        achieved = Fraction(record["achieved_exponent"])
+        verdict = MappedExponentVerdict(record["tag"], (h, achieved), record["search_bound"])
+        assert verdict == classify_oracle(w, max_image_len=max_image_len, target=target)
+        assert record["tag"] == INFINITE
+        assert achieved == oracle_exponent(h.apply(w))
 
     def test_family_exponents(self, capsys):
         argvs = [["lowpower", "--n", str(n), "--k", str(k)] for n in range(2, 10) for k in range(5)]
@@ -706,8 +708,8 @@ class TestSearchMemo:
                 _spaces.clear()
                 w = searching_word(rng, "abcde"[:size + 1])
                 target = rng.randint(1, 6)
-                expected = classify_oracle(w, max_image_len=max_image_len, target=target).to_record()
-                got = classify_general(w, max_image_len=max_image_len, target=target).to_record()
+                expected = classify_oracle(w, max_image_len=max_image_len, target=target)
+                got = classify_general(w, max_image_len=max_image_len, target=target)
                 assert got == expected, w
                 if None in tried(oracle_hits(w, oracle_space(*shape))):
                     assert _spaces[memo_key(*shape)] == oracle_space(*shape), w
@@ -724,7 +726,7 @@ class TestSearchMemo:
                 best, argmax = mapped_exponent_lower_bound(v, max_image_len)
                 assert (best, argmax.to_text()) == (expected_bound[0], expected_bound[1].to_text()), v
             assert _spaces[memo_key(*shape)] == oracle_space(*shape)
-            assert classify_general(w, max_image_len=max_image_len, target=target).to_record() == expected, w
+            assert classify_general(w, max_image_len=max_image_len, target=target) == expected, w
         assert stopped >= 5
 
     def count_visits(self, monkeypatch):
