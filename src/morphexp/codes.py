@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import inf
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .morphisms import is_code
 from .words import ParseError, WordError
@@ -38,21 +38,6 @@ class CodeSet:
     @property
     def max_len(self) -> int:
         return max(len(w) for w in self.words)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.words)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, w: object) -> bool:
-        return w in self.words
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CodeSet) and set(self.words) == set(other.words)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.words))
 
     def __repr__(self) -> str:
         return f"CodeSet({self.to_text()!r})"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .morphisms import Morphism, parse_morphism
 from .words import (
@@ -152,9 +152,7 @@ class ImageGenerator(WordGenerator):
         self.morphism = h
         self.base = base
         self._cursor = 0
-        self._expand_with(h.images)
-
-    def _expand_with(self, images: dict[str, str]) -> None:
+        images = self._expansion()
         sizes = set(map(len, images.values()))
         self._longest = max(max(sizes, default=0), 1)
         self._domain = "".join(images)
@@ -169,6 +167,10 @@ class ImageGenerator(WordGenerator):
                 bytes.maketrans(domain, "".join([image[j] for image in images.values()]).encode())
                 for j in range(self._longest)
             ]
+
+    def _expansion(self) -> dict[str, str]:
+        """The images of g, read once by the constructor: those of h."""
+        return self.morphism.images
 
     def _image(self, block: str) -> str:
         if self._columns is None:
@@ -236,11 +238,13 @@ class MorphicGenerator(ImageGenerator):
         start = rules.apply(seed)
         if len(start) <= len(seed) or not start.startswith(seed):
             raise WordError(f"morphism is not prolongable on seed {seed!r}")
+        self.seed = seed  # read by _expansion in the constructor
         super().__init__(rules, None)
-        self._expand_with(_long_power(rules.images, seed))
-        self.seed = seed
         self._add(seed.translate(self._table))
         self._cursor = len(seed)
+
+    def _expansion(self) -> dict[str, str]:
+        return _long_power(self.morphism.images, self.seed)
 
 
 def thue_morse() -> MorphicGenerator:
@@ -367,27 +371,21 @@ class OptimalBinaryGenerator(ImageGenerator):
         if m <= 2 * k + 2:
             raise WordError(f"constraint violated: m must exceed 2k+2 = {2 * k + 2}")
         source = _binary_base(base)
-        h = cassaigne_morphism((m - 1, m - 2, 2, 1, 3, 4), m)
-        letters = h.domain
-        super().__init__(h, StreamGenerator(_intermediate_pieces(source, n, k, letters), letters))
+        h = cassaigne_morphism(m)
+        super().__init__(h, StreamGenerator(_intermediate_pieces(source, n, k, h.domain), h.domain))
         self.n, self.k, self.m = n, k, m
 
-def cassaigne_morphism(weights: Sequence[int], m: int) -> Morphism:
-    """Fixed-length binary images a^(m-f(i)) b^(f(i)) for an injective weight
-    map f; preserves asymptotic repetition behaviour."""
-    d = len(weights)
-    if d < 1:
-        raise WordError("need at least one weight")
-    if len(set(weights)) != d:
-        raise WordError("weight map must be injective")
-    if any(f < 0 for f in weights):
-        raise WordError("weights must be >= 0")
-    if m < max(weights) + 1:
-        raise WordError(f"m too small: need m >= max(f)+1 = {max(weights) + 1}")
-    _check_build_size("the images", d * m, MAX_BUILD_LETTERS)
-    letters = fresh_letters(d, avoid="ab")
-    images = {letters[i]: "a" * (m - weights[i]) + "b" * weights[i] for i in range(d)}
-    return Morphism(images, domain=letters, codomain="ab")
+
+def cassaigne_morphism(m: int) -> Morphism:
+    """The Cassaigne encoding of six fresh letters: fixed-length binary
+    images a^(m-f(i)) b^(f(i)) for the injective weight map f = (m-1, m-2,
+    2, 1, 3, 4), which needs m >= 7; preserves asymptotic repetition
+    behaviour."""
+    if m < 7:
+        raise WordError(f"m too small: need m >= 7, got {m}")
+    _check_build_size("the images", 6 * m, MAX_BUILD_LETTERS)
+    weights = (m - 1, m - 2, 2, 1, 3, 4)
+    return Morphism({ch: "a" * (m - f) + "b" * f for ch, f in zip(fresh_letters(6, avoid="ab"), weights)})
 
 
 @dataclass(frozen=True)

@@ -140,9 +140,8 @@ def pump_witness(
     size = len(head) + fact.gap_count * len(gap) + len(tail) + (fact.gap_count + 1) * pumped_len
     _check_build_size("the witness image", size, MAX_BUILD_LETTERS)
     c = fresh_letters(1, avoid=base.codomain)
-    images = {ch: base.images[ch] for ch in others}
-    images[pumped] = s + c + (behind + ahead + c) * (pump - 1) + p
-    witness = Morphism(images, domain=letters, codomain=base.codomain + c)
+    pumped_image = s + c + (behind + ahead + c) * (pump - 1) + p
+    witness = Morphism({ch: pumped_image if ch == pumped else base.images[ch] for ch in letters})
     achieved = _exact_exponent(witness.apply(w), target)
     if achieved < target:
         raise WordError(f"pump fell short: reached {achieved}, wanted {target}")
@@ -193,7 +192,7 @@ def classify_general(
 
     for letter, fact in facts:
         if suffix_comparable(fact.head, fact.gap) and prefix_comparable(fact.gap, fact.tail):
-            identity = Morphism.identity(letters.replace(letter, ""))
+            identity = Morphism({ch: ch for ch in letters if ch != letter})
             return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, identity, goal))
 
     # head, gap and tail hold only the letters beside the factored one:
@@ -214,8 +213,7 @@ def classify_general(
     # still change the verdict.
     earliest, found = len(coded), None
     scored = 0
-    codomain = digits[:2]
-    for images in _canonical_images(len(letters) - 1, codomain, max_image_len):
+    for images in _canonical_images(len(letters) - 1, digits[:2], max_image_len):
         for i in range(earliest):
             head, end, start, tail, letter_count = coded[i]
             scored += letter_count
@@ -232,8 +230,7 @@ def classify_general(
     if found is None:
         return MappedExponentVerdict(UNKNOWN, search_bound=max_image_len)
     letter, fact = facts[earliest]
-    rest = letters.replace(letter, "")
-    h = Morphism(dict(zip(rest, found)), domain=rest, codomain=codomain)
+    h = Morphism(dict(zip(letters.replace(letter, ""), found)))
     return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, h, goal))
 
 
@@ -244,7 +241,8 @@ def mapped_exponent_lower_bound(
 ) -> tuple[Fraction, Morphism]:
     """Exact maximum of E(h(w)) over every injective h with image lengths
     <= max_image_len into a codomain of codomain_size letters; the argmax is
-    the first maximizer in search order.
+    the first maximizer in search order, a Morphism over the letters its
+    images use.
 
     Each tuple's image is built by one translate of w, coded once as letter
     indices, and is charged its letters against morphisms.MAX_SEARCH_STEPS;
@@ -260,13 +258,12 @@ def mapped_exponent_lower_bound(
     if codomain_size > len(digits):
         raise WordError(f"codomain size must be <= {len(digits)}")
     domain = "".join(sorted(set(w)))
-    codomain = digits[:codomain_size]
     # E(h(w)) = |h(w)| / smallest period, compared as integer pairs.
     best_len, best_period = 0, 1
     best_images: tuple[str, ...] | None = None
     scored = 0
     coded = w.translate({ord(ch): i for i, ch in enumerate(domain)})
-    for images in _canonical_images(len(domain), codomain, max_image_len):
+    for images in _canonical_images(len(domain), digits[:codomain_size], max_image_len):
         image = coded.translate(images)
         n = len(image)
         scored += n
@@ -283,7 +280,7 @@ def mapped_exponent_lower_bound(
     if best_images is None:
         raise WordError("no injective morphism exists within the given bounds")
     best = Fraction(best_len, best_period)
-    return best, Morphism(dict(zip(domain, best_images)), domain=domain, codomain=codomain)
+    return best, Morphism(dict(zip(domain, best_images)))
 
 
 def lowpower_morphism(n: int, k: int) -> tuple[str, Morphism, Fraction]:
@@ -296,7 +293,7 @@ def lowpower_morphism(n: int, k: int) -> tuple[str, Morphism, Fraction]:
     # |h(a)| = 2k + 1 and |h(b)| = 2, with n + 1 copies of each letter.
     _check_build_size("the family image", (n + 1) * (2 * k + 3), MAX_BUILD_LETTERS)
     word = "ab" * n + "ba"
-    h = Morphism({"a": "cd" * k + "c", "b": "dc"}, domain="ab", codomain="cd")
+    h = Morphism({"a": "cd" * k + "c", "b": "dc"})
     expected = 1 + Fraction(4 * k + 4, (2 * k + 3) * (n - 1) + 2)
     return word, h, expected
 

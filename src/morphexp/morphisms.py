@@ -54,41 +54,22 @@ def is_code(images: Sequence[str]) -> bool:
 
 
 class Morphism:
-    """A letter-to-word map extended to words by concatenation.
+    """A letter-to-word map extended to words by concatenation: its domain
+    is the key order of `images`, its codomain the sorted letters of the
+    images.
 
     Immutable after construction.
     """
 
     __slots__ = ("domain", "codomain", "images")
 
-    def __init__(
-        self,
-        images: Mapping[str, str],
-        domain: Iterable[str] | None = None,
-        codomain: Iterable[str] | None = None,
-    ):
+    def __init__(self, images: Mapping[str, str]):
         for letter, img in images.items():
             if not isinstance(img, str):
                 raise WordError(f"image of {letter!r} must be a str, got {type(img).__name__}")
-        domain = letter_set(images if domain is None else domain)
-        if set(images) != set(domain):
-            raise WordError("images must cover exactly the domain alphabet")
-        if codomain is None:
-            codomain = "".join(sorted(set("".join(images.values()))))
-        else:
-            codomain = letter_set(codomain)
-            allowed = set(codomain)
-            for letter, img in images.items():
-                if not allowed.issuperset(img):
-                    ch = next(ch for ch in img if ch not in allowed)
-                    raise WordError(f"image of {letter!r} uses letter {ch!r} outside codomain")
-        self.domain = domain
-        self.codomain = codomain
-        self.images = {letter: images[letter] for letter in domain}
-
-    @classmethod
-    def identity(cls, letters: str) -> "Morphism":
-        return cls({ch: ch for ch in letters}, domain=letters, codomain=letters)
+        self.domain = letter_set(images)
+        self.codomain = "".join(sorted(set("".join(images.values()))))
+        self.images = dict(images)
 
     def apply(self, w: str) -> str:
         images = self.images
@@ -96,9 +77,6 @@ class Morphism:
             return "".join([images[ch] for ch in w])
         except KeyError as exc:
             raise WordError(f"letter {exc.args[0]!r} outside morphism domain") from None
-
-    def is_injective(self) -> bool:
-        return is_code(list(self.images.values()))
 
     def to_text(self) -> str:
         return ",".join(f"{letter}={self.images[letter]}" for letter in self.domain)
@@ -139,7 +117,7 @@ def spreading_morphism(letters: str) -> Morphism:
     letters[2i] and letters[2i+1], maps to c^i a c^(n-1-i) and c^i b c^(n-1-i)."""
     n = len(letters) // 2
     images = {ch: "c" * (j // 2) + "ab"[j % 2] + "c" * (n - 1 - j // 2) for j, ch in enumerate(letters)}
-    return Morphism(images, domain=letters, codomain="abc")
+    return Morphism(images)
 
 
 def words_up_to(alphabet: Iterable[str], max_len: int) -> list[str]:

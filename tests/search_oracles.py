@@ -77,10 +77,9 @@ def sardinas_patterson(images):
 def compose(outer, inner):
     """(outer o inner)(a) = outer(inner(a)); defined on inner's domain."""
     for ch in inner.codomain:
-        if ch not in outer.domain and any(ch in img for img in inner.images.values()):
+        if ch not in outer.domain:
             raise WordError(f"alphabet mismatch: letter {ch!r} not in outer domain")
-    images = {letter: outer.apply(inner.images[letter]) for letter in inner.domain}
-    return Morphism(images, domain=inner.domain, codomain=outer.codomain)
+    return Morphism({letter: outer.apply(image) for letter, image in inner.images.items()})
 
 
 def injective_product(domain, codomain, max_image_len):
@@ -114,7 +113,7 @@ def lower_bound_oracle(w, max_image_len, codomain_size=2):
             best, best_images = e, images
     if best is None:
         return None
-    return best, Morphism(dict(zip(domain, best_images)), domain=domain, codomain=codomain)
+    return best, Morphism(dict(zip(domain, best_images)))
 
 
 def classify_oracle(w, max_image_len=3, target=None):
@@ -125,13 +124,13 @@ def classify_oracle(w, max_image_len=3, target=None):
     goal = Fraction(2 * len(w) if target is None else target)
     for letter, fact in facts:
         if suffix_comparable(fact.head, fact.gap) and prefix_comparable(fact.gap, fact.tail):
-            identity = Morphism.identity("".join(ch for ch in letters if ch != letter))
+            identity = Morphism({ch: ch for ch in letters if ch != letter})
             return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, identity, goal))
     codomain = "01"
     for letter, fact in facts:
         rest = "".join(ch for ch in letters if ch != letter)
         for images in injective_product(rest, codomain, max_image_len):
-            h = Morphism(dict(zip(rest, images)), domain=rest, codomain=codomain)
+            h = Morphism(dict(zip(rest, images)))
             head, gap, tail = h.apply(fact.head), h.apply(fact.gap), h.apply(fact.tail)
             if suffix_comparable(head, gap) and prefix_comparable(gap, tail):
                 return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, h, goal))

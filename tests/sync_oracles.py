@@ -48,7 +48,7 @@ def parse_counts(text, pieces):
 def decode(h: Morphism, w: str) -> str | None:
     """Preimage of w under an injective morphism, or None when w is not in
     the image submonoid."""
-    if not h.is_injective():
+    if not is_code(list(h.images.values())):
         raise WordError("decode requires an injective morphism")
     ways = parse_counts(w, list(h.images.values()))
     pos = len(w)

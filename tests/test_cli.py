@@ -95,6 +95,34 @@ class TestJsonOutput:
         assert "/" in record["achieved_exponent"] or record["achieved_exponent"].isdigit()
 
 
+# Witnesses that pump a letter other than the last one, recorded when the
+# witness morphism was built with the pumped letter's image added last and
+# its domain given as the sorted letters: the identity step (ab, abcbcb,
+# abcb, acbcbc, cbabab) and the binary search (bcacabb).
+PUMPED_BEFORE_THE_LAST_LETTER = [
+    (("classify", "ab"), "tag: infinite\nwitness: a=bAbAbAbA,b=b\nachieved exponent: 9/2\n"),
+    (("witness", "ab", "--target", "5/2"), "tag: infinite\nwitness: a=bAbAbA,b=b\nachieved exponent: 7/2\n"),
+    (("classify", "abcbcb"),
+     "tag: infinite\nwitness: a=" + "bcbcbA" * 12 + ",b=b,c=c\nachieved exponent: 77/6\n"),
+    (("classify", "bcacabb"),
+     "tag: infinite\nwitness: a=" + "A0001" * 13 + "A0,b=0,c=001\nachieved exponent: 143/5\n"),
+    (("witness", "abcb", "--target", "3"), "tag: infinite\nwitness: a=bcbAbcbAbcbA,b=b,c=c\nachieved exponent: 15/4\n"),
+    (("classify", "cbabab"),
+     "tag: infinite\nwitness: a=" + "Acb" * 11 + "Ac,b=b,c=c\nachieved exponent: 74/3\n"),
+    (("classify", "acbcbc", "--format", "json"),
+     '{"achieved_exponent": "77/6", "search_bound": null, "tag": "infinite", "witness_morphism": "a='
+     + "cbcbcA" * 12 + ',b=b,c=c", "word": "acbcbc"}\n'),
+    (("witness", "bcacabb", "--target", "7/2", "--format", "json"),
+     '{"achieved_exponent": "43/5", "search_bound": null, "tag": "infinite", "target": "7/2", '
+     '"witness_morphism": "a=A0001A0001A0001A0,b=0,c=001", "word": "bcacabb"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, shown", PUMPED_BEFORE_THE_LAST_LETTER)
+def test_witness_pumping_an_earlier_letter_prints_the_recorded_stdout(capsys, argv, shown):
+    assert invoke(capsys, *argv)[:2] == (0, shown)
+
+
 class TestCsvOutput:
     def test_ace_curve(self, capsys):
         code, out, _ = invoke(

@@ -160,15 +160,15 @@ class TestDegree:
             code = code_cut_from(rng, w, letters)
             interps = [frozenset(i.cuts) for i in x_interpretations(w, code)]
             assert x_degree(w, code) == max_disjoint(interps), (w, code.words)
-            suffix = any(x.endswith(w) for x in code)
-            prefix = any(x.startswith(w) for x in code)
+            suffix = any(x.endswith(w) for x in code.words)
+            prefix = any(x.startswith(w) for x in code.words)
             seen |= {kind for kind, holds in (
                 ("cut-free", frozenset() in interps),
                 ("suffix only", suffix and not prefix),
                 ("prefix only", prefix and not suffix),
-                ("whole word at 0", any(w.startswith(x) for x in code)),
-                ("whole word at |w|", any(w.endswith(x) for x in code)),
-                ("proper flank", any(x != w[:c] and x.endswith(w[:c]) for x in code for c in range(1, len(w)))),
+                ("whole word at 0", any(w.startswith(x) for x in code.words)),
+                ("whole word at |w|", any(w.endswith(x) for x in code.words)),
+                ("proper flank", any(x != w[:c] and x.endswith(w[:c]) for x in code.words for c in range(1, len(w)))),
             ) if holds}
             saturation = len(w) + 2 * code.max_len - 2
             if is_code(code.words) and saturation <= 14:
@@ -206,7 +206,7 @@ class TestDegree:
             if len(base) <= code.max_len:
                 continue
             done += 1
-            assert x_degree(power, code) <= len(code), (str(power), code.words)
+            assert x_degree(power, code) <= len(code.words), (str(power), code.words)
 
 
 class TestFactorizationCount:
@@ -440,17 +440,4 @@ class TestCodeSetType:
     def test_round_trip(self):
         code = parse_code_set("ab,ba")
         assert code.to_text() == "ab,ba"
-
-    def test_container_methods(self):
-        code = CodeSet(["ab", "c", "ba"])
-        assert list(code) == ["ab", "c", "ba"]
-        assert len(code) == 3
-        assert "c" in code and "ba" in code
-        assert "a" not in code and "abc" not in code
-        # Equality and hashing ignore the order of the words.
-        same = CodeSet(["ba", "ab", "c"])
-        assert code == same and hash(code) == hash(same)
-        assert len({code, same}) == 1
-        assert code != CodeSet(["ab", "c"])
-        assert code != ("ab", "c", "ba")
-        assert repr(code) == "CodeSet('ab,c,ba')"
+        assert repr(CodeSet(["ab", "c", "ba"])) == "CodeSet('ab,c,ba')"

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import itertools
+import json
 import random
 import re
 import weakref
@@ -21,7 +23,7 @@ from morphexp.infinite import (
     generator_from_spec,
     thue_morse,
 )
-from morphexp.morphisms import Morphism, parse_morphism, spreading_morphism
+from morphexp.morphisms import Morphism, is_code, parse_morphism, spreading_morphism
 from morphexp.words import WordError, fractional_exponent
 from ace_oracles import ace_oracle, report_of, rows_of
 from construction_oracles import (
@@ -484,7 +486,7 @@ class TestOptimalBinary:
         gen = OptimalBinaryGenerator(2, 2, 9)
         h = gen.morphism
         assert {len(img) for img in h.images.values()} == {9}
-        assert h.is_injective()
+        assert is_code(list(h.images.values()))
 
     def test_block_arithmetic(self):
         # k = 3: the recurrence, its first values, and the library's closed
@@ -554,7 +556,7 @@ class TestOptimalBinary:
                 "a" + "b" * (m - 1), "aa" + "b" * (m - 2), "a" * (m - 2) + "bb",
                 "a" * (m - 1) + "b", "a" * (m - 3) + "bbb", "a" * (m - 4) + "bbbb",
             ]
-            assert h == cassaigne_morphism((m - 1, m - 2, 2, 1, 3, 4), m)
+            assert h == cassaigne_morphism(m)
             assert h.codomain == "ab"
 
     def test_long_prefix_builds_few_intermediate_letters(self):
@@ -579,18 +581,26 @@ class TestOptimalBinary:
 
 
 class TestCassaigneMorphism:
-    def test_instances(self):
-        h = cassaigne_morphism([1, 2], 3)
-        assert list(h.images.values()) == ["aab", "abb"]
-        assert h.is_injective()
-        single = cassaigne_morphism([2], 5)
-        assert list(single.images.values()) == ["aaabb"]
+    def test_images_match_the_recorded_weight_map(self):
+        # Recorded from cassaigne_morphism((m - 1, m - 2, 2, 1, 3, 4), m), the
+        # one weight map in use, when the weights were still an argument.
+        assert cassaigne_morphism(7).images == {
+            "A": "abbbbbb", "B": "aabbbbb", "C": "aaaaabb", "D": "aaaaaab", "E": "aaaabbb", "F": "aaabbbb",
+        }
+        blob = json.dumps([cassaigne_morphism(m).images for m in range(7, 41)])
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "fbdcc75989b338613fd04dbf7c606dbd77c561e81fcfef7ad9789a71267655b0")
+        for m in range(7, 41):
+            h = cassaigne_morphism(m)
+            assert (h.domain, h.codomain) == ("ABCDEF", "ab")
+            assert is_code(list(h.images.values()))
 
-    def test_validation(self):
-        with pytest.raises(WordError, match="m too small"):
-            cassaigne_morphism([1, 3], 3)
-        with pytest.raises(WordError, match="injective"):
-            cassaigne_morphism([1, 1], 4)
+    def test_m_below_seven_raises(self):
+        # Below 7 the weights (m - 1, m - 2, 2, 1, 3, 4) repeat one or hold
+        # a negative one, and every such m raised when they were an argument.
+        for m in range(-1, 7):
+            with pytest.raises(WordError, match=f"m too small: need m >= 7, got {m}"):
+                cassaigne_morphism(m)
 
 
 def ace_csv(capsys, name, params, prefix, tail):

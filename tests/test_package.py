@@ -42,3 +42,18 @@ def test_the_library_imports_only_the_standard_library():
                 continue
             for top in tops:
                 assert top in sys.stdlib_module_names, (path.name, top)
+
+
+def test_every_imported_name_is_read():
+    sources = [path for path in sorted(Path(morphexp.__file__).parent.glob("*.py")) if path.name != "__init__.py"]
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert imported <= read, (path.name, sorted(imported - read))

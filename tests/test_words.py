@@ -488,9 +488,9 @@ class TestPeriodProfile:
 class TestWordType:
     def test_alphabet_validation(self):
         # Words and alphabets are plain str; a letter set is checked where it
-        # enters the library, such as a morphism's codomain.
-        with pytest.raises(WordError, match="outside codomain"):
-            Morphism({"a": "abc"}, codomain="ab")
+        # enters the library, such as a morphism's domain.
+        with pytest.raises(WordError, match="single characters, got 'ab'"):
+            Morphism({"ab": "abc"})
         assert Morphism({"x": "cab"}).codomain == "abc"
         assert letter_set(iter("bca")) == "bca"
         assert letter_set([]) == ""
