@@ -10,6 +10,7 @@ the asymptotic behaviour of the infinite word, never a claimed limit.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -29,10 +30,16 @@ from .words import (
 
 MAX_PROFILE_LETTERS = 100_000
 
-# The image length `_long_power` grows a morphic fixed point's images to.
-# Translate costs about the same per input letter whatever the image length,
-# so up to here a uniform morphism expands faster by columns.
+# The image length below which a uniform morphism expands faster by columns
+# than by str.translate (see `_Expansion`).
 LONG_IMAGE = 64
+
+# The image length `_long_power` grows a morphic fixed point's images to:
+# translate costs about the same per input letter whatever the image length.
+POWER_IMAGE = 1 << 10
+
+# The most letters the images of a power past h itself may hold together.
+POWER_BUDGET = 1 << 16
 
 # The most letters of a chunk u_i or v_i the optimal-binary stream reads and
 # renames at once, so the stream ends at most this far past what a prefix needs.
@@ -124,20 +131,18 @@ class PeriodicGenerator(WordGenerator):
         self._add(self.period_word * reps)
 
 
-class ImageGenerator(WordGenerator):
-    """The image h(x) of a base word x under a morphism h; with no base, x is
-    the generator's own word (see MorphicGenerator).
+class _Expansion(WordGenerator):
+    """The image g(x) of a word x under a morphism g built from a morphism h,
+    `.morphism`: h itself or a power of it.  A subclass reads x through
+    `_read`.
 
-    Its letters always equal g(x[:cursor]), where g is h over a base and the
-    long-image power of h (see `_long_power`) without one.  A missing stretch
-    of the prefix is filled by expanding the next ceil(missing / longest
-    image of g) letters of x, read through `_slice` (without a base, only as
-    far as the generator holds them), so a prefix costs O(n) and the letters
-    end less than one image of g past the requested length.  Blocks are
-    scanned for letters outside the domain only when the alphabet of x (the
-    generator's own, without a base) does not lie inside it; such a letter
-    raises only once the cursor reaches it while the requested prefix is
-    still longer than the letters held.
+    Its letters always equal g(x[:cursor]).  A missing stretch of the prefix
+    is filled by expanding the next ceil(missing / longest image of g)
+    letters of x, so a prefix costs O(n) and the letters end less than one
+    image of g past the requested length.  Blocks are scanned for letters
+    outside the domain only when the alphabet of x does not lie inside it;
+    such a letter raises only once the cursor reaches it while the requested
+    prefix is still longer than the letters held.
 
     When every image of g has the same length m < LONG_IMAGE and every
     letter is ASCII, a block is expanded by columns: letter j of each image
@@ -145,19 +150,14 @@ class ImageGenerator(WordGenerator):
     Any other g expands by str.translate.
     """
 
-    def __init__(self, h: Morphism, base: WordGenerator | None):
-        if base is not None and not min(map(len, h.images.values()), default=0):
-            raise WordError("erasing morphism: the image of a base word may stop growing")
+    def __init__(self, h: Morphism, images: dict[str, str], x_alphabet: str):
         super().__init__(h.codomain)
         self.morphism = h
-        self.base = base
         self._cursor = 0
-        images = self._expansion()
         sizes = set(map(len, images.values()))
         self._longest = max(max(sizes, default=0), 1)
         self._domain = "".join(images)
-        source = self if self.base is None else self.base
-        self._scan = not set(source.alphabet) <= images.keys()
+        self._scan = not set(x_alphabet) <= images.keys()
         self._table = str.maketrans(images)
         self._columns = None
         letters = "".join([self._domain, *images.values()])
@@ -168,9 +168,9 @@ class ImageGenerator(WordGenerator):
                 for j in range(self._longest)
             ]
 
-    def _expansion(self) -> dict[str, str]:
-        """The images of g, read once by the constructor: those of h."""
-        return self.morphism.images
+    def _read(self, hi: int) -> str:
+        """Letters cursor..hi-1 of x, or fewer where x holds fewer."""
+        raise NotImplementedError
 
     def _image(self, block: str) -> str:
         if self._columns is None:
@@ -183,10 +183,8 @@ class ImageGenerator(WordGenerator):
         return out.decode()
 
     def _grow(self, n: int) -> None:
-        source = self if self.base is None else self.base
         while self.size < n:
-            hi = self._cursor - (-(n - self.size) // self._longest)
-            block = source._slice(self._cursor, hi if source is not self else min(hi, self.size))
+            block = self._read(self._cursor - (-(n - self.size) // self._longest))
             if not block:
                 break
             known = len(block)
@@ -198,14 +196,33 @@ class ImageGenerator(WordGenerator):
                 raise WordError(f"letter {block[known]!r} outside morphism domain")
 
 
+class ImageGenerator(_Expansion):
+    """The image h(x) of a base word x under a nonerasing morphism h, which
+    reads only the base letters its prefixes need (see `_Expansion`)."""
+
+    def __init__(self, h: Morphism, base: WordGenerator):
+        if base is None:
+            raise WordError("an image needs a base word")
+        if not min(map(len, h.images.values()), default=0):
+            raise WordError("erasing morphism: the image of a base word may stop growing")
+        super().__init__(h, h.images, base.alphabet)
+        self.base = base
+
+    def _read(self, hi: int) -> str:
+        return self.base._slice(self._cursor, hi)
+
+
 def _long_power(images: dict[str, str], seed: str) -> dict[str, str]:
     """The images of h^j on the letters of the fixed point grown from seed
     (those reachable from it under h), for the least j whose longest image
-    among them has at least LONG_IMAGE letters, stopping once none of their
-    image lengths changes and at j = 64.  A fixed point of h is one of h^j,
-    and translate costs about the same per input letter whatever the image
-    length, so long images make growth cheap.  j = 1, with every image of h,
-    when some reachable letter has no image (h^2 undefined on the word)."""
+    among them has at least POWER_IMAGE letters, stopping once none of their
+    image lengths changes, at j = 64, and before a step whose images would
+    hold more than POWER_BUDGET letters together.  Each step is one
+    translate: h^(j+1)(a) is h(a) under the table of h^j.  A fixed point of
+    h is one of h^j, and translate costs about the same per input letter
+    whatever the image length, so long images make growth cheap.  j = 1,
+    with every image of h, when some reachable letter has no image (h^2
+    undefined on the word)."""
     reachable, todo = set(seed), list(seed)
     while todo:
         for ch in images.get(todo.pop(), ""):
@@ -215,36 +232,41 @@ def _long_power(images: dict[str, str], seed: str) -> dict[str, str]:
     if not reachable <= images.keys():
         return images
     images = {letter: image for letter, image in images.items() if letter in reachable}
-    power = images
-    sizes = list(map(len, power.values()))
+    # h^(j+1) holds |h^j(b)| letters for each occurrence of b in an image of h.
+    occurrences = Counter("".join(images.values()))
+    power, sizes = images, {letter: len(image) for letter, image in images.items()}
     for _ in range(63):
-        if max(sizes, default=0) >= LONG_IMAGE:
+        if max(sizes.values()) >= POWER_IMAGE:
             break
-        # h^(j+1)(a) = h^j(h(a)), joined from the images of h^j.
-        longer = {letter: "".join([power[ch] for ch in image]) for letter, image in images.items()}
-        longer_sizes = list(map(len, longer.values()))
+        if sum([sizes[ch] * k for ch, k in occurrences.items()]) > POWER_BUDGET:
+            break
+        table = str.maketrans(power)
+        longer = {letter: image.translate(table) for letter, image in images.items()}
+        longer_sizes = {letter: len(image) for letter, image in longer.items()}
         if longer_sizes == sizes:
             break
         power, sizes = longer, longer_sizes
     return power
 
 
-class MorphicGenerator(ImageGenerator):
+class MorphicGenerator(_Expansion):
     """Fixed point x = lim h^k(seed) of a morphism h prolongable on its seed:
-    h(seed) is seed followed by at least one letter.  The word is its own
-    image, grown from h^j(seed) with the long-image power h^j of h."""
+    h(seed) is seed followed by at least one letter.  The word is the image
+    of itself under g, the long-image power h^j of h (see `_long_power`),
+    grown from g(seed) by reading its own unexpanded letters as far as it
+    holds them."""
 
     def __init__(self, rules: Morphism, seed: str):
         start = rules.apply(seed)
         if len(start) <= len(seed) or not start.startswith(seed):
             raise WordError(f"morphism is not prolongable on seed {seed!r}")
-        self.seed = seed  # read by _expansion in the constructor
-        super().__init__(rules, None)
+        super().__init__(rules, _long_power(rules.images, seed), rules.codomain)
+        self.seed = seed
         self._add(seed.translate(self._table))
         self._cursor = len(seed)
 
-    def _expansion(self) -> dict[str, str]:
-        return _long_power(self.morphism.images, self.seed)
+    def _read(self, hi: int) -> str:
+        return self._slice(self._cursor, min(hi, self.size))
 
 
 def thue_morse() -> MorphicGenerator:

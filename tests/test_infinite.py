@@ -1,9 +1,12 @@
+import bisect
 import gc
 import hashlib
 import itertools
 import json
 import random
 import re
+import string
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -100,6 +103,7 @@ class TestMorphicGrowth:
 
     def test_random_prolongable_morphisms_match_naive_iteration(self):
         rng = random.Random(3)
+        rounds = []
         for _ in range(200):
             letters = "abcd"[:rng.randrange(2, 5)]
             word = lambda size: "".join(rng.choice(letters) for _ in range(size))
@@ -110,10 +114,25 @@ class TestMorphicGrowth:
             naive = "a"
             while len(naive) < 300:
                 naive = str(h.apply(naive))
+            # h^k(a) grows only polynomially when no other image grows, so
+            # the long prefix reads x = h(x) from the left, applying h to the
+            # letters known and not yet read: h(a) starts with a and no
+            # image is empty.
+            x, read = h.images["a"], 1
+            while len(x) < 30_000:
+                x, read = x + h.apply(x[read:]), len(x)
+            assert x.startswith(naive)
+            naive = x
             gen = MorphicGenerator(h, "a")
-            long, short, longer = rng.randrange(50, 150), rng.randrange(0, 50), rng.randrange(150, 301)
-            for n in (long, short, longer, rng.randrange(0, 301)):
+            long, short = rng.randrange(5000, 20_000), rng.randrange(0, 5000)
+            longer = rng.randrange(20_000, 30_001)
+            for n in (long, short, longer, rng.randrange(0, 30_001)):
                 assert gen.prefix(n) == naive[:n]
+            fresh = MorphicGenerator(h, "a")
+            assert fresh.prefix(longer) == naive[:longer]
+            # The seed's image, then one part per round of self-reading growth.
+            rounds.append(len(fresh._parts) - 1)
+        assert sum(k >= 3 for k in rounds) >= 50, rounds
 
     def test_skewed_images_build_less_than_one_image_past_the_prefix(self):
         # Blocks sized by the shortest image built 1,001,002 letters for
@@ -123,7 +142,28 @@ class TestMorphicGrowth:
         assert gen.size < 20_000 + 1000
         gen = MorphicGenerator(parse_morphism("a=aab,b=b"), "a")
         gen.prefix(200_000)
-        assert gen.size < 200_000 + 127  # |h^6(a)| = 127
+        # |h^j(a)| = 2^(j+1) - 1, and the least j reaching the target is 10:
+        # the longest image is 2,047 letters, below twice the target.
+        assert gen.size < 200_000 + 2 * infinite.POWER_IMAGE
+
+    def test_a_fixed_point_reads_only_the_letters_it_holds(self, monkeypatch):
+        # Its growth reads itself: every read but the requested prefix ends
+        # within the letters held, so it never grows from inside a growth.
+        for rules in ("a=ab,b=b", "a=ab,b=a", "a=aab,b=b", "a=abbc,b=,c=cc", "a=ab,b=" + "b" * 1000):
+            gen = MorphicGenerator(parse_morphism(rules), "a")
+            assert not hasattr(gen, "base")
+            reads, read = [], gen._slice
+            monkeypatch.setattr(gen, "_slice", lambda lo, hi: reads.append((hi, gen.size)) or read(lo, hi))
+            for n in (10, 5000, 70_000):
+                reads.clear()
+                text = gen.prefix(n)
+                assert len(text) == n and reads[0][0] == n, rules
+                assert all(hi <= size for hi, size in reads[1:]), rules
+                # x = h(x) from a holds for the fixed point and no other word:
+                # the image of the letters whose images end within text.
+                ends = list(itertools.accumulate(len(gen.morphism.images[ch]) for ch in text))
+                held = text[:bisect.bisect_right(ends, n)]
+                assert text[0] == "a" and text.startswith(gen.morphism.apply(held)), rules
 
     def test_multi_letter_seed_grows_its_own_fixed_point(self):
         h = parse_morphism("a=ab,b=ba")
@@ -136,9 +176,11 @@ class TestMorphicGrowth:
 
 def power_by_rule(h, seed):
     """Images of h^j by applying h to words, on the letters of the words
-    h^k(seed): j is the least power whose longest image has >= 64 letters,
-    stopping once no length changes and at j = 64; j = 1, with every image,
-    when h^2 is undefined on those letters."""
+    h^k(seed): j is the least power whose longest image has at least
+    infinite.POWER_IMAGE letters, stopping once no length changes, at
+    j = 64, and before a power whose images would hold more than
+    infinite.POWER_BUDGET letters together; j = 1, with every image, when
+    h^2 is undefined on those letters."""
     letters = set(seed)
     for _ in h.images:
         letters |= {ch for letter in letters for ch in h.images.get(letter, "")}
@@ -146,12 +188,13 @@ def power_by_rule(h, seed):
         return dict(h.images)
     power = {letter: image for letter, image in h.images.items() if letter in letters}
     for _ in range(63):
-        if max(map(len, power.values())) >= 64:
+        if max(map(len, power.values())) >= infinite.POWER_IMAGE:
             break
-        longer = {letter: h.apply(image) for letter, image in power.items()}
-        if [len(w) for w in longer.values()] == [len(w) for w in power.values()]:
+        # |h(h^j(a))|, counted before h^(j+1) is built.
+        sizes = [sum(len(h.images[ch]) for ch in image) for image in power.values()]
+        if sizes == [len(w) for w in power.values()] or sum(sizes) > infinite.POWER_BUDGET:
             break
-        power = longer
+        power = {letter: h.apply(image) for letter, image in power.items()}
     return power
 
 
@@ -180,9 +223,11 @@ class TestLongImagePower:
                 return h, seed
 
     def check(self, rng, h, seed):
-        size = 600
-        naive = naive_fixed_point(h, seed, size)
         power = power_by_rule(h, seed)
+        longest = max(map(len, power.values()))
+        # Up to four images of h^j, so that growth runs past the seed's image.
+        size = max(600, 4 * longest)
+        naive = naive_fixed_point(h, seed, size)
         gen = MorphicGenerator(h, seed)
         assert gen.morphism is h
         # Prefix lengths at the image boundaries of h^j on x, one letter
@@ -195,7 +240,6 @@ class TestLongImagePower:
         lengths |= {rng.randrange(0, size + 1) for _ in range(6)}
         lengths = sorted(lengths)
         rng.shuffle(lengths)
-        longest = max(map(len, power.values()))
         start = len("".join(power[ch] for ch in seed))
         asked = 0  # the longest prefix the shared generator has built
         for n in lengths:
@@ -230,11 +274,13 @@ class TestLongImagePower:
             images = infinite._long_power(parse_morphism(rules).images, seed)
             return {letter: len(image) for letter, image in images.items()}
 
-        assert lengths("0=01,1=10", "0") == {"0": 64, "1": 64}  # j = 6
-        assert lengths("a=ab,b=b") == {"a": 64, "b": 1}  # j = 63
-        assert lengths("a=aab,b=b") == {"a": 127, "b": 1}  # j = 6
-        assert lengths("a=ab,b=a") == {"a": 89, "b": 55}  # Fibonacci, j = 10
-        assert lengths("a=abc,b=b,c=c") == {"a": 65, "b": 1, "c": 1}  # j = 32
+        # The literals below are for these constants.
+        assert (infinite.POWER_IMAGE, infinite.POWER_BUDGET) == (1024, 1 << 16)
+        assert lengths("0=01,1=10", "0") == {"0": 1024, "1": 1024}  # j = 10
+        assert lengths("a=ab,b=b") == {"a": 65, "b": 1}  # j = 64
+        assert lengths("a=aab,b=b") == {"a": 2047, "b": 1}  # j = 10
+        assert lengths("a=ab,b=a") == {"a": 1597, "b": 987}  # Fibonacci, j = 15
+        assert lengths("a=abc,b=b,c=c") == {"a": 129, "b": 1, "c": 1}  # j = 64
         # The lengths alternate between (2, 0, 1) and (1, 0, 2): j = 64.
         assert lengths("a=bc,b=,c=a") == {"a": 1, "b": 0, "c": 2}
         assert lengths("a=ab,b=bbc") == {"a": 2, "b": 3}  # h^2 undefined: j = 1
@@ -242,21 +288,51 @@ class TestLongImagePower:
         assert infinite._long_power(parse_morphism("a=b,b=a").images, "a") == {"a": "b", "b": "a"}
         # Letters that never occur in the fixed point neither keep j = 1
         # nor get a power of their own.
-        assert lengths("a=ab,b=b,c=" + "c" * 64) == {"a": 64, "b": 1}  # j = 63
-        assert lengths("a=ab,b=b,c=") == {"a": 64, "b": 1}
-        assert lengths("a=ab,b=b,c=cd") == {"a": 64, "b": 1}  # h^2 undefined on c only
-        assert lengths("a=ab,b=bc,c=c,d=" + "d" * 64) == {"a": 67, "b": 12, "c": 1}  # j = 11
+        assert lengths("a=ab,b=b,c=" + "c" * 1024) == {"a": 65, "b": 1}  # j = 64
+        assert lengths("a=ab,b=b,c=") == {"a": 65, "b": 1}
+        assert lengths("a=ab,b=b,c=cd") == {"a": 65, "b": 1}  # h^2 undefined on c only
+        assert lengths("a=ab,b=bc,c=c,d=" + "d" * 1024) == {"a": 1036, "b": 46, "c": 1}  # j = 45
+        # The budget: h^2 would hold 1,001,002 letters, so j = 1.
+        assert lengths("a=ab,b=" + "b" * 1000) == {"a": 2, "b": 1000}
         for rules in ("0=01,1=10", "a=ab,b=b", "a=ab,b=a", "a=bc,b=,c=a", "a=abbc,b=,c=cc", "a=ab,b=", "a=b,b=a",
-                      "a=ab,b=b,c=" + "c" * 64, "a=ab,b=b,c=cd", "a=ab,b=bc,c=c,d=" + "d" * 64):
+                      "a=ab,b=b,c=" + "c" * 1024, "a=ab,b=b,c=cd", "a=ab,b=bc,c=c,d=" + "d" * 1024,
+                      "a=ab,b=" + "b" * 1000):
             h = parse_morphism(rules)
             for seed in sorted(h.images):
                 assert infinite._long_power(h.images, seed) == power_by_rule(h, seed), (rules, seed)
 
+    def test_budget_stops_the_power_before_the_target(self):
+        # k letters, each image two letters, so |h^j| = 2^j on every letter:
+        # h^j at the target would hold k * POWER_IMAGE > POWER_BUDGET letters.
+        k = infinite.POWER_BUDGET // infinite.POWER_IMAGE + 1
+        letters = [chr(0x100 + i) for i in range(k)]
+        h = Morphism({a: a + b for a, b in zip(letters, letters[1:] + letters[:1])})
+        power = infinite._long_power(h.images, letters[0])
+        assert set(map(len, power.values())) == {infinite.POWER_IMAGE // 2}
+        assert power == power_by_rule(h, letters[0])
+        assert MorphicGenerator(h, letters[0]).prefix(5000) == naive_fixed_point(h, letters[0], 5000)[:5000]
+
+    def test_long_images_stay_within_the_budget(self):
+        # Without the budget h^2 holds 30 * 900^2 letters: prefix(1000)
+        # peaked at 48.6 MB traced, against 30 kB with it.
+        rng = random.Random(31)
+        letters = string.ascii_letters[:30]
+        images = {letter: "".join(rng.choice(letters) for _ in range(900)) for letter in letters}
+        images["a"] = "a" + images["a"][1:]
+        h = Morphism(images)
+        tracemalloc.start()
+        try:
+            text = MorphicGenerator(h, "a").prefix(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
+        assert text == naive_fixed_point(h, "a", 1000)[:1000]
 
     def test_letters_outside_the_fixed_point_do_not_set_the_power(self):
         # With c counted, j stayed 1 and every block expanded a single a.
-        gen = MorphicGenerator(parse_morphism("a=ab,b=b,c=" + "c" * 64), "a")
-        assert "a".translate(gen._table) == "a" + "b" * 63
+        gen = MorphicGenerator(parse_morphism("a=ab,b=b,c=" + "c" * infinite.POWER_IMAGE), "a")
+        assert "a".translate(gen._table) == "a" + "b" * 64  # j = 64
         assert gen.prefix(1000) == "a" + "b" * 999
 
 
@@ -310,6 +386,11 @@ class TestImageGenerator:
     def test_erasing_morphism_over_a_base_is_refused(self):
         with pytest.raises(WordError, match="erasing morphism"):
             ImageGenerator(parse_morphism("a=x,b="), PeriodicGenerator("ab"))
+
+    def test_a_missing_base_is_refused(self):
+        # A base-less image gave prefix(0) == "" and failed at prefix(5).
+        with pytest.raises(WordError, match="needs a base word"):
+            ImageGenerator(parse_morphism("a=ab,b=ba"), None)
 
     def test_base_letter_outside_domain_raises_only_when_reached(self):
         # Uniform images expand by columns, the others by str.translate.
@@ -850,7 +931,10 @@ class TestLetterParts:
                 for lo in range(start + offset, start + 20_000, 100):
                     gen._slice(lo, lo + 100)
                     assert gen._parts[0] is first, make()
-                assert max(map(len, gen._parts[1:])) < 1000, make()
+                # A part is one growth: under 1,000 letters, or one image of
+                # a fixed point's power, here under twice the target (1,024
+                # and 1,431 letters); a re-joined part holds thousands more.
+                assert max(map(len, gen._parts[1:])) < 1000 + 2 * infinite.POWER_IMAGE, make()
 
 
 class TestPrefixLimit:
