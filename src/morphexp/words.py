@@ -94,45 +94,91 @@ def border_array(text: str) -> list[int]:
 
 
 def smallest_period(w: str) -> int:
-    """Least p >= 1 with w[i] == w[i+p] for all valid i."""
-    if not w:
-        raise WordError("empty input")
-    return len(w) - border_array(w)[len(w)]
+    """Least p >= 1 with w[i] == w[i+p] for all valid i: the period kernel
+    `_period_at_most` with no bound below |w|."""
+    return _period_at_most(w, len(w))
+
+
+# Candidate periods are the places where the first _NEEDLE letters of the
+# word occur again (or more letters, when the bound asks for them).
+_NEEDLE = 16
+
+
+def _common_prefix(w: str, p: int, known: int) -> int:
+    """The length of the longest common prefix of w and w[p:], whose first
+    `known` letters are known to agree: `startswith` on slices that double
+    in length until one differs, then a binary search inside it."""
+    top = len(w) - p
+    lo, step = known, max(known, 1)
+    while True:
+        hi = min(lo + step, top)
+        if hi == lo:
+            return lo
+        if not w.startswith(w[p + lo:p + hi], lo):
+            break
+        lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if w.startswith(w[p + lo:p + mid], lo):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _period_at_most(w: str, bound: int) -> int | None:
-    """smallest_period(w) when it is at most `bound`, else None.
+    """smallest_period(w) when it is at most `bound`, else None: the one
+    period kernel, in a few C-speed string calls per word.
 
-    A period p <= bound puts the prefix w[:n - bound] again at p, so
-    `str.find` (two-way matching, in C) yields the candidates in ascending
-    order, and p is a period iff w starts with w[p:].  Once the failed
-    checks have compared more than 8n letters, the border array takes over,
-    so the worst case stays linear.  The checks run in C, each letter far
-    cheaper than a step of the border array's Python loop: with a limit of
-    2n, half the calls on the images of a random 500-letter word fell back.
+    A period p leaves a border w[p:] = w[:n - p], so with a needle of m =
+    max(n - bound, min(n - 1, 16)) letters, a period p <= n - m puts w[:m]
+    again at p: `str.find` (two-way matching, in C) lists these candidates
+    in ascending order, and `_common_prefix` extends each to its extent L =
+    p + lcp(w, w[p:]); p is a period iff L = n.  A failed p skips every
+    shift q <= L - p (Fine and Wilf): w[:L] has period p, so a period q of
+    w would make gcd(p, q) a period of w[:L] and force w[L] = w[L - q] =
+    w[L - p], which L denies; the argument uses only that w[:L] has period
+    p, so it holds after earlier skips as well.  The periods above n - m,
+    whose borders are shorter than the needle, are checked at the
+    occurrences of w[:max(n - bound, 1)] past the last skip.
+
+    The linear-time border array (Knuth, Morris and Pratt) takes over once
+    the failed candidates have compared more than 8n letters, or once they
+    outnumber 8 + n / 256: a word like Thue-Morse, whose prefix recurs every
+    few dozen letters with short extents, would otherwise pay a few Python
+    calls per candidate, more than the border array's loop costs.
     """
     if not w:
         raise WordError("empty input")
     n = len(w)
-    needle = w[:max(n - bound, 0)]
-    compared = 0
-    p = w.find(needle, 1, n) if bound >= 1 else -1
+    m = max(n - bound, min(n - 1, _NEEDLE))
+    needle = w[:m]
+    compared, failed = 0, 0
+    start = 1
+    while (p := w.find(needle, start)) != -1:
+        lcp = _common_prefix(w, p, m)
+        if lcp == n - p:
+            return p
+        compared += lcp
+        failed += 1
+        if compared > 8 * n or failed > 8 + n // 256:
+            period = n - border_array(w)[n]
+            return period if period <= bound else None
+        start = max(p + 1, lcp + 1)
+    short = w[:max(n - bound, 1)]
+    p = w.find(short, max(start, n - m + 1))
     while p != -1:
         if w.startswith(w[p:]):
             return p
-        compared += n - p
-        if compared > 8 * n:
-            period = smallest_period(w)
-            return period if period <= bound else None
-        p = w.find(needle, p + 1, n)
-    return None
+        p = w.find(short, p + 1)
+    return n if bound >= n else None
 
 
 def _exact_exponent(w: str, expected: Fraction) -> Fraction:
     """E(w), exact, for a word expected to reach exponent `expected` > 0:
-    reaching it takes a period of at most n / expected, which
-    `_period_at_most` looks for first, and only a word that falls short
-    pays for the border array."""
+    reaching it takes a period of at most n / expected, so the kernel first
+    looks with that bound, whose needle of n - n / expected letters rarely
+    recurs, and only a word that falls short is searched again up to n."""
     n = len(w)
     return Fraction(n, _period_at_most(w, n * expected.denominator // expected.numerator) or smallest_period(w))
 

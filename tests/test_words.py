@@ -55,6 +55,23 @@ class TestSmallestPeriod:
             assert smallest_period(w) == brute_smallest_period(w)
 
 
+def fibonacci():
+    return infinite.generator_from_spec("morphic", {"rules": "a=ab,b=a", "seed": "a"})
+
+
+def counting_border_arrays(monkeypatch):
+    """Record the length of each word the border array is built for."""
+    built = []
+    real = words.border_array
+
+    def counting(text):
+        built.append(len(text))
+        return real(text)
+
+    monkeypatch.setattr(words, "border_array", counting)
+    return built
+
+
 def period_test_words(rng):
     """Random, periodic and near-periodic words: the last kind keep a
     period for all but their last letter or two."""
@@ -62,19 +79,25 @@ def period_test_words(rng):
     for _ in range(100):
         base = random_word(rng, "ab", rng.randint(1, 6))
         out.append(repeat_to_length(base, rng.randint(1, 40)))
-    for k in range(1, 25):
-        out += ["a" * k + "b", "ab" * k + "a", "aab" * k + "aa", "ab" * k + "b", "aab" * k + "ab"]
+    for k in range(1, 60):
+        out += ["a" * k + "b", "ab" * k + "a", "aab" * k + "aa", "ab" * k + "b", "aab" * k + "ab",
+                "a" * k + "b" + "a" * k]
     return out
+
+
+def check_every_bound(w):
+    """The kernel at every bound from 0 to |w| + 1 against the brute-force
+    period and the border array."""
+    period = brute_smallest_period(w)
+    assert period == len(w) - words.border_array(w)[len(w)] == smallest_period(w), w
+    for bound in range(len(w) + 2):
+        assert _period_at_most(w, bound) == (period if period <= bound else None), (w, bound)
 
 
 class TestPeriodAtMost:
     def test_against_smallest_period_and_the_oracle(self):
-        rng = random.Random(2301)
-        for w in period_test_words(rng):
-            period = smallest_period(w)
-            assert period == brute_smallest_period(w), w
-            for bound in range(len(w) + 2):
-                assert _period_at_most(w, bound) == (period if period <= bound else None), (w, bound)
+        for w in period_test_words(random.Random(2301)):
+            check_every_bound(w)
 
     def test_empty_rejected(self):
         with pytest.raises(WordError, match="empty"):
@@ -82,20 +105,44 @@ class TestPeriodAtMost:
 
     @pytest.mark.parametrize("w", ["a" * 100000 + "b", "ab" * 50000 + "b"])
     def test_many_failed_checks_fall_back_in_linear_time(self, w, monkeypatch):
-        # The prefix w[:1] occurs at every candidate shift, and each check
-        # fails only at the last letter.
-        fallbacks = []
-        real = words.smallest_period
-
-        def counting(text):
-            fallbacks.append(len(text))
-            return real(text)
-
-        monkeypatch.setattr(words, "smallest_period", counting)
+        # The prefix w[:16] occurs at every shift p < n - 16 that is a
+        # multiple of the base, and each p would fail only at the last
+        # letter; the first failure skips them all, so the border array is
+        # never built.
+        fallbacks = counting_border_arrays(monkeypatch)
         started = time.perf_counter()
         assert _period_at_most(w, len(w) - 1) is None
         assert time.perf_counter() - started < 1
-        assert fallbacks == [len(w)]
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("w, fallbacks", [
+        # The 16-letter prefix recurs every few dozen letters, each time
+        # with a short extent: the count budget hands the word over.
+        pytest.param(infinite.thue_morse().prefix(100_000), 1, id="thue-morse"),
+        pytest.param(fibonacci().prefix(100_000), 0, id="fibonacci"),
+        pytest.param("a" * 50_000 + "b" + "a" * 50_000, 0, id="a^k b a^k"),
+    ])
+    def test_the_border_array_is_built_only_past_a_budget(self, w, fallbacks, monkeypatch):
+        expected = len(w) - words.border_array(w)[len(w)]
+        built = counting_border_arrays(monkeypatch)
+        assert smallest_period(w) == expected
+        assert built == [len(w)] * fallbacks
+
+    def test_fractional_powers_with_random_tails_at_every_bound(self):
+        # The shape of the benchmark's exp words: a power of a base of 1 to
+        # 12 letters cut to at least half the word, then random letters.
+        rng = random.Random(3201)
+        for _ in range(300):
+            n = rng.randint(1, 300)
+            alphabet = "abcd"[:rng.randint(2, 4)]
+            base = random_word(rng, alphabet, rng.randint(1, 12))
+            head = repeat_to_length(base, rng.randint(n // 2, n))
+            check_every_bound(head + random_word(rng, alphabet, n - len(head)))
+
+    def test_generator_prefixes_at_every_bound(self):
+        for gen in (infinite.thue_morse(), fibonacci()):
+            for n in list(range(1, 80)) + [127, 128, 129, 233, 256, 377]:
+                check_every_bound(gen.prefix(n))
 
 
 class TestFractionalExponent:
