@@ -9,6 +9,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 from math import gcd
 from string import digits
 from typing import Sequence
@@ -24,11 +25,11 @@ from .mapped_exponent import (
 from .words import (
     ParseError,
     WordError,
-    _exact_exponent,
     _integer_power,
     fractional_exponent,
     minimal_period_profile,
     parse_rational,
+    smallest_period,
 )
 
 
@@ -183,7 +184,8 @@ def _cmd_family(args: argparse.Namespace) -> None:
         word, h, expected = lowpower_morphism(args.n, args.k)
     else:
         word, h, expected = highpower_word(args.n)
-    computed = _exact_exponent(h.apply(word), expected)
+    image = h.apply(word)
+    computed = Fraction(len(image), smallest_period(image))
     record = {
         "family": args.which,
         "n": args.n,

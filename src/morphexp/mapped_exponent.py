@@ -26,10 +26,10 @@ from .words import (
     MAX_BUILD_LETTERS,
     WordError,
     _check_build_size,
-    _exact_exponent,
     _period_at_most,
     fresh_letters,
     prefix_comparable,
+    smallest_period,
     suffix_comparable,
 )
 
@@ -104,8 +104,7 @@ def pump_witness(
     fresh letter) turns the image into a power of a period containing exactly
     one c; pumping c to c (V U c)^(pump-1) then multiplies the exponent.  The
     returned exponent is recomputed from the final image, not trusted from
-    the construction, by `_exact_exponent`, which finds the period at once
-    when the image reaches the target.
+    the construction.
     """
     target = Fraction(target)
     if target < 1:
@@ -142,7 +141,8 @@ def pump_witness(
     c = fresh_letters(1, avoid=base.codomain)
     pumped_image = s + c + (behind + ahead + c) * (pump - 1) + p
     witness = Morphism({ch: pumped_image if ch == pumped else base.images[ch] for ch in letters})
-    achieved = _exact_exponent(witness.apply(w), target)
+    image = witness.apply(w)
+    achieved = Fraction(len(image), smallest_period(image))
     if achieved < target:
         raise WordError(f"pump fell short: reached {achieved}, wanted {target}")
     return witness, achieved

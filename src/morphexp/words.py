@@ -128,7 +128,8 @@ def _common_prefix(w: str, p: int, known: int) -> int:
 
 def _period_at_most(w: str, bound: int) -> int | None:
     """smallest_period(w) when it is at most `bound`, else None: the one
-    period kernel, in a few C-speed string calls per word.
+    period kernel, in a few C-speed string calls per word.  Its one caller
+    with a bound below |w| is the scorer of `mapped_exponent_lower_bound`.
 
     A period p leaves a border w[p:] = w[:n - p], so with a needle of m =
     max(n - bound, min(n - 1, 16)) letters, a period p <= n - m puts w[:m]
@@ -172,15 +173,6 @@ def _period_at_most(w: str, bound: int) -> int | None:
             return p
         p = w.find(short, p + 1)
     return n if bound >= n else None
-
-
-def _exact_exponent(w: str, expected: Fraction) -> Fraction:
-    """E(w), exact, for a word expected to reach exponent `expected` > 0:
-    reaching it takes a period of at most n / expected, so the kernel first
-    looks with that bound, whose needle of n - n / expected letters rarely
-    recurs, and only a word that falls short is searched again up to n."""
-    n = len(w)
-    return Fraction(n, _period_at_most(w, n * expected.denominator // expected.numerator) or smallest_period(w))
 
 
 def fractional_exponent(w: str) -> FractionalPower:

@@ -611,10 +611,37 @@ class TestCodedWords:
             assert record["computed_exponent"] == record["expected_exponent"] == str(oracle_exponent(image)), argv
             assert record["verified"] is True
 
+    def test_exponents_of_images_past_100000_letters(self, capsys):
+        # The pumped letter's image holds the one letter that no other image
+        # holds, once per period, so the distance between its first two
+        # occurrences is the smallest period of the witness image.
+        rng = random.Random(2313)
+        argvs = [["classify", "ab" * 1117 + "a"]]
+        while len(argvs) < 7:
+            head, gap, tail = ("".join(rng.choice("ab") for _ in range(rng.randint(0, 3))) for _ in range(3))
+            w = head + "c" + (gap + "c") * rng.randint(1, 3) + tail
+            target = Fraction(rng.randint(100_000, 200_000), rng.randint(1, 2))
+            if set(w) == set("abc") and classify_general(w, target=target).tag == INFINITE:
+                argvs.append(["witness", w, "--target", str(target)])
+        for argv in argvs:
+            assert run([*argv, "--format", "json"]) == 0
+            record = json.loads(capsys.readouterr().out)
+            h = parse_morphism(record["witness_morphism"])
+            image = h.apply(argv[1])
+            images = h.images.values()
+            (fresh,) = [ch for ch in set("".join(images)) if sum(ch in v for v in images) == 1]
+            first = image.index(fresh)
+            period = image.index(fresh, first + 1) - first
+            assert len(image) > 100_000, argv
+            assert image.startswith(image[period:]), argv
+            assert Fraction(record["achieved_exponent"]) == Fraction(len(image), period), argv
+        assert run(["family", "lowpower", "--n", "2", "--k", "1600000", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
     @pytest.mark.parametrize("shift", [Fraction(-1, 7), Fraction(1, 7)])
-    def test_a_family_mismatch_reports_the_exact_exponent(self, shift, monkeypatch, capsys):
-        # An expected exponent above the image's one leaves no period within
-        # the bound; one below it finds the period at once.
+    def test_a_family_mismatch_still_prints_the_image_exponent(self, shift, monkeypatch, capsys):
+        # An expected exponent above or below the image's one still prints
+        # the image's exact exponent, with `verified: false`.
         real = cli_module.lowpower_morphism
 
         def off(n, k):
