@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import factorial
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from .morphisms import Morphism, parse_morphism
@@ -44,6 +45,10 @@ POWER_BUDGET = 1 << 16
 # The most letters of a chunk u_i or v_i the optimal-binary stream reads and
 # renames at once, so the stream ends at most this far past what a prefix needs.
 CHUNK_SLICE = 1 << 14
+
+# The most letters the memo of expansion set-ups holds, each translate table
+# counted as 256 (see `_expansion_setup`).
+MAX_CACHED_LETTERS = 1 << 20
 
 
 class WordGenerator:
@@ -133,8 +138,8 @@ class PeriodicGenerator(WordGenerator):
 
 class _Expansion(WordGenerator):
     """The image g(x) of a word x under a morphism g built from a morphism h,
-    `.morphism`: h itself or a power of it.  A subclass reads x through
-    `_read`.
+    `.morphism`: h itself, or for a fixed point grown from a seed the power
+    of h that `_long_power` picks.  A subclass reads x through `_read`.
 
     Its letters always equal g(x[:cursor]).  A missing stretch of the prefix
     is filled by expanding the next ceil(missing / longest image of g)
@@ -147,26 +152,17 @@ class _Expansion(WordGenerator):
     When every image of g has the same length m < LONG_IMAGE and every
     letter is ASCII, a block is expanded by columns: letter j of each image
     is one bytes translate of the block, written to every m-th byte from j.
-    Any other g expands by str.translate.
+    Any other g expands by str.translate.  Both sets of tables come from
+    the per-process memo of `_expansion_setup`, so building the same
+    generator again derives nothing from h.
     """
 
-    def __init__(self, h: Morphism, images: dict[str, str], x_alphabet: str):
+    def __init__(self, h: Morphism, seed: str | None, x_alphabet: str):
         super().__init__(h.codomain)
         self.morphism = h
         self._cursor = 0
-        sizes = set(map(len, images.values()))
-        self._longest = max(max(sizes, default=0), 1)
-        self._domain = "".join(images)
-        self._scan = not set(x_alphabet) <= images.keys()
-        self._table = str.maketrans(images)
-        self._columns = None
-        letters = "".join([self._domain, *images.values()])
-        if len(sizes) == 1 and 0 < self._longest < LONG_IMAGE and letters.isascii():
-            domain = self._domain.encode()
-            self._columns = [
-                bytes.maketrans(domain, "".join([image[j] for image in images.values()]).encode())
-                for j in range(self._longest)
-            ]
+        self._table, self._columns, self._longest, self._domain, _ = _expansion_setup(h.images, seed)
+        self._scan = bool(x_alphabet.lstrip(self._domain))
 
     def _read(self, hi: int) -> str:
         """Letters cursor..hi-1 of x, or fewer where x holds fewer."""
@@ -205,7 +201,7 @@ class ImageGenerator(_Expansion):
             raise WordError("an image needs a base word")
         if not min(map(len, h.images.values()), default=0):
             raise WordError("erasing morphism: the image of a base word may stop growing")
-        super().__init__(h, h.images, base.alphabet)
+        super().__init__(h, None, base.alphabet)
         self.base = base
 
     def _read(self, hi: int) -> str:
@@ -222,7 +218,9 @@ def _long_power(images: dict[str, str], seed: str) -> dict[str, str]:
     h is one of h^j, and translate costs about the same per input letter
     whatever the image length, so long images make growth cheap.  j = 1,
     with every image of h, when some reachable letter has no image (h^2
-    undefined on the word)."""
+    undefined on the word).  Thue-Morse takes 10 steps, most of the cost of
+    building its generator, so generators read the power through the memo
+    of `_expansion_setup`, which runs this once per morphism and seed."""
     reachable, todo = set(seed), list(seed)
     while todo:
         for ch in images.get(todo.pop(), ""):
@@ -249,6 +247,58 @@ def _long_power(images: dict[str, str], seed: str) -> dict[str, str]:
     return power
 
 
+class _SetupMemo(dict):
+    """The expansion set-ups built in this process, keyed by a morphism's
+    images and the seed of its fixed point, or None for an image of a base
+    word; `letters` is the sum of their sizes."""
+
+    letters = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.letters = 0
+
+
+_setups = _SetupMemo()
+
+
+def _expansion_setup(images: dict[str, str], seed: str | None) -> tuple:
+    """(table, columns, longest, domain, size) of the morphism g that
+    `_Expansion` expands by: h's `images` for seed None, else the power
+    `_long_power(images, seed)`.  The table is a read-only `str.maketrans`
+    of g, the columns a tuple of bytes tables or None, longest g's longest
+    image (at least 1), domain the letters g maps, and size the letters of
+    h's images and of g's plus 256 per translate table.
+
+    The memo holds these immutable values and no generator.  It is filled
+    on first use, stores an entry only if it fits beside those held within
+    MAX_CACHED_LETTERS, and evicts nothing.  A one-shot CLI command builds
+    each generator once, so only callers that build the same generator
+    again in one process gain."""
+    key = (tuple(images.items()), seed)
+    found = _setups.get(key)
+    if found is not None:
+        return found
+    power = images if seed is None else _long_power(images, seed)
+    sizes = set(map(len, power.values()))
+    longest = max(max(sizes, default=0), 1)
+    domain = "".join(power)
+    columns = None
+    letters = "".join([domain, *power.values()])
+    if len(sizes) == 1 and 0 < longest < LONG_IMAGE and letters.isascii():
+        ascii_domain = domain.encode()
+        columns = tuple(
+            bytes.maketrans(ascii_domain, "".join([image[j] for image in power.values()]).encode())
+            for j in range(longest)
+        )
+    size = sum(map(len, images.values())) + len(letters) + 256 * (1 + len(columns or ()))
+    found = (MappingProxyType(str.maketrans(power)), columns, longest, domain, size)
+    if _setups.letters + size <= MAX_CACHED_LETTERS:
+        _setups[key] = found
+        _setups.letters += size
+    return found
+
+
 class MorphicGenerator(_Expansion):
     """Fixed point x = lim h^k(seed) of a morphism h prolongable on its seed:
     h(seed) is seed followed by at least one letter.  The word is the image
@@ -260,7 +310,7 @@ class MorphicGenerator(_Expansion):
         start = rules.apply(seed)
         if len(start) <= len(seed) or not start.startswith(seed):
             raise WordError(f"morphism is not prolongable on seed {seed!r}")
-        super().__init__(rules, _long_power(rules.images, seed), rules.codomain)
+        super().__init__(rules, seed, rules.codomain)
         self.seed = seed
         self._add(seed.translate(self._table))
         self._cursor = len(seed)
@@ -269,8 +319,11 @@ class MorphicGenerator(_Expansion):
         return self._slice(self._cursor, min(hi, self.size))
 
 
+_THUE_MORSE = Morphism({"0": "01", "1": "10"})
+
+
 def thue_morse() -> MorphicGenerator:
-    return MorphicGenerator(Morphism({"0": "01", "1": "10"}), "0")
+    return MorphicGenerator(_THUE_MORSE, "0")
 
 
 def _binary_base(base: WordGenerator | None) -> WordGenerator:

@@ -54,9 +54,16 @@ def _check_build_size(what: str, letters: int, limit: int) -> None:
 
 
 def fresh_letters(count: int, avoid: Iterable[str] = ()) -> str:
-    """First `count` characters of LETTER_POOL not in `avoid`."""
-    taken = set(avoid)
-    out = "".join(ch for ch in LETTER_POOL if ch not in taken)
+    """First `count` characters of LETTER_POOL not in `avoid`; items of
+    avoid other than single letters avoid nothing.
+
+    One bytes translate deletes avoid's letters from the ASCII pool, which
+    no non-ASCII letter can be in: a str translate leaves its fast path at
+    the first deletion and took longer than a loop over the pool."""
+    if not isinstance(avoid, str):
+        # Through a set, so that an unhashable item raises TypeError.
+        avoid = "".join([ch for ch in set(avoid) if isinstance(ch, str) and len(ch) == 1])
+    out = LETTER_POOL.encode().translate(None, avoid.encode("ascii", "ignore")).decode()
     if len(out) < count:
         raise WordError(f"letter pool exhausted: needed {count} fresh letters")
     return out[:count]

@@ -1,10 +1,12 @@
 import pytest
 
-from morphexp import morphisms
+from morphexp import infinite, morphisms
 
 
 @pytest.fixture(autouse=True)
-def empty_search_memo():
-    """Start every test with no cached search space, so that tests counting
-    search work do not depend on the order the tests run in."""
+def empty_memos():
+    """Start every test with no cached search space and no cached expansion
+    set-up, so that tests counting search or set-up work do not depend on
+    the order the tests run in."""
     morphisms._spaces.clear()
+    infinite._setups.clear()

@@ -3,12 +3,16 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
 import string
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -853,6 +857,116 @@ class TestReferenceCycles:
                 assert [ref() for ref in refs] == [None, None]
             finally:
                 gc.enable()
+
+
+def prefixes_or_errors(gen, lengths):
+    """gen's prefixes at lengths, asked for in turn, or the message of the
+    WordError a request raised."""
+    out = []
+    for n in lengths:
+        try:
+            out.append(gen.prefix(n))
+        except WordError as exc:
+            out.append(str(exc))
+    return out
+
+
+def memo_cases():
+    """Generator makers for the memo tests: every reference spec, about 200
+    seeded morphic rules, some of them with a letter the fixed point never
+    reaches, and rules stopped by POWER_BUDGET, at j = 64, by a letter with
+    no image and by erasing images."""
+    rng = random.Random(35)
+    rules = []
+    for i in range(180):
+        h, seed = TestLongImagePower().random_prolongable(rng)
+        if i % 6 == 0:
+            # A letter no image holds, so the fixed point never reaches it.
+            h = Morphism({**h.images, "e": "".join(rng.choice("abcde") for _ in range(rng.randrange(0, 5)))})
+        rules.append((h, seed))
+    k = infinite.POWER_BUDGET // infinite.POWER_IMAGE + 1
+    letters = [chr(0x100 + i) for i in range(k)]
+    rules.append((Morphism({a: a + b for a, b in zip(letters, letters[1:] + letters[:1])}), letters[0]))
+    for literal in ("a=ab,b=b", "a=abc,b=b,c=c", "a=ab,b=b,c=" + "c" * 1024, "a=ab,b=bbc", "a=ab,b=",
+                    "a=ab,b=" + "b" * 1000, "a=ab,b=bc,c=c,d=" + "d" * 1024, "a=ab,b=a", "0=01,1=10"):
+        rules.append((parse_morphism(literal), literal[0]))
+    # One morphism, two seeds with different letters.
+    rules += [(parse_morphism("a=ab,b=b,c=cdd,d=d"), seed) for seed in "ac"]
+    makers = [lambda spec=spec: generator_from_spec(*spec) for spec in TestReferenceCycles.SPECS]
+    # Thue-Morse's morphism as an image rather than a fixed point.
+    makers.append(lambda: ImageGenerator(parse_morphism("0=01,1=10"), PeriodicGenerator("001")))
+    return makers + [lambda h=h, seed=seed: MorphicGenerator(h, seed) for h, seed in rules]
+
+
+class TestSetupMemo:
+    LENGTHS = (1, 37, 1024, 50_000)
+
+    def test_warm_builds_match_cold_ones(self):
+        cases = memo_cases()
+        expected = []
+        for make in cases:
+            infinite._setups.clear()
+            expected.append(prefixes_or_errors(make(), self.LENGTHS))
+        # One memo for every case from here on.
+        infinite._setups.clear()
+        for make, want in zip(cases, expected):
+            first = make()
+            held = dict(infinite._setups)
+            warm = make()
+            assert infinite._setups == held
+            if isinstance(first, infinite._Expansion):
+                assert warm._table is first._table, make()
+            assert prefixes_or_errors(warm, self.LENGTHS) == want, make()
+            # Two generators sharing one set-up, grown alternately.
+            pair = [first, make()]
+            for n, text in zip(self.LENGTHS, want):
+                for gen in pair:
+                    assert prefixes_or_errors(gen, [n]) == [text], (make(), n)
+
+    def test_entries_are_immutable_and_counted(self):
+        for make in memo_cases():
+            prefixes_or_errors(make(), [100])
+        assert len(infinite._setups) > 150
+        for table, columns, longest, domain, size in infinite._setups.values():
+            with pytest.raises(TypeError):
+                table[ord("a")] = "b"
+            assert columns is None or (type(columns) is tuple and all(type(c) is bytes for c in columns))
+            assert longest == max(1, *map(len, table.values())) and domain == "".join(map(chr, table))
+        assert infinite._setups.letters == sum(entry[-1] for entry in infinite._setups.values())
+        assert infinite._setups.letters <= infinite.MAX_CACHED_LETTERS
+
+    def test_the_bound_holds_and_changes_no_answer(self, monkeypatch):
+        makers = memo_cases()[:len(TestReferenceCycles.SPECS)]
+        expected = [make().prefix(5000) for make in makers]
+        # The first entry stored is Thue-Morse's.
+        first = next(iter(infinite._setups.values()))[-1]
+        for bound in (0, first):
+            monkeypatch.setattr(infinite, "MAX_CACHED_LETTERS", bound)
+            infinite._setups.clear()
+            for _ in range(2):
+                assert [make().prefix(5000) for make in makers] == expected
+                assert infinite._setups.letters == sum(entry[-1] for entry in infinite._setups.values()) <= bound
+            assert len(infinite._setups) == (bound > 0)
+
+    def test_building_thue_morse_twice_runs_the_power_steps_once(self, monkeypatch):
+        seeds = []
+        real = infinite._long_power
+
+        def counting(images, seed):
+            seeds.append(seed)
+            return real(images, seed)
+
+        monkeypatch.setattr(infinite, "_long_power", counting)
+        first, second = thue_morse(), thue_morse()
+        assert seeds == ["0"]
+        assert first.prefix(3000) == second.prefix(3000) == thue_morse_word(3000)
+
+    def test_importing_the_cli_fills_nothing(self):
+        src = str(Path(infinite.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        code = "import morphexp.cli, morphexp.infinite as i; print(len(i._setups), i._setups.letters)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
 
 
 def part_makers():

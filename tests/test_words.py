@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ from morphexp.words import (
     WordError,
     _integer_power,
     _max_exponent,
+    LETTER_POOL,
     _period_at_most,
     fractional_exponent,
+    fresh_letters,
     letter_set,
     minimal_period_profile,
     parse_rational,
@@ -562,3 +565,47 @@ class TestWordType:
         assert str(parse_rational("3")) == "3"
         with pytest.raises(WordError):
             parse_rational("x/y")
+
+
+def fresh_letters_oracle(count, avoid=()):
+    """The loop over the pool that fresh_letters replaced."""
+    taken = set(avoid)
+    out = "".join(ch for ch in LETTER_POOL if ch not in taken)
+    if len(out) < count:
+        raise WordError(f"letter pool exhausted: needed {count} fresh letters")
+    return out[:count]
+
+
+class TestFreshLetters:
+    def test_random_avoid_sets_match_the_loop_over_the_pool(self):
+        rng = random.Random(35)
+        # Pool letters, non-ASCII letters, a lone surrogate, longer and
+        # empty strings, and items that are not strings at all.
+        letters = list(LETTER_POOL) + ["\u00e9", "\u0100", "\ud800", "\x00", "-"]
+        others = ["", "ab", "Ab9", 0, 1, 7, None, 2.5, ("a",), b"a", frozenset("a")]
+        wraps = (str, list, tuple, set, iter, dict.fromkeys)
+        for _ in range(3000):
+            items = [rng.choice(letters) if rng.random() < 0.8 else rng.choice(others)
+                     for _ in range(rng.randrange(0, 70))]
+            wrap = rng.choice(wraps)
+            if wrap is str:
+                items = [ch for ch in items if isinstance(ch, str) and len(ch) == 1]
+                make = lambda: "".join(items)
+            else:
+                make = lambda: wrap(items)
+            count = rng.randrange(0, len(LETTER_POOL) + 2)
+            try:
+                expected = fresh_letters_oracle(count, make())
+            except WordError as exc:
+                with pytest.raises(WordError, match=re.escape(str(exc))):
+                    fresh_letters(count, make())
+            else:
+                assert fresh_letters(count, make()) == expected, (count, items, wrap)
+        assert fresh_letters(3) == fresh_letters_oracle(3) == "ABC"
+
+    def test_unhashable_items_raise_as_before(self):
+        for avoid in (["a", ["b"]], [{"a": 1}]):
+            with pytest.raises(TypeError):
+                fresh_letters_oracle(1, avoid)
+            with pytest.raises(TypeError):
+                fresh_letters(1, avoid)
