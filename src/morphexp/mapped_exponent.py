@@ -17,11 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
 from math import ceil
+from operator import and_, mul
 from string import digits
 
 from . import morphisms
-from .morphisms import Morphism, _canonical_images, _over_budget, is_code, spreading_morphism
+from .morphisms import Morphism, _canonical_images, _image_groups, _over_budget, is_code, spreading_morphism
 from .words import (
     MAX_BUILD_LETTERS,
     WordError,
@@ -234,6 +237,14 @@ def classify_general(
     return MappedExponentVerdict(INFINITE, witness=pump_witness(w, fact, h, goal))
 
 
+# A length group is scored bit-sliced only while the slot pairs its windows
+# can read are at most this many per letter of its images; past it, one
+# tuple at a time.
+_PAIRS_PER_LETTER = 1
+# The slot pairs p apart on which a bit-sliced period p is tried.
+_WINDOW = 32
+
+
 def mapped_exponent_lower_bound(
     w: str,
     max_image_len: int,
@@ -244,13 +255,27 @@ def mapped_exponent_lower_bound(
     the first maximizer in search order, a Morphism over the letters its
     images use.
 
-    Each tuple's image is built by one translate of w, coded once as letter
-    indices, and is charged its letters against morphisms.MAX_SEARCH_STEPS;
-    past it WordError is raised.  An image can beat the best so far only
-    with a period at most some bound B, so its first n - B letters must
-    occur again at some position from 1 to B: one `str.find` checks that,
-    and only an image that passes has its period sought, by
-    `_period_at_most(image, B)`."""
+    The search space is read in groups of tuples with equal image lengths
+    (`morphisms._image_groups`): the images of a group all have n letters,
+    and each is the group's slot sequence of w under its own letters.
+    Before a group is scored, each of its m tuples is charged n letters
+    against morphisms.MAX_SEARCH_STEPS; past it WordError is raised.  With
+    best exponent b/q so far, only a period p <= B = n q // b can beat or
+    tie it, and a tie goes to the earlier tuple in search order.
+
+    A group is scored bit-sliced, all its tuples at once, when the slot
+    pairs its windows can read, B min(_WINDOW, n), are at most
+    _PAIRS_PER_LETTER times the m n letters of its images.  For p = 1, ...,
+    B, the slot-equality masks of the first _WINDOW slot pairs p apart are
+    ANDed; the first p that leaves a bit is the least period any tuple of
+    the group can have, and its lowest bit the first tuple that can have
+    it.  That tuple's image is built: if it has period p, it is the group's
+    first maximizer.  If not, w has a run longer than the window with period
+    p under some tuples, and the group is scored one tuple at a time, as is
+    a group past the rule: each image is one translate of w, coded once as
+    letter indices, its first n - B letters must occur again at some
+    position from 1 to B (one `str.find`), and only an image that passes has
+    its period sought, by `_period_at_most(image, B)`."""
     if not w:
         raise WordError("empty input")
     if max_image_len < 1 or codomain_size < 1:
@@ -258,25 +283,55 @@ def mapped_exponent_lower_bound(
     if codomain_size > len(digits):
         raise WordError(f"codomain size must be <= {len(digits)}")
     domain = "".join(sorted(set(w)))
+    counts = list(map(w.count, domain))
     # E(h(w)) = |h(w)| / smallest period, compared as integer pairs.
-    best_len, best_period = 0, 1
+    best_len, best_period, best_index = 0, 1, 0
     best_images: tuple[str, ...] | None = None
     scored = 0
     coded = w.translate({ord(ch): i for i, ch in enumerate(domain)})
-    for images in _canonical_images(len(domain), digits[:codomain_size], max_image_len):
-        image = coded.translate(images)
-        n = len(image)
-        scored += n
+    for lengths, slot_table, indices, tuples, masks in _image_groups(
+            len(domain), digits[:codomain_size], max_image_len):
+        n = sum(map(mul, counts, lengths))
+        scored += len(tuples) * n
         if scored > morphisms.MAX_SEARCH_STEPS:
             raise _over_budget()
-        # Only a period p <= bound beats the best (n / p > best_len /
-        # best_period); the first image has no best to beat.
-        bound = (n * best_period - 1) // best_len if best_len else n
-        if bound < 1 or image.find(image[:n - bound], 1, n) == -1:
+        # The first group has no best to beat.
+        bound = n * best_period // best_len if best_len else n
+        if bound < 1:
             continue
-        period = _period_at_most(image, bound)
-        if period is not None:
-            best_len, best_period, best_images = n, period, images
+        by_tuple = bound * min(_WINDOW, n) > _PAIRS_PER_LETTER * len(tuples) * n
+        if not by_tuple:
+            # Each letter has at least one slot, so the windows lie in the
+            # slots of the first bound + _WINDOW letters.
+            slots = coded[:bound + _WINDOW].translate(slot_table)
+            equal = masks.__getitem__
+            for p in range(1, bound + 1):
+                window = slots[p:p + _WINDOW]
+                if 0 in accumulate(map(equal, zip(slots, window)), and_, initial=masks.full):
+                    continue
+                # The first tuple that passes the window wins if its image
+                # has period p.
+                mask = reduce(and_, map(equal, zip(slots, window)), masks.full)
+                i = (mask & -mask).bit_length() - 1
+                image = coded.translate(tuples[i])
+                if not image.startswith(image[p:]):
+                    by_tuple = True
+                elif p * best_len < n * best_period or indices[i] < best_index:
+                    best_len, best_period, best_index, best_images = n, p, indices[i], tuples[i]
+                break
+        if by_tuple:
+            for index, images in zip(indices, tuples):
+                # A period p <= bound beats the best, or ties it from an
+                # earlier tuple.
+                bound = (n * best_period - (index > best_index)) // best_len if best_len else n
+                if bound < 1:
+                    continue
+                image = coded.translate(images)
+                if image.find(image[:n - bound], 1, n) == -1:
+                    continue
+                period = _period_at_most(image, bound)
+                if period is not None:
+                    best_len, best_period, best_index, best_images = n, period, index, images
     if best_images is None:
         raise WordError("no injective morphism exists within the given bounds")
     best = Fraction(best_len, best_period)

@@ -82,6 +82,11 @@ def random_alphabets(rng, size, codomain_size):
     return "".join(letters), "".join(codomain)
 
 
+def seeded_word(seed, letters, length):
+    rng = random.Random(seed)
+    return "".join(rng.choice(letters) for _ in range(length))
+
+
 def random_word(rng, letters, length):
     while True:
         w = "".join(rng.choice(letters) for _ in range(length))
@@ -846,6 +851,122 @@ class TestScoring:
                 mapped_exponent_lower_bound(w, max_image_len, codomain_size)
                 enumerated += len(oracle_space(size, max_image_len, codomain_size))
         assert 5 * len(scored) < enumerated
+
+    # (domain size, max image length, codomain size) for the differential
+    # below: codomains of one to ten letters, so masks of zero to four bit
+    # planes per slot, each with a product small enough for the oracle.
+    DIFFERENTIAL_SHAPES = ((1, 3, 1), (2, 3, 1), (3, 2, 1), (2, 2, 3), (3, 2, 3), (2, 3, 3),
+                           (2, 1, 4), (3, 1, 4), (2, 2, 4), (1, 2, 10), (2, 1, 10), (3, 1, 10))
+
+    # Words whose maximizers lie in groups of different image lengths, where
+    # the group scored first does not hold the first maximizer (found among
+    # 40,000 random words of up to ten letters).
+    TIES_ACROSS_GROUPS = (("bbabaaa", 3, 2), ("bbabaaa", 3, 3), ("caacbab", 3, 2))
+
+    def differential_words(self, rng, letters):
+        """Random, periodic and near-periodic words over exactly these
+        letters, of up to about 60 letters."""
+        words = [random_word(rng, letters, rng.randint(len(letters), 12)) for _ in range(3)]
+        while len(words) < 9:
+            root = random_word(rng, letters, rng.randint(len(letters), 4))
+            w = (root * 60)[:rng.randint(len(root), 60)]
+            if len(words) % 2:
+                j = rng.randrange(len(w))
+                w = w[:j] + rng.choice(letters) + w[j + 1:]
+            if set(w) == set(letters):
+                words.append(w)
+        return words
+
+    @pytest.mark.parametrize("pairs_per_letter, window", [
+        (0, None),        # every group one tuple at a time
+        (None, None),     # the measured rule
+        (10**9, None),    # every group bit-sliced
+        (10**9, 1),       # bit-sliced on one slot pair, so most windows pass
+    ])
+    def test_sliced_scoring_against_the_oracle(self, monkeypatch, pairs_per_letter, window):
+        if pairs_per_letter is not None:
+            monkeypatch.setattr(mapped_exponent_module, "_PAIRS_PER_LETTER", pairs_per_letter)
+        if window is not None:
+            monkeypatch.setattr(mapped_exponent_module, "_WINDOW", window)
+        rng = random.Random(6204)
+        cases = [(w, max_image_len, codomain_size)
+                 for size, max_image_len, codomain_size in self.DIFFERENTIAL_SHAPES
+                 for w in self.differential_words(rng, "abc"[:size])]
+        refused = 0
+        for w, max_image_len, codomain_size in cases + list(self.TIES_ACROSS_GROUPS):
+            expected = lower_bound_oracle(w, max_image_len, codomain_size)
+            if expected is None:
+                with pytest.raises(WordError, match="no injective morphism exists within the given bounds"):
+                    mapped_exponent_lower_bound(w, max_image_len, codomain_size)
+                refused += 1
+                continue
+            best, argmax = mapped_exponent_lower_bound(w, max_image_len, codomain_size)
+            assert (best, argmax.to_text()) == (expected[0], expected[1].to_text()), (w, max_image_len)
+        assert refused >= 10
+        for w, max_image_len, codomain_size in self.TIES_ACROSS_GROUPS:
+            space = oracle_space(len(set(w)), max_image_len, codomain_size)
+            assert self.tie_across_groups(w, space, lower_bound_oracle(w, max_image_len, codomain_size)[0])
+
+    @staticmethod
+    def tie_across_groups(w, space, best):
+        """Whether the maximizers of w over the space lie in groups of
+        different image lengths n, and the first of them in search order is
+        not in the group whose first tuple comes first: the groups are
+        scored in that order, so a later group takes the tie."""
+        groups = {}
+        for index, images in enumerate(space):
+            image = w.translate(str.maketrans(dict(zip("abc", images))))
+            if fractional_exponent(image).exponent == best:
+                groups.setdefault(tuple(map(len, images)), []).append((index, len(image)))
+        if len({hits[0][1] for hits in groups.values()}) < 2:
+            return False
+        order = {lengths: i for i, lengths in enumerate(dict.fromkeys(tuple(map(len, t)) for t in space))}
+        first_scored = min(groups, key=order.get)
+        return min(groups.values())[0][0] != groups[first_scored][0][0]
+
+    def test_bench_shapes_are_scored_on_masks(self, monkeypatch):
+        # A mask step tries one period on one group of tuples; one tuple at a
+        # time, each image would be built, and the pretest of 1 in 16-25 of
+        # them would pass to the period check.
+        steps, checked = [], []
+        real_accumulate, real_period = mapped_exponent_module.accumulate, mapped_exponent_module._period_at_most
+
+        def counting_accumulate(*args, **kwargs):
+            steps.append(1)
+            return real_accumulate(*args, **kwargs)
+
+        def counting_period(w, bound):
+            checked.append(w)
+            return real_period(w, bound)
+
+        monkeypatch.setattr(mapped_exponent_module, "accumulate", counting_accumulate)
+        monkeypatch.setattr(mapped_exponent_module, "_period_at_most", counting_period)
+        rng = random.Random(6203)
+        enumerated = 0
+        for size, max_image_len, codomain_size in BENCH_SHAPES:
+            tuples = len(oracle_space(size, max_image_len, codomain_size))
+            steps.clear()
+            for _ in range(20):
+                mapped_exponent_lower_bound(random_word(rng, "abc"[:size], 6), max_image_len, codomain_size)
+            assert 0 < len(steps) < 20 * tuples, (size, max_image_len, codomain_size)
+            enumerated += 20 * tuples
+        assert 30 * len(checked) < enumerated
+
+    @pytest.mark.parametrize("w, max_image_len, out, seconds", [
+        ("ab" * 2000 + "b", 3, "best E = 10003/5 via a=01,b=010\n", 1),
+        ("a" * 3000 + "b", 3, "best E = 6003/2 via a=01,b=010\n", 1),
+        ("abc" * 300 + "a", 3, "best E = 2403/4 via a=000,b=10,c=001\n", 1),
+        (seeded_word(20005, "abc", 500), 4, "best E = 1172/1163 via a=0111,b=11,c=0\n", 3),
+    ], ids=["(ab)^2000 b", "a^3000 b", "(abc)^300 a", "random 500"])
+    def test_long_words_answer_within_bounds(self, w, max_image_len, out, seconds, capsys):
+        # Recorded before groups were scored bit-sliced.  On long periodic
+        # runs every window passes, so these groups are scored one tuple at
+        # a time; a bit-sliced pass over (ab)^2000 b took 1.8 s.
+        started = time.perf_counter()
+        assert run(["lower-bound", w, "--max-image-len", str(max_image_len)]) == 0
+        elapsed = time.perf_counter() - started
+        assert capsys.readouterr() == (out, "")
+        assert elapsed < seconds, elapsed
 
     def test_long_words_at_image_length_one(self, capsys):
         # Recorded before scoring skipped tuples that cannot beat the best.
