@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import factorial
 from types import MappingProxyType
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .morphisms import Morphism, parse_morphism
 from .words import (
@@ -247,19 +246,9 @@ def _long_power(images: dict[str, str], seed: str) -> dict[str, str]:
     return power
 
 
-class _SetupMemo(dict):
-    """The expansion set-ups built in this process, keyed by a morphism's
-    images and the seed of its fixed point, or None for an image of a base
-    word; `letters` is the sum of their sizes."""
-
-    letters = 0
-
-    def clear(self) -> None:
-        super().clear()
-        self.letters = 0
-
-
-_setups = _SetupMemo()
+# The expansion set-ups built in this process, keyed by a morphism's images
+# and the seed of its fixed point, or None for an image of a base word.
+_setups: dict[tuple, tuple] = {}
 
 
 def _expansion_setup(images: dict[str, str], seed: str | None) -> tuple:
@@ -271,10 +260,10 @@ def _expansion_setup(images: dict[str, str], seed: str | None) -> tuple:
     h's images and of g's plus 256 per translate table.
 
     The memo holds these immutable values and no generator.  It is filled
-    on first use, stores an entry only if it fits beside those held within
-    MAX_CACHED_LETTERS, and evicts nothing.  A one-shot CLI command builds
-    each generator once, so only callers that build the same generator
-    again in one process gain."""
+    on first use, stores an entry only if its size and those of the entries
+    held, summed on a miss, stay within MAX_CACHED_LETTERS, and evicts
+    nothing.  A one-shot CLI command builds each generator once, so only
+    callers that build the same generator again in one process gain."""
     key = (tuple(images.items()), seed)
     found = _setups.get(key)
     if found is not None:
@@ -293,9 +282,8 @@ def _expansion_setup(images: dict[str, str], seed: str | None) -> tuple:
         )
     size = sum(map(len, images.values())) + len(letters) + 256 * (1 + len(columns or ()))
     found = (MappingProxyType(str.maketrans(power)), columns, longest, domain, size)
-    if _setups.letters + size <= MAX_CACHED_LETTERS:
+    if size + sum(entry[-1] for entry in _setups.values()) <= MAX_CACHED_LETTERS:
         _setups[key] = found
-        _setups.letters += size
     return found
 
 
@@ -463,8 +451,7 @@ def cassaigne_morphism(m: int) -> Morphism:
     return Morphism({ch: "a" * (m - f) + "b" * f for ch, f in zip(fresh_letters(6, avoid="ab"), weights)})
 
 
-@dataclass(frozen=True)
-class AceEstimate:
+class AceEstimate(NamedTuple):
     """The tail maximum of the per-length maximal exponents over a prefix.
 
     `estimate` is max over factor lengths >= tail of the exact maximal

@@ -15,13 +15,13 @@ letter that occurs exactly once per period and then pumping around it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import ceil
 from operator import and_, mul
 from string import digits
+from typing import NamedTuple
 
 from . import morphisms
 from .morphisms import Morphism, _canonical_images, _image_groups, _over_budget, is_code, spreading_morphism
@@ -41,8 +41,7 @@ FINITE = "finite"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class GapFactorization:
+class GapFactorization(NamedTuple):
     """w = head (letter gap)^gap_count letter tail, the letter absent from
     head, gap and tail.  Exists iff all gaps between consecutive occurrences
     of the letter are equal; gap is empty by convention when the letter
@@ -58,8 +57,7 @@ class GapFactorization:
         return self.head + (self.letter + self.gap) * self.gap_count + self.letter + self.tail
 
 
-@dataclass(frozen=True)
-class MappedExponentVerdict:
+class MappedExponentVerdict(NamedTuple):
     """Outcome of a classification.
 
     infinite: witness holds an injective morphism and its verified exponent.

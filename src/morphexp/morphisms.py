@@ -108,8 +108,6 @@ def parse_morphism(literal: str) -> Morphism:
             raise ParseError(f"duplicate image for letter {letter!r}", pos)
         images[letter] = img
         pos += len(chunk) + 1
-    if not images:
-        raise ParseError("empty morphism literal", 0)
     return Morphism(images)
 
 

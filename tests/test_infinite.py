@@ -927,13 +927,14 @@ class TestSetupMemo:
         for make in memo_cases():
             prefixes_or_errors(make(), [100])
         assert len(infinite._setups) > 150
-        for table, columns, longest, domain, size in infinite._setups.values():
+        for (images, _), (table, columns, longest, domain, size) in infinite._setups.items():
             with pytest.raises(TypeError):
                 table[ord("a")] = "b"
             assert columns is None or (type(columns) is tuple and all(type(c) is bytes for c in columns))
             assert longest == max(1, *map(len, table.values())) and domain == "".join(map(chr, table))
-        assert infinite._setups.letters == sum(entry[-1] for entry in infinite._setups.values())
-        assert infinite._setups.letters <= infinite.MAX_CACHED_LETTERS
+            held = sum(len(image) for _, image in images) + len(domain) + sum(map(len, table.values()))
+            assert size == held + 256 * (1 + len(columns or ()))
+        assert sum(entry[-1] for entry in infinite._setups.values()) <= infinite.MAX_CACHED_LETTERS
 
     def test_the_bound_holds_and_changes_no_answer(self, monkeypatch):
         makers = memo_cases()[:len(TestReferenceCycles.SPECS)]
@@ -945,7 +946,7 @@ class TestSetupMemo:
             infinite._setups.clear()
             for _ in range(2):
                 assert [make().prefix(5000) for make in makers] == expected
-                assert infinite._setups.letters == sum(entry[-1] for entry in infinite._setups.values()) <= bound
+                assert sum(entry[-1] for entry in infinite._setups.values()) <= bound
             assert len(infinite._setups) == (bound > 0)
 
     def test_building_thue_morse_twice_runs_the_power_steps_once(self, monkeypatch):
@@ -964,9 +965,9 @@ class TestSetupMemo:
     def test_importing_the_cli_fills_nothing(self):
         src = str(Path(infinite.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        code = "import morphexp.cli, morphexp.infinite as i; print(len(i._setups), i._setups.letters)"
+        code = "import morphexp.cli, morphexp.infinite as i; print(len(i._setups))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def part_makers():

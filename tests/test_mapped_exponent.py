@@ -8,6 +8,7 @@ import pytest
 import morphexp.mapped_exponent as mapped_exponent
 
 from morphexp.cli import run
+from morphexp.codes import CodeSet, is_synchronizing, x_degree
 from morphexp.mapped_exponent import (
     FINITE,
     INFINITE,
@@ -20,7 +21,7 @@ from morphexp.mapped_exponent import (
     pump_witness,
 )
 from morphexp.morphisms import Morphism, is_code
-from morphexp.words import WordError, fractional_exponent, fresh_letters
+from morphexp.words import WordError, fractional_exponent, fresh_letters, minimal_period_profile
 from search_oracles import compose, injective_product
 
 
@@ -399,3 +400,26 @@ class TestBoundedLetterProperty:
                 for letter in set(w):
                     if len(h.images[letter]) >= len(base):
                         assert gap_factorization(w, letter) is not None, (w, h.to_text())
+
+
+X = CodeSet(["a", "ab"])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CodeSet(["a", "a"]), "duplicate code word 'a'"),
+    (lambda: x_degree("", X), "empty input"),
+    (lambda: is_synchronizing("", X), "empty input"),
+    (lambda: gap_factorization("", "a"), "empty input"),
+    (lambda: classify_general(""), "empty input"),
+    (lambda: mapped_exponent_lower_bound("", 2), "empty input"),
+    (lambda: minimal_period_profile(""), "empty input"),
+    (lambda: pump_witness("aba", gap_factorization("abba", "a"), identity("ab"), 2),
+     "factorization does not rebuild the input word"),
+    (lambda: pump_witness("abca", gap_factorization("abca", "a"), identity("b"), 2),
+     "base morphism lacks an image for 'c'"),
+], ids=["duplicate code word", "x_degree", "is_synchronizing", "gap_factorization", "classify_general",
+        "mapped_exponent_lower_bound", "minimal_period_profile", "factorization of another word",
+        "base without a letter"])
+def test_input_guards(call, message):
+    with pytest.raises(WordError, match=message):
+        call()

@@ -1,7 +1,10 @@
 """The package as a whole: its public names and its imports."""
 
 import ast
+import os
+import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import morphexp
@@ -57,3 +60,26 @@ def test_every_imported_name_is_read():
                 imported.update(alias.asname or alias.name for alias in node.names)
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         assert imported <= read, (path.name, sorted(imported - read))
+
+
+def test_the_result_records_are_named_tuples():
+    records = {
+        morphexp.FractionalPower: (("base", "exponent"), {}),
+        morphexp.GapFactorization: (("letter", "head", "gap", "tail", "gap_count"), {}),
+        morphexp.MappedExponentVerdict: (("tag", "witness", "search_bound"), {"witness": None, "search_bound": None}),
+        morphexp.AceEstimate: (("estimate", "witness_offset", "witness_length"), {}),
+    }
+    for record, (fields, defaults) in records.items():
+        assert issubclass(record, tuple) and (record._fields, record._field_defaults) == (fields, defaults)
+    estimate, offset, length = morphexp.AceEstimate(Fraction(2), 112, 8)
+    assert (estimate, offset, length) == (2, 112, 8)
+
+
+def test_the_cli_starts_without_the_introspection_modules():
+    # `dataclasses` would load `inspect`, and with it `ast`, `dis` and `tokenize`.
+    src = str(Path(morphexp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = ("import sys, morphexp.cli; morphexp.cli.build_parser(); "
+            "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")

@@ -907,6 +907,46 @@ class TestScoring:
             space = oracle_space(len(set(w)), max_image_len, codomain_size)
             assert self.tie_across_groups(w, space, lower_bound_oracle(w, max_image_len, codomain_size)[0])
 
+    @pytest.mark.parametrize("setup", ["cap 0", "cap below the space", "no room beside another space"])
+    def test_spaces_the_memo_does_not_take_are_grouped_as_they_stream(self, monkeypatch, setup):
+        rng = random.Random(6205)
+        cases = [(w, max_image_len, codomain_size) for size, max_image_len, codomain_size in ((2, 2, 3), (3, 3, 2))
+                 for w in self.differential_words(rng, "abc"[:size])]
+        # Answers with the default cap, which stores each space and groups it once.
+        expected = []
+        for w, max_image_len, codomain_size in cases:
+            best, argmax = mapped_exponent_lower_bound(w, max_image_len, codomain_size)
+            oracle = lower_bound_oracle(w, max_image_len, codomain_size)
+            assert (best, argmax.to_text()) == (oracle[0], oracle[1].to_text()), (w, max_image_len)
+            expected.append((best, argmax.to_text()))
+        chunks = []
+        real = morphisms_module._length_groups
+
+        def counting(chunk, start, codomain):
+            if chunk:
+                chunks.append(len(chunk))
+            return real(chunk, start, codomain)
+
+        monkeypatch.setattr(morphisms_module, "_length_groups", counting)
+        for (w, max_image_len, codomain_size), want in zip(cases, expected):
+            tuples = len(oracle_space(len(set(w)), max_image_len, codomain_size))
+            _spaces.clear()
+            if setup == "cap 0":
+                cap = 0
+            elif setup == "cap below the space":
+                cap = tuples // 3
+            else:
+                list(memo_space(1, 2, 2))
+                assert _spaces
+                cap = held() + tuples - 1
+            monkeypatch.setattr(morphisms_module, "MAX_CACHED_TUPLES", cap)
+            before = dict(_spaces)
+            chunks.clear()
+            best, argmax = mapped_exponent_lower_bound(w, max_image_len, codomain_size)
+            assert (best, argmax.to_text()) == want, (setup, w, max_image_len)
+            assert _spaces == before
+            assert sum(chunks) == tuples and len(chunks) == -(-tuples // (cap + 1)), (setup, chunks)
+
     @staticmethod
     def tie_across_groups(w, space, best):
         """Whether the maximizers of w over the space lie in groups of
