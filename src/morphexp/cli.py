@@ -25,7 +25,6 @@ from .mapped_exponent import (
 from .words import (
     ParseError,
     WordError,
-    _integer_power,
     fractional_exponent,
     minimal_period_profile,
     parse_rational,
@@ -58,9 +57,9 @@ def _emit(record: dict, text: str, fmt: str) -> None:
 
 def _cmd_exp(args: argparse.Namespace) -> None:
     w = _parse_word(args.word)
-    power = fractional_exponent(w)
-    base, e = power
-    n, root = _integer_power(w, power)
+    base, e = fractional_exponent(w)
+    # IE(w): w is a proper power of its primitive base iff E(w) is an integer.
+    n, root = (e.numerator, base) if e.denominator == 1 else (1, w)
     record = {
         "word": w,
         "exponent": str(e),

@@ -7,7 +7,6 @@ uniquely decodable code (Sardinas-Patterson).
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -137,8 +136,6 @@ MAX_SEARCH_CANDIDATES = 32_768
 # plus the most steps each code test it runs can take.  Scoring the tuples of
 # a lower bound is charged against the same limit.
 MAX_SEARCH_STEPS = 18_000_000
-# The most image tuples the search memo holds, over all its spaces.
-MAX_CACHED_TUPLES = 100_000
 
 
 def _over_budget() -> WordError:
@@ -247,129 +244,3 @@ def _injective_images(size: int, codomain: str, max_image_len: int) -> Iterator[
             break
         else:
             stack.pop()
-
-
-class _SlotMasks(dict):
-    """The slot-equality masks of one length group, keyed by pairs of slot
-    letters and built from the group's bit planes on first use: bit i of
-    the mask of (s, t) is set iff the group's i-th tuple puts the same
-    codomain letter at slots s and t.  `full` has a bit for every tuple."""
-
-    def __init__(self, planes: list[list[int]], full: int):
-        super().__init__()
-        self.planes = planes
-        self.full = full
-
-    def __missing__(self, pair: tuple[str, str]) -> int:
-        differ = 0
-        for x, y in zip(self.planes[ord(pair[0])], self.planes[ord(pair[1])]):
-            differ |= x ^ y
-        mask = self[pair] = self.full ^ differ
-        return mask
-
-
-def _length_groups(space: Sequence[tuple[str, ...]], start: int, codomain: str) -> list[tuple]:
-    """The tuples of `space`, the part of a search space from index `start`
-    on, grouped by image lengths, the groups in order of their first tuple.
-
-    A group is (lengths, slots, indices, tuples, masks): its vector of image
-    lengths, its tuples in search order with their indices in the space,
-    and their `_SlotMasks`.  A slot is a position (letter, offset) inside an
-    image; `slots` maps each domain index to the letters of its slots,
-    numbered from chr(0) in domain order, so that a word coded as domain
-    indices translates to its slot sequence.  Per slot, a group keeps one
-    bit plane per bit of a codomain letter's index (none over one letter):
-    bit i of plane b is bit b of the letter the group's i-th tuple puts
-    there."""
-    by_lengths: dict[tuple[int, ...], tuple[array[int], list[tuple[str, ...]]]] = {}
-    for index, images in enumerate(space, start):
-        lengths = tuple(map(len, images))
-        found = by_lengths.get(lengths)
-        if found is None:
-            # Indices as machine words, not int objects.
-            found = by_lengths[lengths] = (array("q"), [])
-        found[0].append(index)
-        found[1].append(images)
-    bit_tables = [str.maketrans(codomain, "".join("01"[i >> b & 1] for i in range(len(codomain))))
-                  for b in range((len(codomain) - 1).bit_length())]
-    groups = []
-    for lengths, (indices, tuples) in by_lengths.items():
-        slots, planes = [], []
-        for letter, length in enumerate(lengths):
-            slots.append("".join(map(chr, range(len(planes), len(planes) + length))))
-            # The images of one letter, read a column at a time; the first
-            # tuple's letter becomes the lowest bit.
-            joined = "".join([images[letter] for images in tuples])
-            for offset in range(length):
-                column = joined[offset::length][::-1]
-                planes.append([int(column.translate(table), 2) for table in bit_tables])
-        masks = _SlotMasks(planes, (1 << len(tuples)) - 1)
-        groups.append((lengths, tuple(slots), indices, tuples, masks))
-    return groups
-
-
-class _Space(list):
-    """The tuples of one search space read to the end, in search order, and
-    their length groups once a search has asked for them."""
-
-    groups: list[tuple] | None = None
-
-
-# The search spaces read to the end in this process, keyed by (domain size,
-# codomain letters, max image length).
-_spaces: dict[tuple[int, str, int], _Space] = {}
-
-
-def _canonical_images(size: int, codomain: str, max_image_len: int) -> Iterator[tuple[str, ...]]:
-    """The tuples of _injective_images(size, codomain, max_image_len), in the
-    same order, replayed from the memo when a search has read the whole
-    space before.
-
-    A space is stored once a search reaches its end, and only if it fits
-    beside the spaces already held within MAX_CACHED_TUPLES tuples.  A search
-    that stops early, at a first hit or by an exception, stores nothing.
-    MAX_SEARCH_STEPS is a constant, so a stored space was read within it.
-    Each CLI search command reads at most one space once, so replays serve
-    later commands in the same process, not the same command.
-    """
-    key = (size, codomain, max_image_len)
-    found = _spaces.get(key)
-    if found is not None:
-        yield from found
-        return
-    found = _Space()
-    for images in _injective_images(size, codomain, max_image_len):
-        # One tuple past the cap is enough to rule the space out.
-        if len(found) <= MAX_CACHED_TUPLES:
-            found.append(images)
-        yield images
-    if len(found) + sum(map(len, _spaces.values())) <= MAX_CACHED_TUPLES:
-        _spaces[key] = found
-
-
-def _image_groups(size: int, codomain: str, max_image_len: int) -> Iterator[tuple]:
-    """The tuples of _canonical_images(size, codomain, max_image_len) in
-    length groups, each group's indices counted over the whole space.
-
-    A space in the memo is grouped once and keeps its groups beside its
-    tuples.  Any other space is grouped as it streams, in chunks of
-    MAX_CACHED_TUPLES + 1 tuples, the fewest that rule it out of the memo,
-    and the groups of each chunk come in order of their first tuple."""
-    key = (size, codomain, max_image_len)
-    space = _spaces.get(key)
-    if space is None:
-        chunk: list[tuple[str, ...]] = []
-        start = 0
-        for images in _canonical_images(size, codomain, max_image_len):
-            chunk.append(images)
-            if len(chunk) > MAX_CACHED_TUPLES:
-                yield from _length_groups(chunk, start, codomain)
-                start += len(chunk)
-                chunk = []
-        space = _spaces.get(key)
-        if space is None:
-            yield from _length_groups(chunk, start, codomain)
-            return
-    if space.groups is None:
-        space.groups = _length_groups(space, 0, codomain)
-    yield from space.groups

@@ -192,15 +192,6 @@ def fractional_exponent(w: str) -> FractionalPower:
     return FractionalPower(w[:p], Fraction(len(w), p))
 
 
-def _integer_power(w: str, power: FractionalPower) -> tuple[int, str]:
-    """IE(w), the maximal n with w = root^n and root primitive, read off
-    E(w) = power: w is a proper power of its primitive base exactly when the
-    exponent is an integer, and primitive otherwise."""
-    if power.exponent.denominator == 1:
-        return power.exponent.numerator, power.base
-    return 1, w
-
-
 def prefix_comparable(u: str, v: str) -> bool:
     """True iff one of u, v is a prefix of the other (equivalently, u is a
     prefix of vs for some word s)."""

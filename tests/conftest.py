@@ -1,6 +1,6 @@
 import pytest
 
-from morphexp import infinite, morphisms
+from morphexp import infinite, mapped_exponent
 
 
 @pytest.fixture(autouse=True)
@@ -8,5 +8,5 @@ def empty_memos():
     """Start every test with no cached search space and no cached expansion
     set-up, so that tests counting search or set-up work do not depend on
     the order the tests run in."""
-    morphisms._spaces.clear()
+    mapped_exponent._spaces.clear()
     infinite._setups.clear()

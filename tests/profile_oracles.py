@@ -7,7 +7,8 @@ every start, `profile_sweep` scans equality runs per period, and
 `profile_naive` takes the minimum over all factors directly.
 
 `repeat_to_length`, `fractional_power` and `is_primitive` build and check the
-periodic words the tests feed to the library.
+periodic words the tests feed to the library; `brute_integer_power` is the
+integer exponent and root that `exp` prints.
 """
 
 from fractions import Fraction
@@ -30,6 +31,12 @@ def is_primitive(w):
     """True iff w is not a proper integer power; equivalently w occurs in ww
     only at positions 0 and |w|."""
     return (w + w).find(w, 1) == len(w)
+
+
+def brute_integer_power(w):
+    """IE(w) and its root: the largest k with w == w[:|w| // k] * k."""
+    k = max(k for k in range(1, len(w) + 1) if w == w[:len(w) // k] * k)
+    return k, w[:len(w) // k]
 
 
 def profile_border(text):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from morphexp import infinite, morphisms
+from morphexp import infinite, mapped_exponent
 from morphexp.cli import run
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -47,7 +47,7 @@ def differing_ops(workloads, workload, seed):
     expected = [tokens[i:i + hex_len] for i in range(0, len(tokens), hex_len)]
     assert len(expected) == len(ops)
     infinite._setups.clear()
-    morphisms._spaces.clear()
+    mapped_exponent._spaces.clear()
     differing = []
     for memo in ("cold", "warm"):
         for op, digest in zip(ops, expected):

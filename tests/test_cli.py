@@ -18,7 +18,8 @@ from morphexp.cli import run
 from morphexp.codes import CodeSet, is_synchronizing, x_degree
 from morphexp.infinite import ace_estimate, thue_morse
 from morphexp.mapped_exponent import classify_general, mapped_exponent_lower_bound
-from morphexp.words import _integer_power, fractional_exponent
+from morphexp.words import fractional_exponent
+from profile_oracles import brute_integer_power
 
 
 def invoke(capsys, *argv):
@@ -160,6 +161,10 @@ class TestExitCodes:
         assert invoke(capsys, "exp", "ab,cd")[0] == 2
         assert invoke(capsys, "nosuchcommand")[0] == 2
         assert invoke(capsys, "witness", "abab")[0] == 2  # missing --target
+
+    @pytest.mark.parametrize("which", ["lowpower", "highpower"])
+    def test_family_without_n_is_2(self, capsys, which):
+        assert invoke(capsys, "family", which) == (2, "", f"usage error: family {which} needs --n (position 0)\n")
 
     def test_non_integer_generator_parameter_is_2(self, capsys):
         for gen, params in (("interleaved", "n=x"), ("optimal-binary", "n=1;k=2;m=y")):
@@ -525,7 +530,7 @@ class TestThinAdapter:
             _, out, _ = invoke(capsys, "exp", w, "--format", "json")
             assert calls == [w]
             base, e = fractional_exponent(w)
-            n, root = _integer_power(w, fractional_exponent(w))
+            n, root = brute_integer_power(w)
             assert json.loads(out) == {"word": w, "exponent": str(e), "base": base, "integer_exponent": n, "root": root}
 
     def test_ace_equals_library(self, capsys):

@@ -250,6 +250,24 @@ class TestTextFormat:
         with pytest.raises(WordError):
             parse_morphism("a=x,a=y")
 
+    def test_repr_shows_the_text_format(self):
+        assert repr(parse_morphism("b=x,a=yy")) == "Morphism('b=x,a=yy')"
+
+
+class TestEquality:
+    def test_equal_morphisms_hash_equal(self):
+        h, g = parse_morphism("b=x,a=yy"), Morphism({"b": "x", "a": "yy"})
+        assert h == g and h is not g
+        assert hash(h) == hash(g)
+        assert len({h, g}) == 1
+        assert h != parse_morphism("b=x,a=y")
+
+    def test_a_non_morphism_is_never_equal(self):
+        h = parse_morphism("a=0,b=1")
+        for other in ("a=0,b=1", {"a": "0", "b": "1"}, None):
+            assert h.__eq__(other) is NotImplemented
+            assert h != other and not h == other
+
 
 class TestDecode:
     def test_round_trip(self):

@@ -22,11 +22,13 @@ from morphexp.mapped_exponent import (
     INFINITE,
     UNKNOWN,
     MappedExponentVerdict,
+    _canonical_images,
+    _spaces,
     classify_general,
     gap_factorization,
     mapped_exponent_lower_bound,
 )
-from morphexp.morphisms import _canonical_images, _injective_images, _spaces, parse_morphism
+from morphexp.morphisms import _injective_images, parse_morphism
 from morphexp.words import WordError, fractional_exponent, prefix_comparable, suffix_comparable
 from profile_oracles import brute_smallest_period
 from search_oracles import (
@@ -305,14 +307,14 @@ class TestSearchWork:
         # factorization is tested on the whole space, which the memo may not
         # hold.
         started = []
-        real = morphisms_module._injective_images
+        real = mapped_exponent_module._injective_images
 
         def counting(*args):
             started.append(args)
             yield from real(*args)
 
-        monkeypatch.setattr(morphisms_module, "_injective_images", counting)
-        monkeypatch.setattr(morphisms_module, "MAX_CACHED_TUPLES", 0)
+        monkeypatch.setattr(mapped_exponent_module, "_injective_images", counting)
+        monkeypatch.setattr(mapped_exponent_module, "MAX_CACHED_TUPLES", 0)
         assert classify_general("ecabdeabccdc", max_image_len).tag == UNKNOWN
         assert started == [(4, "01", max_image_len)]
 
@@ -699,7 +701,7 @@ class TestSearchMemo:
 
     @pytest.mark.parametrize("cap", [0, 1, 40, 500])
     def test_a_full_memo_holds_no_more_than_the_cap(self, monkeypatch, cap):
-        monkeypatch.setattr(morphisms_module, "MAX_CACHED_TUPLES", cap)
+        monkeypatch.setattr(mapped_exponent_module, "MAX_CACHED_TUPLES", cap)
         self.interleave(random.Random(f"6103:{cap}"), rounds=25, cap=cap)
 
     def test_two_open_searches_cannot_push_the_memo_past_the_cap(self, monkeypatch):
@@ -707,7 +709,7 @@ class TestSearchMemo:
         sizes = len(oracle_space(*first)), len(oracle_space(*second))
         cap = max(sizes)
         assert 0 < min(sizes) and sum(sizes) > cap
-        monkeypatch.setattr(morphisms_module, "MAX_CACHED_TUPLES", cap)
+        monkeypatch.setattr(mapped_exponent_module, "MAX_CACHED_TUPLES", cap)
         opened = [memo_space(*first), memo_space(*second)]
         # Both searches start while the memo is empty; the room left is
         # checked again when each reaches its end.
@@ -770,14 +772,14 @@ class TestSearchMemo:
 
     def count_visits(self, monkeypatch):
         visits = []
-        real = morphisms_module._injective_images
+        real = mapped_exponent_module._injective_images
 
         def counting(*args):
             for images in real(*args):
                 visits.append(images)
                 yield images
 
-        monkeypatch.setattr(morphisms_module, "_injective_images", counting)
+        monkeypatch.setattr(mapped_exponent_module, "_injective_images", counting)
         return visits
 
     def test_a_first_search_visits_no_more_tuples_than_its_own_enumeration(self, monkeypatch):
@@ -920,14 +922,14 @@ class TestScoring:
             assert (best, argmax.to_text()) == (oracle[0], oracle[1].to_text()), (w, max_image_len)
             expected.append((best, argmax.to_text()))
         chunks = []
-        real = morphisms_module._length_groups
+        real = mapped_exponent_module._length_groups
 
         def counting(chunk, start, codomain):
             if chunk:
                 chunks.append(len(chunk))
             return real(chunk, start, codomain)
 
-        monkeypatch.setattr(morphisms_module, "_length_groups", counting)
+        monkeypatch.setattr(mapped_exponent_module, "_length_groups", counting)
         for (w, max_image_len, codomain_size), want in zip(cases, expected):
             tuples = len(oracle_space(len(set(w)), max_image_len, codomain_size))
             _spaces.clear()
@@ -939,7 +941,7 @@ class TestScoring:
                 list(memo_space(1, 2, 2))
                 assert _spaces
                 cap = held() + tuples - 1
-            monkeypatch.setattr(morphisms_module, "MAX_CACHED_TUPLES", cap)
+            monkeypatch.setattr(mapped_exponent_module, "MAX_CACHED_TUPLES", cap)
             before = dict(_spaces)
             chunks.clear()
             best, argmax = mapped_exponent_lower_bound(w, max_image_len, codomain_size)
@@ -997,7 +999,10 @@ class TestScoring:
         ("a" * 3000 + "b", 3, "best E = 6003/2 via a=01,b=010\n", 1),
         ("abc" * 300 + "a", 3, "best E = 2403/4 via a=000,b=10,c=001\n", 1),
         (seeded_word(20005, "abc", 500), 4, "best E = 1172/1163 via a=0111,b=11,c=0\n", 3),
-    ], ids=["(ab)^2000 b", "a^3000 b", "(abc)^300 a", "random 500"])
+        # Every tuple is scored one at a time, and nearly all fail the
+        # bounded period check.
+        ("a" * 300 + "bcbc", 4, "best E = 912/899 via a=010,b=1001,c=00\n", 3),
+    ], ids=["(ab)^2000 b", "a^3000 b", "(abc)^300 a", "random 500", "a^300 bcbc"])
     def test_long_words_answer_within_bounds(self, w, max_image_len, out, seconds, capsys):
         # Recorded before groups were scored bit-sliced.  On long periodic
         # runs every window passes, so these groups are scored one tuple at

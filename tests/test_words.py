@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import time
@@ -6,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from morphexp import infinite, words
+from morphexp.cli import run
 from morphexp.words import (
     WordError,
-    _integer_power,
     _max_exponent,
     LETTER_POOL,
     _period_at_most,
@@ -24,6 +25,7 @@ from morphexp.words import (
 from morphexp.morphisms import Morphism
 from ace_oracles import ace_oracle, max_exponent_every_shift
 from profile_oracles import (
+    brute_integer_power,
     brute_smallest_period,
     fractional_power,
     is_primitive,
@@ -124,6 +126,9 @@ class TestPeriodAtMost:
         pytest.param(infinite.thue_morse().prefix(100_000), 1, id="thue-morse"),
         pytest.param(fibonacci().prefix(100_000), 0, id="fibonacci"),
         pytest.param("a" * 50_000 + "b" + "a" * 50_000, 0, id="a^k b a^k"),
+        # The prefix a^16 occurs at every shift past the b and each fails
+        # after 16 letters: the count budget hands the word over.
+        pytest.param("a" * 16 + "b" + "a" * 130_000, 1, id="a^16 b a^k"),
     ])
     def test_the_border_array_is_built_only_past_a_budget(self, w, fallbacks, monkeypatch):
         expected = len(w) - words.border_array(w)[len(w)]
@@ -166,28 +171,37 @@ class TestFractionalExponent:
             assert is_primitive(base)
             assert fractional_power(base, e) == w
 
-    def test_exponent_at_least_integer_exponent(self):
+    def test_exponent_at_least_integer_exponent(self, capsys):
         rng = random.Random(3)
         for _ in range(200):
             w = random_word(rng, "ab", rng.randint(1, 16))
-            power = fractional_exponent(w)
-            n, root = _integer_power(w, power)
-            e = power.exponent
+            n, root = exp_integer_power(capsys, w)
+            assert (n, root) == brute_integer_power(w), w
+            e = fractional_exponent(w).exponent
             assert e >= n
             if len(w) % smallest_period(w) == 0:
                 assert e == n
 
 
-class TestIntegerExponent:
-    def test_examples(self):
-        for w, expected in (("abab", (2, "ab")), ("abc", (1, "abc")), ("aaaaaa", (6, "a"))):
-            assert _integer_power(w, fractional_exponent(w)) == expected
+def exp_integer_power(capsys, w):
+    """The integer exponent and root that `exp --format json` prints for w."""
+    assert run(["exp", w, "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    return record["integer_exponent"], record["root"]
 
-    def test_root_is_primitive_and_rebuilds(self):
+
+class TestIntegerExponent:
+    def test_examples(self, capsys):
+        for w, expected in (("abab", (2, "ab")), ("abc", (1, "abc")), ("aaaaaa", (6, "a"))):
+            assert brute_integer_power(w) == expected
+            assert exp_integer_power(capsys, w) == expected
+
+    def test_root_is_primitive_and_rebuilds(self, capsys):
         rng = random.Random(4)
         for _ in range(200):
             w = random_word(rng, "ab", rng.randint(1, 18))
-            n, root = _integer_power(w, fractional_exponent(w))
+            n, root = exp_integer_power(capsys, w)
+            assert (n, root) == brute_integer_power(w), w
             assert is_primitive(root)
             assert root * n == w
 
